@@ -93,6 +93,8 @@ def _eligibility_from_args(args) -> EligibilityConfig:
 
 
 def cmd_detect(args) -> int:
+    if args.k < 1:
+        raise _CliError(f"error: --k must be >= 1, got {args.k}", EXIT_CONFIG)
     points, truth = read_dataset_csv(args.data)
     if points.shape[0] < 12:
         raise _CliError(
@@ -186,6 +188,8 @@ def cmd_sweep(args) -> int:
                 f"error: unknown pipeline {pipeline!r}", EXIT_CONFIG)
     if trials < 1:
         raise _CliError("error: trials must be >= 1", EXIT_CONFIG)
+    if ransac_k < 1:
+        raise _CliError("error: ransac_k must be >= 1", EXIT_CONFIG)
 
     header = ("param_value,pipeline,mean_error,median_error,p90_error,"
               "mean_precision,mean_recall")

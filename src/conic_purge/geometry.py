@@ -48,6 +48,22 @@ def _normalize_coeffs(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _normalize_coeff_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_normalize_coeffs` applied to each row of an (S, m) stack.
+
+    Returns the normalized rows and a mask of the rows that were finite
+    and nonzero; the other rows come back as zeros.
+    """
+    norm = np.linalg.norm(values, axis=1)
+    valid = np.isfinite(norm) & (norm != 0.0)
+    values = np.where(valid[:, None], values, 0.0) / np.where(valid, norm,
+                                                              1.0)[:, None]
+    big = np.abs(values) > _SIGN_EPS
+    lead = values[np.arange(values.shape[0]), np.argmax(big, axis=1)]
+    flip = big.any(axis=1) & (lead < 0.0)
+    return np.where(flip[:, None], -values, values), valid
+
+
 @dataclass(frozen=True)
 class EllipseParams:
     """Parametric ellipse: center, semi-major/minor axes and rotation.
@@ -285,7 +301,7 @@ def ellipsoid_from_quadric(q: QuadricCoeffs) -> EllipsoidParams:
 
 def _conic_residual_and_grad(points: np.ndarray, values: np.ndarray):
     x, y = points[:, 0], points[:, 1]
-    a, b, c, d, e, f = values
+    a, b, c, d, e, f = np.moveaxis(values, -1, 0)[..., None]
     res = a * x * x + b * x * y + c * y * y + d * x + e * y + f
     gx = 2.0 * a * x + b * y + d
     gy = b * x + 2.0 * c * y + e
@@ -294,7 +310,7 @@ def _conic_residual_and_grad(points: np.ndarray, values: np.ndarray):
 
 def _quadric_residual_and_grad(points: np.ndarray, values: np.ndarray):
     x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    q = values
+    q = np.moveaxis(values, -1, 0)[..., None]
     res = (q[0] * x * x + q[1] * y * y + q[2] * z * z
            + q[3] * x * y + q[4] * x * z + q[5] * y * z
            + q[6] * x + q[7] * y + q[8] * z + q[9])
@@ -309,6 +325,8 @@ def signed_residuals(points, model) -> np.ndarray:
 
     Negative inside the model surface, positive outside (for the canonical
     sign convention).  Entries where the gradient vanishes are +/-inf.
+    ``model`` may also be an (S, 6) or (S, 10) stack of coefficient
+    vectors; the result is then (S, n), one row per model.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if isinstance(model, ConicCoeffs):
@@ -317,14 +335,14 @@ def signed_residuals(points, model) -> np.ndarray:
         values = model.values
     else:
         values = np.asarray(model, dtype=float)
-    if values.shape == (6,):
-        res, grad = _conic_residual_and_grad(pts, values)
-    elif values.shape == (10,):
-        res, grad = _quadric_residual_and_grad(pts, values)
-    else:
+    if values.ndim not in (1, 2) or values.shape[-1] not in (6, 10):
         raise ValueError("model must have 6 (conic) or 10 (quadric) coefficients")
-    if pts.shape[1] != (2 if values.shape == (6,) else 3):
+    if pts.shape[1] != (2 if values.shape[-1] == 6 else 3):
         raise ValueError("point dimension does not match the model")
+    if values.shape[-1] == 6:
+        res, grad = _conic_residual_and_grad(pts, values)
+    else:
+        res, grad = _quadric_residual_and_grad(pts, values)
     out = np.full(res.shape, np.inf)
     np.divide(res, grad, out=out, where=grad > 0.0)
     out[(grad == 0.0) & (res < 0.0)] = -np.inf

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import (DegenerateConfiguration, NoValidModel, NotAnEllipse,
                      NotAnEllipsoid, TooFewPoints)
-from .geometry import ConicCoeffs, QuadricCoeffs, signed_residuals
+from .geometry import (ConicCoeffs, QuadricCoeffs, _normalize_coeff_rows,
+                       signed_residuals)
 from .proximity import DetectionLabels
 
 __all__ = [
@@ -73,13 +74,17 @@ def _normalize_points(pts: np.ndarray):
 
 
 def _denormalize_quadratic(coeff_mat: np.ndarray, mean: np.ndarray,
-                           scale: float) -> np.ndarray:
-    """Map a homogeneous quadratic-form matrix back to world coordinates."""
-    dim = coeff_mat.shape[0] - 1
+                           scale) -> np.ndarray:
+    """Map a homogeneous quadratic-form matrix back to world coordinates.
+
+    Also maps an (S, d+1, d+1) stack, with (S, d) means and (S,) scales.
+    """
+    dim = coeff_mat.shape[-1] - 1
+    scale = np.asarray(scale)[..., None, None]
     t = np.eye(dim + 1) / scale
-    t[dim, dim] = 1.0
-    t[:dim, dim] = -mean / scale
-    return t.T @ coeff_mat @ t
+    t[..., dim, dim] = 1.0
+    t[..., :dim, dim] = -mean / scale[..., 0]
+    return np.swapaxes(t, -1, -2) @ coeff_mat @ t
 
 
 def fit_ellipse_direct(points: np.ndarray) -> ConicCoeffs:
@@ -174,6 +179,120 @@ def fit_ellipsoid_direct(points: np.ndarray) -> QuadricCoeffs:
     if not coeffs.is_ellipsoid:
         raise NotAnEllipsoid("best quadric is not an ellipsoid")
     return coeffs
+
+
+# (row, column, factor) of each coefficient in the symmetric matrix form of
+# a conic or quadric: coefficient = factor * matrix[row, column]
+_CONIC_FORM = ((0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0),
+               (0, 2, 2.0), (1, 2, 2.0), (2, 2, 1.0))
+_QUADRIC_FORM = ((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0),
+                 (0, 1, 2.0), (0, 2, 2.0), (1, 2, 2.0),
+                 (0, 3, 2.0), (1, 3, 2.0), (2, 3, 2.0), (3, 3, 1.0))
+
+
+def _form_from_coeffs(q: np.ndarray, form) -> np.ndarray:
+    size = form[-1][0] + 1
+    mat = np.empty((q.shape[0], size, size))
+    for t, (i, j, factor) in enumerate(form):
+        mat[:, i, j] = mat[:, j, i] = q[:, t] / factor
+    return mat
+
+
+def _coeffs_from_form(mat: np.ndarray, form) -> np.ndarray:
+    return np.stack([factor * mat[:, i, j] for i, j, factor in form], axis=-1)
+
+
+def _conic_batch(u: np.ndarray):
+    """Stacked :func:`fit_ellipse_direct` on normalized (S, n, 2) samples.
+
+    Returns the normalized-frame quadratic-form matrices and a mask of the
+    samples with an admissible solution.
+    """
+    x, y = u[..., 0], u[..., 1]
+    d1 = np.stack([x * x, x * y, y * y], axis=-1)
+    d2 = np.stack([x, y, np.ones_like(x)], axis=-1)
+    s1 = np.swapaxes(d1, 1, 2) @ d1
+    s2 = np.swapaxes(d1, 1, 2) @ d2
+    s3 = np.swapaxes(d2, 1, 2) @ d2
+    # a stacked solve fails as a whole on one exactly singular block; the
+    # LU of slogdet flags the same blocks, which get a harmless stand-in
+    ok = np.linalg.slogdet(s3)[0] != 0.0
+    s3[~ok] = np.eye(3)
+    t_mat = -np.linalg.solve(s3, np.swapaxes(s2, 1, 2))
+    m = s1 + s2 @ t_mat
+    m_reduced = np.stack([m[:, 2] / 2.0, -m[:, 1], m[:, 0] / 2.0], axis=1)
+    evals, evecs = np.linalg.eig(m_reduced)
+    vecs = np.real(evecs)
+    cond = 4.0 * vecs[:, 0] * vecs[:, 2] - vecs[:, 1] ** 2
+    admissible = ~(np.abs(evals.imag) > 1e-8 * (1.0 + np.abs(evals.real)))
+    admissible &= cond > 0.0
+    ok &= admissible.any(axis=1)
+    # the earliest largest admissible eigenvector, as in the scalar loop
+    best = np.argmax(np.where(admissible, cond, -np.inf), axis=1)
+    a1 = vecs[np.arange(len(vecs)), :, best]
+    a2 = (t_mat @ a1[..., None])[..., 0]
+    return _form_from_coeffs(np.concatenate([a1, a2], axis=1),
+                             _CONIC_FORM), ok
+
+
+def _quadric_batch(u: np.ndarray):
+    """Stacked :func:`fit_ellipsoid_direct` on normalized (S, n, 3) samples."""
+    x, y, z = u[..., 0], u[..., 1], u[..., 2]
+    design = np.stack([x * x, y * y, z * z, x * y, x * z, y * z,
+                       x, y, z, np.ones_like(x)], axis=-1)
+    # with fewer than 10 rows the null vector is only in the full basis
+    _, svals, vt = np.linalg.svd(design, full_matrices=design.shape[1] < 10)
+    ok = ~((svals[:, 0] == 0.0) | (svals[:, 8] < 1e-10 * svals[:, 0]))
+    return _form_from_coeffs(vt[:, -1], _QUADRIC_FORM), ok
+
+
+def _ellipsoid_rows(values: np.ndarray) -> np.ndarray:
+    """Row-wise ``QuadricCoeffs.is_ellipsoid`` for unit-norm rows."""
+    m = _form_from_coeffs(values, _QUADRIC_FORM)[:, :3, :3]
+    lin = values[:, 6:9]
+    evals = np.linalg.eigh(m)[0]
+    definite = evals[:, 0] > 0.0
+    m[~definite] = np.eye(3)
+    center = -0.5 * np.linalg.solve(m, lin[..., None])[..., 0]
+    k = values[:, 9] + 0.5 * np.sum(lin * center, axis=1)
+    axes = np.sqrt(-k[:, None] / evals)
+    return (definite & (k < 0.0) & np.isfinite(center).all(axis=1)
+            & (np.isfinite(axes) & (axes > 0.0)).all(axis=1))
+
+
+def _fit_direct_batch(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direct fits of an (S, n, 2) or (S, n, 3) stack of point samples.
+
+    Row i matches ``fit_ellipse_direct(samples[i]).values`` (or the
+    ellipsoid fit) to rounding: the same normalization, admissibility,
+    rank and shape tests, evaluated as stacked linear algebra.  Returns
+    the (S, 6) or (S, 10) unit-norm coefficients and a mask of the samples
+    whose scalar fit would have succeeded; the other rows are zero.
+    """
+    conic = samples.shape[2] == 2
+    if samples.shape[1] < (MIN_POINTS_ELLIPSE if conic
+                           else MIN_POINTS_ELLIPSOID):
+        raise TooFewPoints("a direct fit needs at least 5 (2-D) or 9 (3-D) "
+                           "points per sample")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mean = samples.mean(axis=1)
+        shifted = samples - mean[:, None, :]
+        scale = np.sqrt(np.mean(shifted ** 2, axis=(1, 2)))
+        spread = scale != 0.0
+        scale[~spread] = 1.0
+        mat, ok = (_conic_batch if conic else _quadric_batch)(
+            shifted / scale[:, None, None])
+        w = _denormalize_quadratic(mat, mean, scale)
+        values, valid = _normalize_coeff_rows(_coeffs_from_form(
+            w, _CONIC_FORM if conic else _QUADRIC_FORM))
+        ok &= spread & valid
+        if conic:
+            a, b, c = values[:, 0], values[:, 1], values[:, 2]
+            ok &= b * b - 4.0 * a * c < 0.0
+        else:
+            ok &= _ellipsoid_rows(values)
+    values[~ok] = 0.0
+    return values, ok
 
 
 def _dim_tools(pts: np.ndarray, min_points: int | None):
@@ -275,6 +394,20 @@ def _trimmed_objective(pts, model, half: int) -> float:
 
 _MULTISTART_SEED = 0x5EED
 _MULTISTART_SAMPLES = 60
+# residual entries per batch of vanilla_ransac trials: bounds the (block, n)
+# temporaries next to the (iterations, n) distance array at any n
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _minimal_samples(n: int, size: int, seed: int, count: int) -> np.ndarray:
+    """(count, size) indices: one draw without replacement per seeded trial."""
+    return np.array([
+        np.random.default_rng(child).choice(n, size=size, replace=False)
+        for child in np.random.SeedSequence(seed).spawn(count)])
+
+
+def _model_type(pts: np.ndarray):
+    return ConicCoeffs if pts.shape[1] == 2 else QuadricCoeffs
 
 
 def _multistart_concentrate(pts, fitter, min_points):
@@ -283,32 +416,34 @@ def _multistart_concentrate(pts, fitter, min_points):
     Two concentration steps per sample, then full concentration from the
     best one: the classic way to reach the global trimmed optimum when
     every available starting fit is captured by structured contamination.
-    Fully deterministic for a given point order.
+    Fully deterministic for a given point order.  The samples are drawn
+    one per seeded child as always, but fitted, concentrated and scored as
+    one batch; a sample whose concentration refit fails keeps its last
+    model, and the earliest smallest trimmed objective wins.
     """
     k = pts.shape[0]
     half = max(min_points, (k + 1) // 2)
-    best_model, best_obj = None, np.inf
-    for child in np.random.SeedSequence(_MULTISTART_SEED).spawn(
-            _MULTISTART_SAMPLES):
-        rng = np.random.default_rng(child)
-        sample = rng.choice(k, size=min_points, replace=False)
-        try:
-            model = fitter(pts[sample])
-        except (DegenerateConfiguration, NotAnEllipse, NotAnEllipsoid):
-            continue
-        for _ in range(2):
-            dist = np.abs(signed_residuals(pts, model))
-            tight = np.argsort(dist, kind="stable")[:half]
-            try:
-                model = fitter(pts[tight])
-            except (DegenerateConfiguration, NotAnEllipse, NotAnEllipsoid):
-                break
-        obj = _trimmed_objective(pts, model, half)
-        if obj < best_obj:
-            best_model, best_obj = model, obj
-    if best_model is None:
+    samples = _minimal_samples(k, min_points, _MULTISTART_SEED,
+                               _MULTISTART_SAMPLES)
+    values, ok = _fit_direct_batch(pts[samples])
+    active = ok.copy()
+    for _ in range(2):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        dist = np.abs(signed_residuals(pts, values[rows]))
+        tight = np.argsort(dist, axis=1, kind="stable")[:, :half]
+        refit, good = _fit_direct_batch(pts[tight])
+        values[rows[good]] = refit[good]
+        active[rows[~good]] = False
+    dist = np.sort(np.abs(signed_residuals(pts, values)), axis=1)
+    objective = dist[:, :half].sum(axis=1)
+    objective[~(ok & (objective < np.inf))] = np.inf
+    best = int(np.argmin(objective))
+    if objective[best] == np.inf:
         return None, None
-    return _concentrate(pts, best_model, fitter, min_points)
+    return _concentrate(pts, _model_type(pts)(values[best]), fitter,
+                        min_points)
 
 
 def refine(points: np.ndarray, initial: DetectionLabels,
@@ -320,7 +455,10 @@ def refine(points: np.ndarray, initial: DetectionLabels,
     structured contamination by concentrating seeded random minimal-sample
     fits on the tightest half of the data.  The result whose model has the
     smallest trimmed residual sum wins, the plain trajectory breaking
-    ties, which keeps re-running refine on its own output a no-op.
+    ties, which keeps re-running refine on its own output a no-op.  The
+    rescue's minimal samples are fitted and concentrated as one batch,
+    with the same seeded samples and tie-breaks as one at a time; the
+    model refine returns always comes from the one-sample direct fitter.
     """
     cfg = cfg or RefineConfig()
     pts = np.asarray(points, dtype=float)
@@ -358,40 +496,42 @@ def vanilla_ransac(points: np.ndarray, iterations: int = 1000,
     set.  Consensus needs one threshold shared by all trials for counts to
     be comparable: when none is given it is tau_scale robust standard
     deviations, with the scale calibrated from the best (smallest) median
-    absolute residual any trial achieved.
+    absolute residual any trial achieved.  Each trial draws its sample
+    from its own seeded child generator; the trials are then fitted and
+    scored in batches of about 65k residual entries, which changes neither
+    the samples nor the tie-breaks.
     """
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     pts = np.asarray(points, dtype=float)
     fitter, min_points = _dim_tools(pts, None)
     n = pts.shape[0]
     if n < min_points:
         raise TooFewPoints(f"need at least {min_points} points")
-    children = np.random.SeedSequence(rng_seed).spawn(iterations)
-    models = []
-    best_med = np.inf
-    for child in children:
-        rng = np.random.default_rng(child)
-        sample = rng.choice(n, size=min_points, replace=False)
-        try:
-            model = fitter(pts[sample])
-        except (DegenerateConfiguration, NotAnEllipse, NotAnEllipsoid,
-                TooFewPoints):
-            continue
-        distances = np.abs(signed_residuals(pts, model))
-        models.append((model, distances))
-        best_med = min(best_med, float(np.median(distances)))
-    if not models:
+    samples = _minimal_samples(n, min_points, rng_seed, iterations)
+    values = np.empty((iterations, 6 if pts.shape[1] == 2 else 10))
+    ok = np.empty(iterations, dtype=bool)
+    distances = np.empty((iterations, n))
+    medians = np.empty(iterations)
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, iterations, step):
+        block = slice(start, start + step)
+        values[block], ok[block] = _fit_direct_batch(pts[samples[block]])
+        np.abs(signed_residuals(pts, values[block]), out=distances[block])
+        medians[block] = np.median(distances[block], axis=1)
+    if not ok.any():
         raise NoValidModel("every minimal sample was degenerate")
     if inlier_threshold is not None:
         tau = inlier_threshold
     else:
+        # fmin skips NaN medians, as a running min() over the trials would
+        best_med = float(np.fmin.reduce(medians[ok]))
         tau = max(tau_scale * MAD_TO_SIGMA * best_med, _TAU_FLOOR)
-    best_count = -1
-    for model, distances in models:
-        mask = distances <= tau
-        count = int(np.count_nonzero(mask))
-        if count > best_count:
-            best_count, best_mask, best_model = count, mask, model
-    if best_count >= min_points:
+    counts = np.where(ok, np.count_nonzero(distances <= tau, axis=1), -1)
+    best = int(np.argmax(counts))
+    best_mask = distances[best] <= tau
+    best_model = _model_type(pts)(values[best])
+    if counts[best] >= min_points:
         try:
             best_model = fitter(pts[best_mask])
         except (DegenerateConfiguration, NotAnEllipse, NotAnEllipsoid,

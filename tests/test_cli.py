@@ -135,6 +135,16 @@ class TestDetect:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["stage"] == "ransac"
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_ransac_trial_count_exit_1(self, tmp_path, k):
+        data = tmp_path / "data.csv"
+        write_noiseless_ellipse(data)
+        proc = run_cli("detect", "--data", str(data), "--baseline", "ransac",
+                       "--k", k)
+        assert proc.returncode == 1
+        assert "--k must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_duplicated_points_exit_2(self, tmp_path):
         data = tmp_path / "dup.csv"
         rows = ["x,y"] + ["1.0,2.0"] * 20
@@ -260,6 +270,18 @@ class TestSweep:
                                         pipelines=["bogus"])))
         assert run_cli("sweep", "--spec", str(spec),
                        "--out", str(tmp_path / "c.csv")).returncode == 1
+
+    @pytest.mark.parametrize("ransac_k", [0, -1])
+    def test_ransac_trial_count_exit_1(self, tmp_path, ransac_k):
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps(dict(self.sweep_spec(),
+                                        pipelines=["ransac"],
+                                        ransac_k=ransac_k)))
+        out = tmp_path / "c.csv"
+        proc = run_cli("sweep", "--spec", str(spec), "--out", str(out))
+        assert proc.returncode == 1
+        assert "ransac_k must be >= 1" in proc.stderr
+        assert not out.exists()
 
     def test_sweep_determinism_and_threads(self, tmp_path, monkeypatch):
         import os

@@ -142,6 +142,36 @@ class TestSampsonDistance:
         assert out.shape == (17,) and (out >= 0).all()
 
 
+class TestSignedResidualStack:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rows_equal_single_model_calls(self, rng, dim):
+        if dim == 2:
+            models = [conic_from_ellipse(random_ellipse(rng)).values
+                      for _ in range(5)]
+        else:
+            models = [quadric_from_ellipsoid(random_ellipsoid(rng)).values
+                      for _ in range(5)]
+        # a zero row and a model whose gradient vanishes at the origin,
+        # where the residual is negative: the +/-inf rules per row
+        models[1] = np.zeros_like(models[1])
+        models[3] = np.eye(len(models[3]))[0] - np.eye(len(models[3]))[-1]
+        pts = np.vstack([np.zeros(dim), rng.normal(0.0, 4.0, (30, dim))])
+        stack = signed_residuals(pts, np.array(models))
+        assert stack.shape == (5, 31)
+        for row, model in zip(stack, models):
+            assert np.array_equal(row, signed_residuals(pts, model))
+        assert np.isposinf(stack[1]).all()
+        assert stack[3, 0] == -math.inf
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError):
+            signed_residuals(np.zeros((4, 2)), np.zeros((3, 7)))
+        with pytest.raises(ValueError):
+            signed_residuals(np.zeros((4, 2)), np.zeros((2, 3, 6)))
+        with pytest.raises(ValueError):
+            signed_residuals(np.zeros((4, 2)), np.zeros((3, 10)))
+
+
 class TestNonoverlapRatio:
     def test_identical_is_zero(self):
         e = EllipseParams(1.0, 2.0, 3.0, 2.0, 0.4)

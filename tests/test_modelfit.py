@@ -1,16 +1,25 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conic_purge import (DegenerateConfiguration, DetectionLabels,
-                         EllipseParams, NotAnEllipsoid, RefineConfig,
-                         TooFewPoints, conic_from_ellipse, ellipse_from_conic,
+                         EllipseParams, EllipsoidParams, ExperimentConfig,
+                         NotAnEllipse, NotAnEllipsoid, RefineConfig,
+                         TooFewPoints, conic_from_ellipse,
+                         ellipse_from_conic, ellipse_from_eccentricity,
                          ellipsoid_from_quadric, fit_ellipse_direct,
-                         fit_ellipsoid_direct, quadric_from_ellipsoid,
-                         ransac_success_prob, refine, vanilla_ransac)
+                         fit_ellipsoid_direct, make_dataset,
+                         quadric_from_ellipsoid, ransac_success_prob, refine,
+                         vanilla_ransac)
+from conic_purge import modelfit
 from conic_purge.geometry import (ellipse_boundary_points,
                                   ellipsoid_boundary_points)
+from conic_purge.modelfit import _fit_direct_batch
 
 from conftest import random_ellipse, random_ellipsoid
 
@@ -107,6 +116,126 @@ class TestFitEllipsoidDirect:
 def random_axis_ellipsoid():
     from conic_purge import EllipsoidParams
     return EllipsoidParams(np.zeros(3), np.array([5.0, 4.0, 3.0]), np.eye(3))
+
+
+def scalar_fits(samples):
+    """The per-sample reference for ``_fit_direct_batch``: (values, ok)."""
+    fitter = fit_ellipse_direct if samples.shape[2] == 2 else \
+        fit_ellipsoid_direct
+    values = np.zeros((samples.shape[0], 6 if samples.shape[2] == 2 else 10))
+    ok = np.zeros(samples.shape[0], dtype=bool)
+    for i, sample in enumerate(samples):
+        try:
+            values[i] = fitter(sample).values
+        except (DegenerateConfiguration, NotAnEllipse, NotAnEllipsoid):
+            continue
+        ok[i] = True
+    return values, ok
+
+
+def near_model_stack(seed, count, n, dim):
+    """``count`` samples of ``n`` points, each near its own random model,
+    with a random share of uniform scatter mixed in."""
+    rng = np.random.default_rng(seed)
+    stack = np.empty((count, n, dim))
+    for i in range(count):
+        if dim == 2:
+            e = random_ellipse(rng)
+            pts = ellipse_boundary_points(e, rng.uniform(0, 2 * math.pi, n))
+            spread = e.a
+        else:
+            e = random_ellipsoid(rng)
+            pts = ellipsoid_boundary_points(e, rng.uniform(0, 2 * math.pi, n),
+                                            rng.uniform(-1.4, 1.4, n))
+            spread = e.semi_axes[0]
+        pts = pts + rng.normal(0.0, rng.uniform(0.0, 0.1) * spread, pts.shape)
+        scatter = rng.random(n) < rng.uniform(0.0, 0.6)
+        pts[scatter] = rng.uniform(-2 * spread, 2 * spread,
+                                   (int(scatter.sum()), dim))
+        stack[i] = pts
+    return stack
+
+
+def assert_batch_matches_scalar(samples):
+    values, ok = _fit_direct_batch(samples)
+    ref_values, ref_ok = scalar_fits(samples)
+    assert np.array_equal(ok, ref_ok)
+    assert np.abs(values - ref_values).max(initial=0.0) <= 1e-12
+    assert not values[~ok].any()
+
+
+class TestFitDirectBatch:
+    # stacked BLAS products may round differently from the 2-D ones, so
+    # coefficients are compared to 1e-12; decisions must agree exactly
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 40))
+    def test_minimal_ellipse_samples(self, seed, count):
+        assert_batch_matches_scalar(near_model_stack(seed, count, 5, 2))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 30))
+    def test_minimal_ellipsoid_samples(self, seed, count):
+        assert_batch_matches_scalar(near_model_stack(seed, count, 9, 3))
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 8))
+    def test_half_set_ellipsoid_samples(self, seed, count):
+        assert_batch_matches_scalar(near_model_stack(seed, count, 175, 3))
+
+    def test_pure_scatter_samples(self, rng):
+        # mostly rejected in 3-D (few 9-point quadrics are ellipsoids)
+        assert_batch_matches_scalar(rng.normal(size=(300, 5, 2)))
+        assert_batch_matches_scalar(rng.normal(size=(300, 9, 3)))
+
+    @pytest.mark.parametrize("bad", [
+        np.ones((5, 2)),                                         # coincident
+        np.column_stack([np.arange(5.0), 2.0 * np.arange(5.0)]),  # collinear
+        # on a parabola: no eigenvector satisfies 4AC - B^2 > 0
+        np.array([[0.25, 0.0625], [0.5, 0.25], [1.0, 1.0], [2.0, 4.0],
+                  [-0.5, 0.25]]),
+        # on a hyperbola: the scalar fit still finds an ellipse
+        np.array([[1.0, 0.0], [-1.0, 0.0], [1.25, 0.75], [1.25, -0.75],
+                  [-1.25, 0.75]]),
+    ], ids=["coincident", "collinear", "parabola", "hyperbola"])
+    def test_degenerate_ellipse_sample_is_isolated(self, bad):
+        self._check_isolated(near_model_stack(7, 9, 5, 2), bad)
+
+    @pytest.mark.parametrize("kind", ["coincident", "coplanar",
+                                      "two_circles"])
+    def test_degenerate_ellipsoid_sample_is_isolated(self, kind, rng):
+        if kind == "coincident":
+            bad = np.ones((9, 3))
+        elif kind == "coplanar":
+            bad = np.column_stack([rng.normal(size=(9, 2)), np.ones(9)])
+        else:
+            # two parallel circles of one ellipsoid: a pencil of quadrics
+            # fits them, some of them ellipsoids, so only the rank test
+            # rejects the sample
+            a = np.array([0.1, 1.3, 2.4, 3.9, 5.0])
+            b = np.array([0.7, 2.0, 3.3, 4.6])
+            bad = np.vstack([
+                np.column_stack([0.8 * np.cos(a), 0.8 * np.sin(a),
+                                 np.full(5, 0.6)]),
+                np.column_stack([0.8 * np.cos(b), 0.8 * np.sin(b),
+                                 np.full(4, -0.6)]),
+            ]) * [3.0, 2.0, 1.5]
+        self._check_isolated(near_model_stack(8, 9, 9, 3), bad)
+
+    @staticmethod
+    def _check_isolated(good, bad):
+        mixed = np.concatenate([good[:4], bad[None], good[4:]])
+        values, ok = _fit_direct_batch(mixed)
+        clean_values, clean_ok = _fit_direct_batch(good)
+        keep = np.arange(len(mixed)) != 4
+        assert np.array_equal(ok[keep], clean_ok)
+        assert np.array_equal(values[keep], clean_values)
+        assert_batch_matches_scalar(mixed)
+
+    def test_too_few_points(self):
+        with pytest.raises(TooFewPoints):
+            _fit_direct_batch(np.zeros((3, 4, 2)))
+        with pytest.raises(TooFewPoints):
+            _fit_direct_batch(np.zeros((3, 8, 3)))
 
 
 class TestRefine:
@@ -237,6 +366,120 @@ class TestVanillaRansac:
         from conic_purge import NoValidModel
         with pytest.raises(NoValidModel):
             vanilla_ransac(pts, iterations=10, rng_seed=0)
+
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_rejects_trial_count_below_one(self, iterations, rng):
+        pts = ellipse_samples(random_ellipse(rng), 30)
+        with pytest.raises(ValueError, match="iterations"):
+            vanilla_ransac(pts, iterations=iterations)
+
+    def test_earliest_trial_wins_a_tied_count(self):
+        # two disjoint noiseless ellipses of 20 points each: every clean
+        # sample of either one has exactly 20 inliers
+        first = ellipse_samples(EllipseParams(0.0, 0.0, 4.0, 2.0, 0.0), 20)
+        second = ellipse_samples(EllipseParams(30.0, 0.0, 3.0, 1.0, 0.5), 20)
+        pts = np.vstack([first, second])
+        samples = modelfit._minimal_samples(40, 5, 9, 300)
+        clean = (samples < 20).all(axis=1) | (samples >= 20).all(axis=1)
+        earliest = samples[np.argmax(clean)]
+        result = vanilla_ransac(pts, iterations=300, inlier_threshold=1e-6,
+                                rng_seed=9)
+        expected = np.arange(40) < 20 if earliest[0] < 20 else \
+            np.arange(40) >= 20
+        assert np.array_equal(result.labels.inlier, expected)
+
+    def test_block_size_does_not_change_the_result(self, rng, monkeypatch):
+        e = random_ellipse(rng)
+        pts = np.vstack([ellipse_samples(e, 60, jitter=0.02 * e.b, rng=rng),
+                         rng.uniform(-20, 20, (40, 2))])
+        # 100 points: blocks of 13 trials, the last one short
+        monkeypatch.setattr(modelfit, "_BLOCK_ENTRIES", 1300)
+        blocked = vanilla_ransac(pts, iterations=137, rng_seed=2)
+        monkeypatch.setattr(modelfit, "_BLOCK_ENTRIES", 1)
+        single = vanilla_ransac(pts, iterations=137, rng_seed=2)
+        monkeypatch.setattr(modelfit, "_BLOCK_ENTRIES", 10 ** 9)
+        whole = vanilla_ransac(pts, iterations=137, rng_seed=2)
+        for other in (single, whole):
+            assert np.array_equal(blocked.labels.outlier, other.labels.outlier)
+            assert np.array_equal(blocked.model.values, other.model.values)
+
+    def test_peak_memory_at_max_points(self):
+        # the per-trial implementation peaked at 40.2 MiB here, holding
+        # one 1000 x 5000 distance array; batching may add at most 25%
+        rng = np.random.default_rng(5)
+        e = EllipseParams(1.0, -2.0, 6.0, 3.0, 0.4)
+        ring = ellipse_boundary_points(e, rng.uniform(0, 2 * math.pi, 3000))
+        pts = np.vstack([ring + rng.normal(0.0, 0.05, ring.shape),
+                         rng.uniform(-12, 12, (2000, 2))])
+        tracemalloc.start()
+        try:
+            vanilla_ransac(pts, iterations=1000, rng_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 40.2 * 2 ** 20
+
+
+FREEZE_SCENARIOS = {
+    "ransac2d": ExperimentConfig(
+        model=ellipse_from_eccentricity(5.0, 0.95), n_inliers=100,
+        n_outliers=90, sigma0=0.1, sigma1=5.0, seed=101),
+    "typical2d": ExperimentConfig(
+        model=ellipse_from_eccentricity(5.0, 0.95), n_inliers=100,
+        n_outliers=50, sigma0=0.01, sigma1=2.0, seed=102),
+    "ellipsoid3d": ExperimentConfig(
+        model=EllipsoidParams(np.zeros(3), np.array([5.0, 4.0, 3.0]),
+                              np.eye(3)),
+        n_inliers=300, n_outliers=50, sigma0=0.1, sigma1=5.0, seed=103),
+}
+
+# SHA-256 of (outlier flags, stage tags, model coefficient bytes), recorded
+# with the per-trial implementation of vanilla_ransac and the multistart
+# rescue (numpy 2.4, OpenBLAS, x86_64).  A change to how trials are fitted
+# must leave them as they are; a different BLAS build may round the last
+# bits differently, in which case record them again from the unchanged code.
+FROZEN_DIGESTS = {
+    ("ransac2d", "ransac"):
+        "7c13f1f036ba6eef79d6c0f6de51eb662839f1e8931a99c5dbb4f72f126e2b1c",
+    ("ransac2d", "refine"):
+        "0d3516a0f6f8f2beaa11dd986442533b33299a07a18420a1fcb592d6eb6e65c8",
+    ("typical2d", "ransac"):
+        "fc892215b9309d6a1aa1a029d2c76272d82504aef2bfacceb1080d0f99f3e065",
+    ("typical2d", "refine"):
+        "4dc664d4c5dfd7659e638a4cdb3eaa26aeebf87cb5e6c79fdb597554d9d22ed4",
+    ("ellipsoid3d", "ransac"):
+        "f5cd46fb3f0e119c31db1e158de550e70b3f4df075c8f263a54a67122383e56d",
+    ("ellipsoid3d", "refine"):
+        "7d9bfeec65953de4420313e87fd618f68f84b24a85700fc3b26d95593a95983f",
+}
+
+
+def fit_digest(result) -> str:
+    h = hashlib.sha256()
+    h.update(result.labels.outlier.tobytes())
+    h.update("\n".join(map(str, result.labels.stage)).encode())
+    h.update(result.model.values.tobytes())
+    return h.hexdigest()
+
+
+def planted_labels(data, seed) -> DetectionLabels:
+    """Ground truth with 5 missed outliers and 5 misflagged inliers."""
+    flags = data.truth.outlier.copy()
+    rng = np.random.default_rng(seed)
+    flags[rng.choice(np.flatnonzero(flags), 5, replace=False)] = False
+    flags[rng.choice(np.flatnonzero(~flags), 5, replace=False)] = True
+    return DetectionLabels(flags, "proximity")
+
+
+@pytest.mark.parametrize("scenario", sorted(FREEZE_SCENARIOS))
+def test_outputs_frozen(scenario):
+    cfg = FREEZE_SCENARIOS[scenario]
+    data = make_dataset(cfg)
+    ransac = vanilla_ransac(data.points, iterations=1000, rng_seed=cfg.seed)
+    refined = refine(data.points, planted_labels(data, cfg.seed), cfg.refine)
+    assert fit_digest(ransac) == FROZEN_DIGESTS[scenario, "ransac"]
+    assert fit_digest(refined) == FROZEN_DIGESTS[scenario, "refine"]
 
 
 class TestRansacSuccessProb:
