@@ -103,6 +103,7 @@ def cmd_detect(args) -> int:
     eligibility = _eligibility_from_args(args)
     refine_cfg = RefineConfig(tau_scale=args.tau_scale)
 
+    spectrum = None
     if args.dump_spectrum or args.dump_eligible:
         spectrum = spectrum_of_points(points, eligibility)
         if args.dump_spectrum:
@@ -125,7 +126,7 @@ def cmd_detect(args) -> int:
     ransac_k = args.k if args.baseline == "ransac" else None
     outcome = detect_points(points, args.stage, eligibility, refine_cfg,
                             seed=args.seed, init_labels=init_labels,
-                            ransac_k=ransac_k)
+                            ransac_k=ransac_k, spectrum=spectrum)
 
     data_path = Path(args.data)
     labels_path = args.out_labels or data_path.with_suffix(".labels.csv")

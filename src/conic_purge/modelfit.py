@@ -46,7 +46,9 @@ class RefineConfig:
 
     tau_scale: float = 3.0
     max_iter: int = 50
-    min_points: int | None = None  # None: 5 for ellipses, 9 for ellipsoids
+    # None: 5 for ellipses, 9 for ellipsoids; an explicit value may not be
+    # smaller than that, since the minimal samples are drawn at this size
+    min_points: int | None = None
 
     def __post_init__(self):
         if self.tau_scale <= 0.0:
@@ -299,8 +301,15 @@ def _dim_tools(pts: np.ndarray, min_points: int | None):
     if pts.ndim != 2 or pts.shape[1] not in (2, 3):
         raise ValueError("points must be (n, 2) or (n, 3)")
     if pts.shape[1] == 2:
-        return fit_ellipse_direct, (min_points or MIN_POINTS_ELLIPSE)
-    return fit_ellipsoid_direct, (min_points or MIN_POINTS_ELLIPSOID)
+        fitter, floor = fit_ellipse_direct, MIN_POINTS_ELLIPSE
+    else:
+        fitter, floor = fit_ellipsoid_direct, MIN_POINTS_ELLIPSOID
+    if min_points is None:
+        return fitter, floor
+    if min_points < floor:
+        raise ValueError(f"min_points must be at least {floor} for "
+                         f"{pts.shape[1]}-D points, got {min_points}")
+    return fitter, min_points
 
 
 def _robust_inlier_mask(signed: np.ndarray, reference: np.ndarray,

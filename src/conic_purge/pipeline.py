@@ -13,6 +13,7 @@ from .geometry import (ConicCoeffs, ellipse_from_conic,
 from .modelfit import (FitResult, RefineConfig, fit_ellipse_direct,
                        fit_ellipsoid_direct, refine, vanilla_ransac)
 from .proximity import DetectionLabels, EligibilityConfig, proximity_stage
+from .spectral import Spectrum
 from .synth import ExperimentConfig, detection_metrics, make_dataset
 
 __all__ = [
@@ -71,13 +72,15 @@ def detect_points(points: np.ndarray, stage: str = "both",
                   refine_cfg: RefineConfig | None = None,
                   seed: int = 0,
                   init_labels: DetectionLabels | None = None,
-                  ransac_k: int | None = None) -> DetectionOutcome:
+                  ransac_k: int | None = None,
+                  spectrum: Spectrum | None = None) -> DetectionOutcome:
     """Run the requested stage(s) on raw points.
 
     stage "proximity" stops after the graph stage (the reported model is a
     direct fit of its inliers); "model" refines from ``init_labels`` (all
     points when omitted); "both" chains the two.  ``ransac_k`` switches to
-    the consensus-sampling baseline instead.
+    the consensus-sampling baseline instead.  ``spectrum`` is the points'
+    graph spectrum when the caller has already solved it.
     """
     pts = np.asarray(points, dtype=float)
     eligibility = eligibility or EligibilityConfig()
@@ -94,7 +97,7 @@ def detect_points(points: np.ndarray, stage: str = "both",
     prox_labels = None
     if stage in ("proximity", "both"):
         start = time.perf_counter()
-        prox_labels = proximity_stage(pts, eligibility, seed)
+        prox_labels = proximity_stage(pts, eligibility, seed, spectrum)
         timings["proximity_ms"] = 1e3 * (time.perf_counter() - start)
         if stage == "proximity":
             model = _direct_fit(pts[prox_labels.inlier])

@@ -1,14 +1,17 @@
 """Stage 1: flag points that sit away from the dominant proximity cluster.
 
 Eigenvectors of the proximity graph with near-zero eigenvalues are close
-to indicator vectors of weakly coupled point groups.  A small group shows
-up as a handful of protruding entries in such a vector, so flagging
-reduces to repeated quantile-interval tests on each eligible eigenvector,
-with flags united across eigenvectors.
+to indicator vectors of weakly coupled point groups (Belkin & Niyogi 2003,
+von Luxburg 2007).  A small group shows up as a handful of protruding
+entries in such a vector.  The stage first picks, from the spectrum alone,
+the eigenvectors it can trust: eligible, of a strongly separated group and
+near-binary.  Only those go through the repeated quantile-interval test,
+and their flags are united.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -48,6 +51,12 @@ class EligibilityConfig:
     than a smooth mode; ``max_flag_fraction`` bounds how much of the data
     one eigenvector may flag, since a weakly coupled group is small by
     assumption.
+
+    A trusted vector must already have an eigenvalue below
+    ``strong_eig_threshold``, so ``eig_threshold`` changes the stage's
+    labels only when it is set below ``strong_eig_threshold``.  With the
+    defaults (0.1 against 1e-6) it only decides which vectors the
+    eligibility report (``detect --dump-eligible``) lists.
     """
 
     eig_threshold: float = 0.1
@@ -145,9 +154,27 @@ def select_eligible(spectrum: Spectrum, cfg: EligibilityConfig) -> list[int]:
     return eligible
 
 
-def _quantile_interval(selected: np.ndarray, gamma: float):
-    q1, mu, q3 = np.quantile(selected, [0.25, 0.5, 0.75], method="linear")
-    return mu - gamma * (mu - q1), mu + gamma * (q3 - mu)
+def _sorted_quartiles(x: np.ndarray) -> tuple[float, float, float]:
+    """Quartiles of an ascending sample, equal bit for bit to
+    ``np.quantile(x, [0.25, 0.5, 0.75], method="linear")``.
+
+    Hyndman & Fan type 7: position (m-1)*q, interpolated between its two
+    neighbours with numpy's two-sided rule (from the upper neighbour when
+    the weight is at least one half).
+    """
+    m = x.shape[0]
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        pos = (m - 1) * q
+        i = math.floor(pos)
+        if i >= m - 1:
+            out.append(float(x[-1]))
+            continue
+        t = pos - i
+        a, b = float(x[i]), float(x[i + 1])
+        d = b - a
+        out.append(b - d * (1.0 - t) if t >= 0.5 else a + d * t)
+    return out[0], out[1], out[2]
 
 
 def detect_1d(values: np.ndarray, gamma: float, rng_seed,
@@ -165,38 +192,58 @@ def detect_1d(values: np.ndarray, gamma: float, rng_seed,
     seed the flags do not depend on how the input happens to be arranged.
     A sample whose total spread is negligible relative to its magnitude
     yields no flags, as does an interval that would exclude everything.
+
+    The values are sorted once.  After the first pass the inliers are an
+    interval of values, i.e. a contiguous range of the sorted order, so
+    each pass reads its quartiles from a slice and finds the next range
+    with two binary searches.
     """
     v = np.asarray(values, dtype=float)
     n = v.shape[0]
     if n < 4:
         raise TooFewPoints("need at least 4 values for quartiles")
-    if np.ptp(v) <= _FLAT_RTOL * max(1.0, float(np.abs(v).max())):
+    order = np.lexsort((np.arange(n), v))
+    s = v[order]
+    if s[-1] - s[0] <= _FLAT_RTOL * max(1.0, abs(s[0]), abs(s[-1])):
         return np.zeros(n, dtype=bool)
 
+    # the first pass starts from an arbitrary subset, held as a mask over
+    # the sorted order; every later pass from the range span = (start, stop)
     if initial_inliers is None:
-        order = np.lexsort((np.arange(n), v))
         rng = np.random.default_rng(rng_seed)
-        chosen = order[rng.permutation(n)[:n // 2]]
-        inliers = np.zeros(n, dtype=bool)
-        inliers[chosen] = True
+        member = np.zeros(n, dtype=bool)
+        member[rng.permutation(n)[:n // 2]] = True
     else:
-        inliers = np.asarray(initial_inliers, dtype=bool).copy()
-        if inliers.shape != v.shape or not inliers.any():
+        mask = np.asarray(initial_inliers, dtype=bool)
+        if mask.shape != v.shape or not mask.any():
             raise ValueError("initial inlier mask must be nonempty over values")
+        member = mask[order]
+    span = None
 
     for _ in range(max_iter):
-        lo, hi = _quantile_interval(v[inliers], gamma)
+        selected = s[member] if span is None else s[span[0]:span[1]]
+        q1, mu, q3 = _sorted_quartiles(selected)
+        lo, hi = mu - gamma * (mu - q1), mu + gamma * (q3 - mu)
         # sub-noise variation around the interval must not protrude
         pad = _FLAT_RTOL * max(1.0, abs(lo), abs(hi))
-        updated = (v >= lo - pad) & (v <= hi + pad)
-        if not updated.any():
+        start = int(np.searchsorted(s, lo - pad, side="left"))
+        stop = int(np.searchsorted(s, hi + pad, side="right"))
+        if stop <= start:
             warnings.warn("interval excluded every element; keeping all points",
                           RuntimeWarning, stacklevel=2)
             return np.zeros(n, dtype=bool)
-        if np.array_equal(updated, inliers):
+        if span is None:
+            fixpoint = (stop - start == selected.shape[0]
+                        and bool(member[start:stop].all()))
+        else:
+            fixpoint = span == (start, stop)
+        span = (start, stop)
+        if fixpoint:
             break
-        inliers = updated
-    return ~inliers
+
+    flags = np.ones(n, dtype=bool)
+    flags[order[member] if span is None else order[span[0]:span[1]]] = False
+    return flags
 
 
 def _intra_class_deviation(values: np.ndarray, flags: np.ndarray) -> float:
@@ -243,13 +290,20 @@ def spectrum_of_points(points: np.ndarray,
     return generalized_eigs(lp)
 
 
+def _vector_seed(rng_seed: int, idx: int) -> np.random.SeedSequence:
+    # per eigenvector index, so a vector's flags do not depend on which
+    # other vectors are examined
+    return np.random.SeedSequence(entropy=rng_seed, spawn_key=(idx,))
+
+
 def eigenvector_flag_report(spectrum: Spectrum, cfg: EligibilityConfig,
                             rng_seed: int) -> list[tuple[int, float, float,
                                                          np.ndarray]]:
     """Per eligible eigenvector: (index, eigenvalue, hf measure, flags).
 
-    Empty when nothing is eligible.  Seeds are derived per eigenvector
-    index, so the report does not depend on how many vectors qualify.
+    Empty when nothing is eligible.  Unlike the stage, the report runs the
+    detector on every eligible vector, trusted or not; its flags equal the
+    stage's for the vectors the stage examines.
     """
     try:
         eligible = select_eligible(spectrum, cfg)
@@ -258,10 +312,9 @@ def eigenvector_flag_report(spectrum: Spectrum, cfg: EligibilityConfig,
     report = []
     for idx in eligible:
         vec = spectrum.eigenvectors[:, idx]
-        seed_seq = np.random.SeedSequence(entropy=rng_seed, spawn_key=(idx,))
         report.append((idx, float(spectrum.eigenvalues[idx]),
                        high_frequency_measure(vec),
-                       _detect_vector(vec, cfg, seed_seq)))
+                       _detect_vector(vec, cfg, _vector_seed(rng_seed, idx))))
     return report
 
 
@@ -270,15 +323,17 @@ def proximity_stage(points: np.ndarray, cfg: EligibilityConfig | None = None,
                     ) -> DetectionLabels:
     """Run the full proximity stage on a point set.
 
-    Builds the heat-kernel graph, takes the generalized spectrum, runs the
-    1-D detector on every eligible eigenvector, then unites the flags of
-    the trusted detections: near-binary vectors (spike ratio at least
-    ``binary_ratio``) of strongly separated groups (eigenvalue below
-    ``strong_eig_threshold``) flagging at most ``max_flag_fraction`` of
-    the data.  The union grows from the most-separated groups up and stops
-    before it would exceed half the data, since inliers are assumed to be
-    the majority.  With nothing eligible or trusted the stage flags
-    nothing; the subtle outliers it cannot see are the model stage's job.
+    Builds the heat-kernel graph (or takes ``spectrum`` when the caller
+    already has it) and keeps the eligible eigenvectors the stage can
+    trust before detecting anything: near-binary vectors (spike ratio at
+    least ``binary_ratio``) of strongly separated groups (eigenvalue below
+    ``strong_eig_threshold``).  Only those go through the 1-D detector,
+    and a detection counts when it flags at most ``max_flag_fraction`` of
+    the data.  The union of the counted flags grows from the
+    most-separated groups up and stops before it would exceed half the
+    data, since inliers are assumed to be the majority.  With nothing
+    eligible or trusted the stage flags nothing; the subtle outliers it
+    cannot see are the model stage's job.
     """
     cfg = cfg or EligibilityConfig()
     pts = np.asarray(points, dtype=float)
@@ -287,17 +342,20 @@ def proximity_stage(points: np.ndarray, cfg: EligibilityConfig | None = None,
         raise TooFewPoints("proximity stage needs at least 12 points")
     if spectrum is None:
         spectrum = spectrum_of_points(pts, cfg)
-    report = eigenvector_flag_report(spectrum, cfg, rng_seed)
-    if not report:
+    try:
+        eligible = select_eligible(spectrum, cfg)
+    except NoEligibleVectors:
         warnings.warn("no eligible eigenvectors; skipping proximity flags",
                       RuntimeWarning, stacklevel=2)
         return DetectionLabels(np.zeros(k, dtype=bool), "proximity")
     trusted = []
-    for idx, lam, _hf, flags in report:
-        n_flags = int(np.count_nonzero(flags))
-        if (lam < cfg.strong_eig_threshold
-                and spike_ratio(spectrum.eigenvectors[:, idx]) >= cfg.binary_ratio
-                and 0 < n_flags <= cfg.max_flag_fraction * k):
+    for idx in eligible:
+        lam = float(spectrum.eigenvalues[idx])
+        vec = spectrum.eigenvectors[:, idx]
+        if lam >= cfg.strong_eig_threshold or spike_ratio(vec) < cfg.binary_ratio:
+            continue
+        flags = _detect_vector(vec, cfg, _vector_seed(rng_seed, idx))
+        if 0 < np.count_nonzero(flags) <= cfg.max_flag_fraction * k:
             trusted.append((lam, idx, flags))
     trusted.sort(key=lambda t: (t[0], t[1]))
     flagged = np.zeros(k, dtype=bool)

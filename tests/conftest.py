@@ -1,7 +1,24 @@
 import numpy as np
 import pytest
 
-from conic_purge import EllipseParams, EllipsoidParams
+from conic_purge import (EllipseParams, EllipsoidParams, ExperimentConfig,
+                         ellipse_from_eccentricity)
+
+
+# one seeded dataset per benchmark workload shape, shared by the tests that
+# pin output digests
+FREEZE_SCENARIOS = {
+    "ransac2d": ExperimentConfig(
+        model=ellipse_from_eccentricity(5.0, 0.95), n_inliers=100,
+        n_outliers=90, sigma0=0.1, sigma1=5.0, seed=101),
+    "typical2d": ExperimentConfig(
+        model=ellipse_from_eccentricity(5.0, 0.95), n_inliers=100,
+        n_outliers=50, sigma0=0.01, sigma1=2.0, seed=102),
+    "ellipsoid3d": ExperimentConfig(
+        model=EllipsoidParams(np.zeros(3), np.array([5.0, 4.0, 3.0]),
+                              np.eye(3)),
+        n_inliers=300, n_outliers=50, sigma0=0.1, sigma1=5.0, seed=103),
+}
 
 
 def random_ellipse(rng) -> EllipseParams:

@@ -181,6 +181,31 @@ class TestDetect:
         assert elig_lines[0] == "eigenvalue,hf_measure,flagged_count"
         assert len(elig_lines) > 1
 
+    def test_dumps_share_the_detection_spectrum(self, tmp_path, config_path,
+                                                monkeypatch):
+        from conic_purge import cli, proximity
+        data = tmp_path / "data.csv"
+        assert cli.main(["generate", "--config", str(config_path),
+                         "--out", str(data)]) == 0
+        plain = tmp_path / "plain.labels.csv"
+        assert cli.main(["detect", "--data", str(data), "--seed", "11",
+                         "--out-labels", str(plain),
+                         "--out-model", str(tmp_path / "plain.json")]) == 0
+        solves = []
+        original = proximity.generalized_eigs
+        monkeypatch.setattr(proximity, "generalized_eigs",
+                            lambda lp: solves.append(1) or original(lp))
+        dumped = tmp_path / "dumped.labels.csv"
+        assert cli.main(["detect", "--data", str(data), "--seed", "11",
+                         "--out-labels", str(dumped),
+                         "--out-model", str(tmp_path / "dumped.json"),
+                         "--dump-spectrum", str(tmp_path / "spec.csv"),
+                         "--dump-eligible", str(tmp_path / "elig.csv")]) == 0
+        assert len(solves) == 1
+        assert dumped.read_bytes() == plain.read_bytes()
+        assert (tmp_path / "dumped.json").read_bytes() == \
+            (tmp_path / "plain.json").read_bytes()
+
     def test_ellipsoid_dataset(self, tmp_path):
         cfg = {"model": {"type": "ellipsoid", "center": [0.0, 0.0, 0.0],
                          "semi_axes": [5.0, 4.0, 3.0]},

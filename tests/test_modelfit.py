@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conic_purge import (DegenerateConfiguration, DetectionLabels,
-                         EllipseParams, EllipsoidParams, ExperimentConfig,
-                         NotAnEllipse, NotAnEllipsoid, RefineConfig,
-                         TooFewPoints, conic_from_ellipse,
-                         ellipse_from_conic, ellipse_from_eccentricity,
-                         ellipsoid_from_quadric, fit_ellipse_direct,
+                         EllipseParams, NotAnEllipse, NotAnEllipsoid,
+                         RefineConfig, TooFewPoints, conic_from_ellipse,
+                         ellipse_from_conic, ellipsoid_from_quadric,
+                         fit_ellipse_direct,
                          fit_ellipsoid_direct, make_dataset,
                          quadric_from_ellipsoid, ransac_success_prob, refine,
                          vanilla_ransac)
@@ -21,7 +20,7 @@ from conic_purge.geometry import (ellipse_boundary_points,
                                   ellipsoid_boundary_points)
 from conic_purge.modelfit import _fit_direct_batch
 
-from conftest import random_ellipse, random_ellipsoid
+from conftest import FREEZE_SCENARIOS, random_ellipse, random_ellipsoid
 
 
 def ellipse_samples(e, n, jitter=0.0, rng=None, offset=0.1):
@@ -284,6 +283,24 @@ class TestRefine:
         with pytest.raises(TooFewPoints):
             refine(pts, labels)
 
+    @pytest.mark.parametrize("min_points", [0, 3, 4])
+    def test_min_points_below_fitter_minimum_2d(self, min_points):
+        pts = ellipse_samples(EllipseParams(0.0, 0.0, 5.0, 3.0, 0.2), 40)
+        initial = DetectionLabels(np.zeros(40, bool), "proximity")
+        with pytest.raises(ValueError, match="min_points"):
+            refine(pts, initial, RefineConfig(min_points=min_points))
+        result = refine(pts, initial, RefineConfig(min_points=5))
+        assert not result.labels.outlier.any()
+
+    @pytest.mark.parametrize("min_points", [0, 5, 8])
+    def test_min_points_below_fitter_minimum_3d(self, min_points):
+        pts = ellipsoid_samples(random_axis_ellipsoid(), 60)
+        initial = DetectionLabels(np.zeros(60, bool), "proximity")
+        with pytest.raises(ValueError, match="min_points"):
+            refine(pts, initial, RefineConfig(min_points=min_points))
+        result = refine(pts, initial, RefineConfig(min_points=9))
+        assert not result.labels.outlier.any()
+
     def test_never_below_min_points(self, rng):
         e = random_ellipse(rng)
         pts = np.vstack([ellipse_samples(e, 30, jitter=0.02 * e.b, rng=rng),
@@ -420,19 +437,6 @@ class TestVanillaRansac:
             tracemalloc.stop()
         assert peak <= 1.25 * 40.2 * 2 ** 20
 
-
-FREEZE_SCENARIOS = {
-    "ransac2d": ExperimentConfig(
-        model=ellipse_from_eccentricity(5.0, 0.95), n_inliers=100,
-        n_outliers=90, sigma0=0.1, sigma1=5.0, seed=101),
-    "typical2d": ExperimentConfig(
-        model=ellipse_from_eccentricity(5.0, 0.95), n_inliers=100,
-        n_outliers=50, sigma0=0.01, sigma1=2.0, seed=102),
-    "ellipsoid3d": ExperimentConfig(
-        model=EllipsoidParams(np.zeros(3), np.array([5.0, 4.0, 3.0]),
-                              np.eye(3)),
-        n_inliers=300, n_outliers=50, sigma0=0.1, sigma1=5.0, seed=103),
-}
 
 # SHA-256 of (outlier flags, stage tags, model coefficient bytes), recorded
 # with the per-trial implementation of vanilla_ransac and the multistart

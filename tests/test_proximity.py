@@ -1,16 +1,24 @@
+import dataclasses
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conic_purge import (EligibilityConfig, ExperimentConfig, NoEligibleVectors,
                          TooFewPoints, ZeroVector, detect_1d,
                          high_frequency_measure, make_dataset, proximity_stage,
                          select_eligible)
+from conic_purge import proximity
 from conic_purge.geometry import EllipseParams, ellipse_boundary_points
-from conic_purge.proximity import spike_ratio
+from conic_purge.proximity import (_sorted_quartiles, spectrum_of_points,
+                                   spike_ratio)
 from conic_purge.spectral import (Spectrum, generalized_eigs, graph_laplacian)
+
+from conftest import FREEZE_SCENARIOS
 
 
 MILD_ELLIPSE = EllipseParams(0.0, 0.0, 5.0, 4.0, 0.0)
@@ -226,3 +234,268 @@ class TestProximityStage:
         again = proximity_stage(pts, cfg, rng_seed=2)
         assert np.array_equal(labels.outlier, again.outlier)
         assert labels.outlier[-2:].all()
+
+
+def reference_detect_1d(values, gamma, rng_seed, max_iter=100,
+                        initial_inliers=None):
+    """The detector as it was before it sorted once: a boolean mask over
+    all values and one ``np.quantile`` call per pass.  Kept as the
+    reference the sorted-order detector must reproduce."""
+    flat_rtol = 1e-9
+    v = np.asarray(values, dtype=float)
+    n = v.shape[0]
+    if n < 4:
+        raise TooFewPoints("need at least 4 values for quartiles")
+    if np.ptp(v) <= flat_rtol * max(1.0, float(np.abs(v).max())):
+        return np.zeros(n, dtype=bool)
+    if initial_inliers is None:
+        order = np.lexsort((np.arange(n), v))
+        rng = np.random.default_rng(rng_seed)
+        chosen = order[rng.permutation(n)[:n // 2]]
+        inliers = np.zeros(n, dtype=bool)
+        inliers[chosen] = True
+    else:
+        inliers = np.asarray(initial_inliers, dtype=bool).copy()
+        if inliers.shape != v.shape or not inliers.any():
+            raise ValueError("initial inlier mask must be nonempty over values")
+    for _ in range(max_iter):
+        q1, mu, q3 = np.quantile(v[inliers], [0.25, 0.5, 0.75],
+                                 method="linear")
+        lo, hi = mu - gamma * (mu - q1), mu + gamma * (q3 - mu)
+        pad = flat_rtol * max(1.0, abs(lo), abs(hi))
+        updated = (v >= lo - pad) & (v <= hi + pad)
+        if not updated.any():
+            warnings.warn("interval excluded every element; keeping all points",
+                          RuntimeWarning, stacklevel=2)
+            return np.zeros(n, dtype=bool)
+        if np.array_equal(updated, inliers):
+            break
+        inliers = updated
+    return ~inliers
+
+
+@st.composite
+def samples(draw, min_size, max_size=400):
+    """Seeded 1-D samples of several shapes: smooth, tied, constant runs,
+    rounded, heavy-tailed and near-binary (indicator-like) vectors."""
+    n = draw(st.integers(min_size, max_size))
+    kind = draw(st.sampled_from(["normal", "ties", "runs", "rounded",
+                                 "cauchy", "binary"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "normal":
+        v = rng.normal(draw(st.sampled_from([0.0, -3.0, 1e6])),
+                       draw(st.sampled_from([1e-3, 1.0, 50.0])), n)
+    elif kind == "ties":
+        v = rng.integers(0, draw(st.integers(1, 6)), n).astype(float)
+    elif kind == "runs":
+        levels = rng.normal(size=draw(st.integers(1, 5)))
+        v = np.repeat(levels, rng.multinomial(n, np.ones(levels.size)
+                                              / levels.size))
+        if draw(st.booleans()):
+            v = v[rng.permutation(n)]
+    elif kind == "rounded":
+        v = np.round(rng.normal(size=n), draw(st.integers(0, 3)))
+    elif kind == "cauchy":
+        v = rng.standard_cauchy(n)
+    else:
+        v = np.full(n, 0.08) + rng.normal(0.0, 1e-5, n)
+        spikes = rng.choice(n, draw(st.integers(0, max(1, n // 4))),
+                            replace=False)
+        v[spikes] = rng.normal(-0.5, 0.01, spikes.size)
+    return v + 0.0  # drop negative zeros, see test_sorted_quartiles_bitwise
+
+
+def flags_and_warnings(detector, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        flags = detector(*args, **kwargs)
+    return flags, [str(w.message) for w in caught]
+
+
+class TestSortedOrderEquivalence:
+    # A partition may place equal elements in either order, so a -0.0 and a
+    # 0.0 can trade places between two correct quantile routines; the
+    # samples hold no negative zeros, and bit equality is checked on the
+    # rest.
+    @settings(max_examples=300, deadline=None)
+    @given(samples(min_size=1))
+    def test_sorted_quartiles_bitwise(self, values):
+        x = np.sort(values)
+        ours = np.array(_sorted_quartiles(x))
+        ref = np.quantile(values, [0.25, 0.5, 0.75], method="linear")
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_sorted_quartiles_small_hand_values(self):
+        for m in range(1, 9):
+            x = np.arange(m, dtype=float) ** 2
+            ref = np.quantile(x, [0.25, 0.5, 0.75], method="linear")
+            assert np.array(_sorted_quartiles(x)).tobytes() == ref.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples(min_size=4),
+           st.sampled_from([0.3, 1.0, 1.5, 2.5, 3.0, 6.0]),
+           st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1, 2, 100]))
+    def test_random_half_matches_reference(self, values, gamma, seed,
+                                           max_iter):
+        ours, ref = (flags_and_warnings(detector, values, gamma, seed,
+                                        max_iter)
+                     for detector in (detect_1d, reference_detect_1d))
+        assert np.array_equal(ours[0], ref[0]) and ours[1] == ref[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples(min_size=4),
+           st.sampled_from([0.05, 1.0, 2.5]),
+           st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1, 100]))
+    def test_initial_inliers_match_reference(self, values, gamma, seed,
+                                             max_iter):
+        rng = np.random.default_rng(seed)
+        mask = rng.random(values.size) < rng.uniform(0.05, 1.0)
+        mask[rng.integers(values.size)] = True
+        ours, ref = (flags_and_warnings(detector, values, gamma, 0, max_iter,
+                                        initial_inliers=mask)
+                     for detector in (detect_1d, reference_detect_1d))
+        assert np.array_equal(ours[0], ref[0]) and ours[1] == ref[1]
+
+    def test_excluded_every_element_warning(self):
+        # two far-apart starting inliers and a narrow interval: the interval
+        # sits between them and holds no value at all
+        values = np.r_[np.zeros(5), np.ones(5)]
+        mask = np.zeros(10, dtype=bool)
+        mask[[0, 9]] = True
+        for detector in (detect_1d, reference_detect_1d):
+            with pytest.warns(RuntimeWarning, match="excluded every element"):
+                flags = detector(values, 0.1, 0, initial_inliers=mask)
+            assert not flags.any()
+
+    def test_values_on_the_padded_ends_are_inliers(self):
+        # the first five values give q1, mu, q3 = 1, 2, 3, so with gamma 1
+        # the interval is [1, 3] padded by 1e-9 * 3 on each side; the last
+        # two values sit exactly on its ends
+        pad = 1e-9 * 3.0
+        values = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 1.0 - pad, 3.0 + pad])
+        start = np.arange(7) < 5
+        expected = np.array([True, False, False, False, True, False, False])
+        for detector in (detect_1d, reference_detect_1d):
+            flags = detector(values, 1.0, 0, max_iter=1,
+                             initial_inliers=start)
+            assert np.array_equal(flags, expected)
+
+    def test_max_iter_one_stops_after_one_pass(self, rng):
+        values = np.r_[rng.normal(0, 1, 50), rng.normal(30, 1, 5)]
+        stopped_early = 0
+        for seed in range(10):
+            one = detect_1d(values, 2.5, seed, max_iter=1)
+            assert np.array_equal(one, reference_detect_1d(values, 2.5, seed,
+                                                           max_iter=1))
+            stopped_early += not np.array_equal(one,
+                                                detect_1d(values, 2.5, seed))
+        assert stopped_early > 0
+
+    def test_bad_initial_mask_rejected(self):
+        with pytest.raises(ValueError):
+            detect_1d(np.arange(6.0), 2.5, 0, initial_inliers=np.zeros(6, bool))
+        with pytest.raises(ValueError):
+            detect_1d(np.arange(6.0), 2.5, 0, initial_inliers=np.ones(5, bool))
+
+
+def pre_trusted(spectrum: Spectrum, cfg: EligibilityConfig) -> list[int]:
+    """Eligible vectors that pass the two detector-free trust tests."""
+    return [idx for idx in select_eligible(spectrum, cfg)
+            if spectrum.eigenvalues[idx] < cfg.strong_eig_threshold
+            and spike_ratio(spectrum.eigenvectors[:, idx]) >= cfg.binary_ratio]
+
+
+# SHA-256 of (outlier flags, stage tags) of the proximity stage, recorded
+# when the stage still ran the detector on every eligible eigenvector and
+# the detector still called np.quantile per pass (numpy 2.4, OpenBLAS,
+# x86_64).  A different BLAS build may round the spectrum differently, in
+# which case record them again from the unchanged code.
+FROZEN_PROXIMITY_DIGESTS = {
+    ("ellipsoid3d", 1):
+        "25771e5ff688ee4f39d73367be34649cd92985c0b55e9f94dff38026c7e7f08d",
+    ("ellipsoid3d", 3):
+        "25771e5ff688ee4f39d73367be34649cd92985c0b55e9f94dff38026c7e7f08d",
+    ("ransac2d", 1):
+        "ed7e9e467f2066d8aa1014ac5e712ae17f56d8bb2751beef16ceeb638544feec",
+    ("ransac2d", 3):
+        "f6acfe9a4c48425d5c5ea5c2461d62712dc2c9e0c3d33cc5a5d72f9b181c7d3e",
+    ("typical2d", 1):
+        "58699b1bdaf8e9f3fac91c6730b9af0de209d9d0c344a54f26e628bd2e361b6c",
+    ("typical2d", 3):
+        "58699b1bdaf8e9f3fac91c6730b9af0de209d9d0c344a54f26e628bd2e361b6c",
+}
+
+
+class TestFilterFirst:
+    @pytest.mark.parametrize("scenario", sorted(FREEZE_SCENARIOS))
+    def test_detector_runs_only_on_pre_trusted(self, scenario, monkeypatch):
+        cfg = FREEZE_SCENARIOS[scenario]
+        data = make_dataset(cfg)
+        spectrum = spectrum_of_points(data.points, cfg.eligibility)
+        expected = pre_trusted(spectrum, cfg.eligibility)
+        calls = []
+        original = proximity.detect_1d
+
+        def counting(values, *args, **kwargs):
+            calls.append(values)
+            return original(values, *args, **kwargs)
+
+        monkeypatch.setattr(proximity, "detect_1d", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            proximity_stage(data.points, cfg.eligibility, cfg.seed, spectrum)
+        assert len(calls) == len(expected) > 0
+        assert len(expected) < len(select_eligible(spectrum, cfg.eligibility))
+        for values, idx in zip(calls, expected):
+            assert np.array_equal(values, spectrum.eigenvectors[:, idx])
+
+    @pytest.mark.parametrize("scenario,repeats",
+                             sorted(FROZEN_PROXIMITY_DIGESTS))
+    def test_labels_frozen(self, scenario, repeats):
+        cfg = FREEZE_SCENARIOS[scenario]
+        data = make_dataset(cfg)
+        eligibility = dataclasses.replace(cfg.eligibility, repeats=repeats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            labels = proximity_stage(data.points, eligibility, cfg.seed)
+        h = hashlib.sha256()
+        h.update(labels.outlier.tobytes())
+        h.update("\n".join(map(str, labels.stage)).encode())
+        assert h.hexdigest() == FROZEN_PROXIMITY_DIGESTS[scenario, repeats]
+
+    def test_report_seeds_per_index(self):
+        # the report runs every eligible vector, seeded by eigenvector index
+        # as in the stage, so a vector the stage examines gets the same flags
+        cfg = FREEZE_SCENARIOS["typical2d"]
+        data = make_dataset(cfg)
+        spectrum = spectrum_of_points(data.points, cfg.eligibility)
+        report = proximity.eigenvector_flag_report(spectrum, cfg.eligibility,
+                                                   cfg.seed)
+        assert [r[0] for r in report] == select_eligible(spectrum,
+                                                         cfg.eligibility)
+        for idx, _lam, _hf, flags in report:
+            seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(idx,))
+            own = detect_1d(spectrum.eigenvectors[:, idx],
+                            cfg.eligibility.gamma, seed.spawn(1)[0])
+            assert np.array_equal(flags, own)
+
+    @pytest.mark.parametrize("eig_threshold", [1e-6, 1e-3, 0.1, 1.0, 2.0])
+    def test_eig_threshold_at_or_above_strong_cut_is_inert(self,
+                                                           eig_threshold):
+        # trusted vectors need an eigenvalue below strong_eig_threshold, so
+        # any eligibility cut at or above it leaves the labels alone
+        for name in ("typical2d", "ellipsoid3d"):
+            cfg = FREEZE_SCENARIOS[name]
+            data = make_dataset(cfg)
+            spectrum = spectrum_of_points(data.points, cfg.eligibility)
+            loose = dataclasses.replace(cfg.eligibility,
+                                        eig_threshold=eig_threshold)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                base = proximity_stage(data.points, cfg.eligibility,
+                                       cfg.seed, spectrum)
+                labels = proximity_stage(data.points, loose, cfg.seed,
+                                         spectrum)
+            assert np.array_equal(labels.outlier, base.outlier)
