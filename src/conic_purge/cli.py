@@ -23,7 +23,7 @@ from .pipeline import (PIPELINES, detect_points, model_params_from_coeffs,
 from .proximity import (DetectionLabels, EligibilityConfig,
                         eigenvector_flag_report, spectrum_of_points)
 from .synth import (ExperimentConfig, detection_metrics, make_dataset,
-                    read_dataset_csv, write_dataset_csv)
+                    outlier_flag, read_dataset_csv, write_dataset_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -69,9 +69,9 @@ def read_labels_csv(path) -> DetectionLabels:
     if not rows or rows[0].lower() != "index,label,stage":
         raise ValueError(f"{path}: expected header index,label,stage")
     flags, stages = [], []
-    for line in rows[1:]:
+    for row, line in enumerate(rows[1:], start=1):
         _idx, label, stage = (c.strip() for c in line.split(","))
-        flags.append(label == "outlier")
+        flags.append(outlier_flag(label, f"{path}: row {row}"))
         stages.append(stage)
     return DetectionLabels(np.asarray(flags, dtype=bool),
                            np.asarray(stages, dtype=object))

@@ -51,8 +51,8 @@ class RefineConfig:
     min_points: int | None = None
 
     def __post_init__(self):
-        if self.tau_scale <= 0.0:
-            raise ValueError("tau_scale must be positive")
+        if not 0.0 < self.tau_scale < math.inf:
+            raise ValueError("tau_scale must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

@@ -70,12 +70,12 @@ class EligibilityConfig:
     binary_ratio: float = 30.0
 
     def __post_init__(self):
-        if self.eig_threshold <= 0.0:
-            raise ValueError("eig_threshold must be positive")
+        if not 0.0 < self.eig_threshold < math.inf:
+            raise ValueError("eig_threshold must be positive and finite")
         if not 0.0 < self.hf_threshold <= 1.0:
             raise ValueError("hf_threshold must lie in (0, 1]")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.bandwidth_rank < 1:
@@ -84,10 +84,11 @@ class EligibilityConfig:
             raise ValueError("repeats must be >= 1")
         if not 0.0 < self.max_flag_fraction <= 1.0:
             raise ValueError("max_flag_fraction must lie in (0, 1]")
-        if self.strong_eig_threshold <= 0.0:
-            raise ValueError("strong_eig_threshold must be positive")
-        if self.binary_ratio < 1.0:
-            raise ValueError("binary_ratio must be >= 1")
+        if not 0.0 < self.strong_eig_threshold < math.inf:
+            raise ValueError(
+                "strong_eig_threshold must be positive and finite")
+        if not 1.0 <= self.binary_ratio < math.inf:
+            raise ValueError("binary_ratio must be finite and >= 1")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigh_backends import solve_symmetric
 from .errors import ConvergenceFailure, DegenerateBandwidth, TooFewPoints
 
 __all__ = [
@@ -121,12 +120,12 @@ def graph_laplacian(weights: np.ndarray) -> LaplacianPair:
     return LaplacianPair(lap, deg)
 
 
-def generalized_eigs(lp: LaplacianPair, backend: str | None = None) -> Spectrum:
+def generalized_eigs(lp: LaplacianPair) -> Spectrum:
     """Full spectrum of  L f = lambda D f  via the symmetric reduction.
 
-    The problem is rescaled with D^{-1/2} to a standard symmetric one and
-    handed to the selected backend (compiled cyclic-rotation kernel when
-    built, LAPACK otherwise).  Every returned pair is verified against
+    The problem is rescaled with D^{-1/2} to a standard symmetric one,
+    which ``numpy.linalg.eigh`` solves.  Every returned pair is verified
+    against
         max|L f - lambda D f|  <=  RESIDUAL_RTOL * max-row-sum-norm(L)
     and ConvergenceFailure is raised if any pair misses it.
     """
@@ -137,7 +136,7 @@ def generalized_eigs(lp: LaplacianPair, backend: str | None = None) -> Spectrum:
     inv_root = 1.0 / np.sqrt(deg)
     sym = lap * inv_root[:, None] * inv_root[None, :]
     sym = 0.5 * (sym + sym.T)
-    evals, evecs, _sweeps = solve_symmetric(sym, backend)
+    evals, evecs = np.linalg.eigh(sym)
     vectors = evecs * inv_root[:, None]
     # max-norm 1 with the largest-magnitude entry exactly +1
     peak = np.argmax(np.abs(vectors), axis=0)

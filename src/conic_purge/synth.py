@@ -218,6 +218,14 @@ def write_dataset_csv(path, points: np.ndarray,
         fh.write("\n".join(lines) + "\n")
 
 
+def outlier_flag(label: str, where: str) -> bool:
+    """True for ``outlier``, False for ``inlier``; anything else is refused."""
+    if label not in ("inlier", "outlier"):
+        raise ValueError(
+            f"{where}: label {label!r} is neither 'inlier' nor 'outlier'")
+    return label == "outlier"
+
+
 def read_dataset_csv(path):
     """Read points and the optional ground-truth label column.
 
@@ -234,12 +242,12 @@ def read_dataset_csv(path):
         raise ValueError(f"{path}: expected columns x,y[,z][,label]")
     dim = len(coord_names)
     points, flags = [], []
-    for line in rows[1:]:
+    for row, line in enumerate(rows[1:], start=1):
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(header):
             raise ValueError(f"{path}: ragged row {line!r}")
         points.append([float(c) for c in cells[:dim]])
         if has_label:
-            flags.append(cells[dim] == "outlier")
+            flags.append(outlier_flag(cells[dim], f"{path}: row {row}"))
     pts = np.asarray(points, dtype=float)
     return pts, (np.asarray(flags, dtype=bool) if has_label else None)

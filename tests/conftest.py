@@ -1,9 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conic_purge import (EllipseParams, EllipsoidParams, ExperimentConfig,
                          ellipse_from_eccentricity)
 
+# tests that run ``python -m conic_purge`` in a subprocess import the
+# in-tree package, as pytest itself does through its ``pythonpath`` setting
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 # one seeded dataset per benchmark workload shape, shared by the tests that
 # pin output digests

@@ -8,6 +8,7 @@ import pytest
 
 from conic_purge import EllipseParams
 from conic_purge.geometry import ellipse_boundary_points
+from conic_purge.proximity import DetectionLabels
 from conic_purge.synth import write_dataset_csv
 
 
@@ -143,6 +144,42 @@ class TestDetect:
                        "--k", k)
         assert proc.returncode == 1
         assert "--k must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flag,value,knob", [
+        ("--gamma", "nan", "gamma"),
+        ("--gamma", "inf", "gamma"),
+        ("--eig-threshold", "nan", "eig_threshold"),
+        ("--eig-threshold", "inf", "eig_threshold"),
+        ("--tau-scale", "nan", "tau_scale"),
+        ("--tau-scale", "inf", "tau_scale"),
+    ])
+    def test_non_finite_knob_exit_1(self, tmp_path, flag, value, knob):
+        data = tmp_path / "data.csv"
+        write_noiseless_ellipse(data)
+        proc = run_cli("detect", "--data", str(data), flag, value)
+        assert proc.returncode == 1
+        assert f"{knob} must be positive and finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("bad_file", ["data", "init-labels"])
+    def test_unknown_label_exit_1(self, tmp_path, bad_file):
+        points = ellipse_boundary_points(
+            EllipseParams(0.0, 0.0, 4.0, 2.5, 0.0),
+            np.linspace(0, 2 * math.pi, 41)[:-1])
+        labels = DetectionLabels(np.zeros(40, bool))
+        data, init = tmp_path / "data.csv", tmp_path / "init.csv"
+        write_dataset_csv(data, points, labels)
+        init.write_text("index,label,stage\n" + "".join(
+            f"{i},inlier,none\n" for i in range(40)))
+        bad = data if bad_file == "data" else init
+        lines = bad.read_text().splitlines()
+        lines[3] = lines[3].replace("inlier", "Outlier")
+        bad.write_text("\n".join(lines) + "\n")
+        proc = run_cli("detect", "--data", str(data), "--stage", "model",
+                       "--init-labels", str(init))
+        assert proc.returncode == 1
+        assert f"{bad}: row 3: label 'Outlier'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_duplicated_points_exit_2(self, tmp_path):

@@ -276,6 +276,11 @@ class TestRefine:
             result = refine(pts, initial, RefineConfig(tau_scale=tau_scale))
             assert not result.labels.outlier[:50].any()
 
+    @pytest.mark.parametrize("tau_scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_scale_rejected(self, tau_scale):
+        with pytest.raises(ValueError, match="tau_scale"):
+            RefineConfig(tau_scale=tau_scale)
+
     def test_min_points_floor(self, rng):
         pts = rng.normal(size=(20, 2))
         labels = DetectionLabels(np.r_[np.zeros(4, bool), np.ones(16, bool)],

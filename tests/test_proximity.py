@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -57,6 +61,16 @@ class TestHighFrequencyMeasure:
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
             high_frequency_measure(np.zeros(3))
+
+
+class TestEligibilityConfig:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("knob", [
+        "eig_threshold", "hf_threshold", "gamma", "max_flag_fraction",
+        "strong_eig_threshold", "binary_ratio"])
+    def test_non_finite_knob_rejected(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            EligibilityConfig(**{knob: value})
 
 
 class TestSelectEligible:
@@ -428,6 +442,35 @@ FROZEN_PROXIMITY_DIGESTS = {
 }
 
 
+# SHA-256 of the eigenvalue and eigenvector bytes of generalized_eigs on the
+# freeze scenarios' heat-kernel graphs, recorded while generalized_eigs
+# still reached numpy.linalg.eigh through a separate dispatch module
+# (numpy 2.4, OpenBLAS, x86_64).  The bytes depend on the BLAS thread
+# count, so they are taken in a subprocess pinned to one thread.
+FROZEN_SPECTRUM_DIGESTS = {
+    "ellipsoid3d":
+        "5fab3ce7c969f03f7f022d07abe208bea84af28229bd2579b05db22bac9aaef2",
+    "ransac2d":
+        "c4af96b3c6ec4053cb6c7b4bf7284347ec0455dd1cb72d5e47e9aa96ef92feab",
+    "typical2d":
+        "22b759bbe55980849c1b4bffcd05a263a2bb267778c1c02ecc3daed342fabaf6",
+}
+
+SPECTRUM_DIGEST_SCRIPT = """
+import hashlib, json
+from conftest import FREEZE_SCENARIOS
+from conic_purge import make_dataset
+from conic_purge.proximity import spectrum_of_points
+digests = {}
+for name, cfg in FREEZE_SCENARIOS.items():
+    spectrum = spectrum_of_points(make_dataset(cfg).points, cfg.eligibility)
+    h = hashlib.sha256(spectrum.eigenvalues.tobytes())
+    h.update(spectrum.eigenvectors.tobytes())
+    digests[name] = h.hexdigest()
+print(json.dumps(digests))
+"""
+
+
 class TestFilterFirst:
     @pytest.mark.parametrize("scenario", sorted(FREEZE_SCENARIOS))
     def test_detector_runs_only_on_pre_trusted(self, scenario, monkeypatch):
@@ -464,6 +507,15 @@ class TestFilterFirst:
         h.update(labels.outlier.tobytes())
         h.update("\n".join(map(str, labels.stage)).encode())
         assert h.hexdigest() == FROZEN_PROXIMITY_DIGESTS[scenario, repeats]
+
+    def test_spectrum_frozen(self):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(__file__), env["PYTHONPATH"]])
+        proc = subprocess.run([sys.executable, "-c", SPECTRUM_DIGEST_SCRIPT],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == FROZEN_SPECTRUM_DIGESTS
 
     def test_report_seeds_per_index(self):
         # the report runs every eligible vector, seeded by eigenvector index

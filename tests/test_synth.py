@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,14 @@ class TestDatasetCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("label", ["OUTLIER", "Inlier", "outliers", "1"])
+    def test_unknown_label_names_the_row(self, tmp_path, label):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x,y,label\n1,2,inlier\n3,4,{label}\n5,6,outlier\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: row 2: label")):
             read_dataset_csv(path)
 
 
