@@ -64,17 +64,39 @@ def write_labels_csv(path, labels: DetectionLabels) -> None:
 
 
 def read_labels_csv(path) -> DetectionLabels:
+    """Labels of an ``index,label,stage`` file, each placed by its index.
+
+    The n rows may come in any order but must carry the indexes 0..n-1,
+    each once; any other row is refused with the file and row named.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         rows = [line.strip() for line in fh if line.strip()]
     if not rows or rows[0].lower() != "index,label,stage":
         raise ValueError(f"{path}: expected header index,label,stage")
-    flags, stages = [], []
+    n = len(rows) - 1
+    flags = np.zeros(n, dtype=bool)
+    stages = np.full(n, None, dtype=object)
     for row, line in enumerate(rows[1:], start=1):
-        _idx, label, stage = (c.strip() for c in line.split(","))
-        flags.append(outlier_flag(label, f"{path}: row {row}"))
-        stages.append(stage)
-    return DetectionLabels(np.asarray(flags, dtype=bool),
-                           np.asarray(stages, dtype=object))
+        where = f"{path}: row {row}"
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != 3:
+            raise ValueError(f"{where}: expected 3 cells (index,label,stage), "
+                             f"got {len(cells)}")
+        idx, label, stage = cells
+        if not idx:
+            raise ValueError(f"{where}: missing index")
+        try:
+            i = int(idx)
+        except ValueError:
+            raise ValueError(f"{where}: index {idx!r} is not an integer") \
+                from None
+        if not 0 <= i < n:
+            raise ValueError(f"{where}: index {i} is outside 0..{n - 1}")
+        if stages[i] is not None:
+            raise ValueError(f"{where}: index {i} is repeated")
+        flags[i] = outlier_flag(label, where)
+        stages[i] = stage
+    return DetectionLabels(flags, stages)
 
 
 def cmd_generate(args) -> int:

@@ -65,124 +65,6 @@ class FitResult:
     converged: bool
 
 
-def _normalize_points(pts: np.ndarray):
-    """Shift to the centroid and scale to unit RMS coordinate."""
-    mean = pts.mean(axis=0)
-    shifted = pts - mean
-    scale = math.sqrt(float(np.mean(shifted ** 2)))
-    if scale == 0.0:
-        raise DegenerateConfiguration("all points coincide")
-    return shifted / scale, mean, scale
-
-
-def _denormalize_quadratic(coeff_mat: np.ndarray, mean: np.ndarray,
-                           scale) -> np.ndarray:
-    """Map a homogeneous quadratic-form matrix back to world coordinates.
-
-    Also maps an (S, d+1, d+1) stack, with (S, d) means and (S,) scales.
-    """
-    dim = coeff_mat.shape[-1] - 1
-    scale = np.asarray(scale)[..., None, None]
-    t = np.eye(dim + 1) / scale
-    t[..., dim, dim] = 1.0
-    t[..., :dim, dim] = -mean / scale[..., 0]
-    return np.swapaxes(t, -1, -2) @ coeff_mat @ t
-
-
-def fit_ellipse_direct(points: np.ndarray) -> ConicCoeffs:
-    """Direct least-squares ellipse fit.
-
-    Minimizes the algebraic residual subject to the ellipse-specific
-    constraint 4AC - B^2 = 1 via the numerically stable split of the
-    scatter matrix of (x^2, xy, y^2, x, y, 1); always returns a true
-    ellipse when it returns at all.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("expected an (n, 2) point array")
-    if pts.shape[0] < MIN_POINTS_ELLIPSE:
-        raise TooFewPoints("ellipse fitting needs at least 5 points")
-    u, mean, scale = _normalize_points(pts)
-    x, y = u[:, 0], u[:, 1]
-    d1 = np.column_stack([x * x, x * y, y * y])
-    d2 = np.column_stack([x, y, np.ones_like(x)])
-    s1 = d1.T @ d1
-    s2 = d1.T @ d2
-    s3 = d2.T @ d2
-    try:
-        t_mat = -np.linalg.solve(s3, s2.T)
-    except np.linalg.LinAlgError:
-        raise DegenerateConfiguration("linear scatter block is singular") from None
-    m = s1 + s2 @ t_mat
-    m_reduced = np.vstack([m[2] / 2.0, -m[1], m[0] / 2.0])
-    evals, evecs = np.linalg.eig(m_reduced)
-    best = None
-    for i in range(3):
-        if abs(evals[i].imag) > 1e-8 * (1.0 + abs(evals[i].real)):
-            continue
-        vec = np.real(evecs[:, i])
-        cond = 4.0 * vec[0] * vec[2] - vec[1] ** 2
-        if cond > 0.0 and (best is None or cond > best[0]):
-            best = (cond, vec)
-    if best is None:
-        raise DegenerateConfiguration("no admissible ellipse solution")
-    a1 = best[1]
-    a2 = t_mat @ a1
-    qa, qb, qc = a1
-    qd, qe, qf = a2
-    mat = np.array([[qa, qb / 2.0, qd / 2.0],
-                    [qb / 2.0, qc, qe / 2.0],
-                    [qd / 2.0, qe / 2.0, qf]])
-    w = _denormalize_quadratic(mat, mean, scale)
-    coeffs = ConicCoeffs(np.array([w[0, 0], 2.0 * w[0, 1], w[1, 1],
-                                   2.0 * w[0, 2], 2.0 * w[1, 2], w[2, 2]]))
-    if not coeffs.is_ellipse:
-        raise DegenerateConfiguration("fit degenerated to a non-ellipse")
-    return coeffs
-
-
-def fit_ellipsoid_direct(points: np.ndarray) -> QuadricCoeffs:
-    """Least-squares quadric under a unit-norm coefficient constraint.
-
-    The smallest right singular vector of the design matrix of
-    (x^2, y^2, z^2, xy, xz, yz, x, y, z, 1) gives the quadric; it is then
-    validated as an ellipsoid.  Raises DegenerateConfiguration when the
-    solution is not unique (rank-deficient configurations such as coplanar
-    points) and NotAnEllipsoid when the best quadric is another surface.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("expected an (n, 3) point array")
-    if pts.shape[0] < MIN_POINTS_ELLIPSOID:
-        raise TooFewPoints("ellipsoid fitting needs at least 9 points")
-    u, mean, scale = _normalize_points(pts)
-    x, y, z = u[:, 0], u[:, 1], u[:, 2]
-    design = np.column_stack([
-        x * x, y * y, z * z, x * y, x * z, y * z,
-        x, y, z, np.ones_like(x),
-    ])
-    _, svals, vt = np.linalg.svd(design, full_matrices=True)
-    # a unique quadric needs rank 9 (one-dimensional null space)
-    if svals[0] == 0.0 or svals[8] < 1e-10 * svals[0]:
-        raise DegenerateConfiguration("quadric solution is not unique")
-    q = vt[-1]
-    mat = np.array([
-        [q[0], q[3] / 2.0, q[4] / 2.0, q[6] / 2.0],
-        [q[3] / 2.0, q[1], q[5] / 2.0, q[7] / 2.0],
-        [q[4] / 2.0, q[5] / 2.0, q[2], q[8] / 2.0],
-        [q[6] / 2.0, q[7] / 2.0, q[8] / 2.0, q[9]],
-    ])
-    w = _denormalize_quadratic(mat, mean, scale)
-    coeffs = QuadricCoeffs(np.array([
-        w[0, 0], w[1, 1], w[2, 2],
-        2.0 * w[0, 1], 2.0 * w[0, 2], 2.0 * w[1, 2],
-        2.0 * w[0, 3], 2.0 * w[1, 3], 2.0 * w[2, 3], w[3, 3],
-    ]))
-    if not coeffs.is_ellipsoid:
-        raise NotAnEllipsoid("best quadric is not an ellipsoid")
-    return coeffs
-
-
 # (row, column, factor) of each coefficient in the symmetric matrix form of
 # a conic or quadric: coefficient = factor * matrix[row, column]
 _CONIC_FORM = ((0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0),
@@ -204,11 +86,27 @@ def _coeffs_from_form(mat: np.ndarray, form) -> np.ndarray:
     return np.stack([factor * mat[:, i, j] for i, j, factor in form], axis=-1)
 
 
-def _conic_batch(u: np.ndarray):
-    """Stacked :func:`fit_ellipse_direct` on normalized (S, n, 2) samples.
+def _denormalize_quadratic(coeff_mat: np.ndarray, mean: np.ndarray,
+                           scale: np.ndarray) -> np.ndarray:
+    """Map quadratic-form matrices of normalized points to world coordinates.
 
-    Returns the normalized-frame quadratic-form matrices and a mask of the
-    samples with an admissible solution.
+    The (S, d+1, d+1) homogeneous matrices were fitted to points shifted
+    by the (S, d) means and divided by the (S,) scales.
+    """
+    dim = coeff_mat.shape[-1] - 1
+    t = np.eye(dim + 1) / scale[:, None, None]
+    t[:, dim, dim] = 1.0
+    t[:, :dim, dim] = -mean / scale[:, None]
+    return np.swapaxes(t, 1, 2) @ coeff_mat @ t
+
+
+def _conic_batch(u: np.ndarray):
+    """Ellipse-specific fits of normalized (S, n, 2) samples.
+
+    The numerically stable split of the scatter matrix of
+    (x^2, xy, y^2, x, y, 1) under the constraint 4AC - B^2 = 1.  Returns
+    the normalized-frame quadratic-form matrices and a mask of the samples
+    with an admissible solution.
     """
     x, y = u[..., 0], u[..., 1]
     d1 = np.stack([x * x, x * y, y * y], axis=-1)
@@ -229,7 +127,7 @@ def _conic_batch(u: np.ndarray):
     admissible = ~(np.abs(evals.imag) > 1e-8 * (1.0 + np.abs(evals.real)))
     admissible &= cond > 0.0
     ok &= admissible.any(axis=1)
-    # the earliest largest admissible eigenvector, as in the scalar loop
+    # the earliest of the largest admissible eigenvectors
     best = np.argmax(np.where(admissible, cond, -np.inf), axis=1)
     a1 = vecs[np.arange(len(vecs)), :, best]
     a2 = (t_mat @ a1[..., None])[..., 0]
@@ -238,7 +136,12 @@ def _conic_batch(u: np.ndarray):
 
 
 def _quadric_batch(u: np.ndarray):
-    """Stacked :func:`fit_ellipsoid_direct` on normalized (S, n, 3) samples."""
+    """Unit-norm quadric fits of normalized (S, n, 3) samples.
+
+    The smallest right singular vector of the design matrix of
+    (x^2, y^2, z^2, xy, xz, yz, x, y, z, 1); the mask keeps the samples
+    whose solution is unique (rank 9).
+    """
     x, y, z = u[..., 0], u[..., 1], u[..., 2]
     design = np.stack([x * x, y * y, z * z, x * y, x * z, y * z,
                        x, y, z, np.ones_like(x)], axis=-1)
@@ -262,14 +165,14 @@ def _ellipsoid_rows(values: np.ndarray) -> np.ndarray:
             & (np.isfinite(axes) & (axes > 0.0)).all(axis=1))
 
 
-def _fit_direct_batch(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Direct fits of an (S, n, 2) or (S, n, 3) stack of point samples.
+def _fit_direct_raw(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direct fits of an (S, n, 2) or (S, n, 3) stack, before normalization.
 
-    Row i matches ``fit_ellipse_direct(samples[i]).values`` (or the
-    ellipsoid fit) to rounding: the same normalization, admissibility,
-    rank and shape tests, evaluated as stacked linear algebra.  Returns
-    the (S, 6) or (S, 10) unit-norm coefficients and a mask of the samples
-    whose scalar fit would have succeeded; the other rows are zero.
+    Each sample is shifted to its centroid and scaled to unit RMS
+    coordinate, fitted by :func:`_conic_batch` or :func:`_quadric_batch`
+    and mapped back to world coordinates.  Returns the (S, 6) or (S, 10)
+    coefficient rows and a mask of the samples that are not all one point
+    and pass the admissibility (conic) or rank (quadric) test.
     """
     conic = samples.shape[2] == 2
     if samples.shape[1] < (MIN_POINTS_ELLIPSE if conic
@@ -285,16 +188,70 @@ def _fit_direct_batch(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mat, ok = (_conic_batch if conic else _quadric_batch)(
             shifted / scale[:, None, None])
         w = _denormalize_quadratic(mat, mean, scale)
-        values, valid = _normalize_coeff_rows(_coeffs_from_form(
-            w, _CONIC_FORM if conic else _QUADRIC_FORM))
-        ok &= spread & valid
-        if conic:
+    coeffs = _coeffs_from_form(w, _CONIC_FORM if conic else _QUADRIC_FORM)
+    return coeffs, ok & spread
+
+
+def _fit_direct_batch(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direct fits of an (S, n, 2) or (S, n, 3) stack of point samples.
+
+    :func:`_fit_direct_raw`, then unit-norm/sign normalization and the
+    ellipse or ellipsoid test, row by row as array operations.  Row i
+    equals ``fit_ellipse_direct(samples[i]).values`` (or the ellipsoid
+    fit) up to the rounding of the row-wise normalization, and the
+    accept/reject decisions are the same.
+    Returns the (S, 6) or (S, 10) unit-norm coefficients and a mask of the
+    samples whose one-sample fit succeeds; the other rows are zero.
+    """
+    raw, ok = _fit_direct_raw(samples)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values, valid = _normalize_coeff_rows(raw)
+        ok &= valid
+        if samples.shape[2] == 2:
             a, b, c = values[:, 0], values[:, 1], values[:, 2]
             ok &= b * b - 4.0 * a * c < 0.0
         else:
             ok &= _ellipsoid_rows(values)
     values[~ok] = 0.0
     return values, ok
+
+
+def _fit_one(points, dim: int) -> np.ndarray:
+    """Raw coefficient row of the direct fit of one (n, dim) sample."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ValueError(f"expected an (n, {dim}) point array")
+    raw, ok = _fit_direct_raw(pts[None])
+    if not ok[0]:
+        raise DegenerateConfiguration(
+            "degenerate sample: coincident points, a singular scatter "
+            "block, no admissible ellipse or a non-unique quadric")
+    return raw[0]
+
+
+def fit_ellipse_direct(points: np.ndarray) -> ConicCoeffs:
+    """Direct least-squares ellipse fit of (n, 2) points, n >= 5.
+
+    Minimizes the algebraic residual under the ellipse-specific constraint
+    4AC - B^2 = 1 (the one-sample case of the stacked kernel); returns a
+    true ellipse or raises DegenerateConfiguration.
+    """
+    coeffs = ConicCoeffs(_fit_one(points, 2))
+    if not coeffs.is_ellipse:
+        raise DegenerateConfiguration("fit degenerated to a non-ellipse")
+    return coeffs
+
+
+def fit_ellipsoid_direct(points: np.ndarray) -> QuadricCoeffs:
+    """Least-squares unit-norm quadric fit of (n, 3) points, n >= 9.
+
+    Raises DegenerateConfiguration when the quadric is not unique (e.g.
+    coplanar points) and NotAnEllipsoid when it is another surface.
+    """
+    coeffs = QuadricCoeffs(_fit_one(points, 3))
+    if not coeffs.is_ellipsoid:
+        raise NotAnEllipsoid("best quadric is not an ellipsoid")
+    return coeffs
 
 
 def _dim_tools(pts: np.ndarray, min_points: int | None):
@@ -467,7 +424,8 @@ def refine(points: np.ndarray, initial: DetectionLabels,
     ties, which keeps re-running refine on its own output a no-op.  The
     rescue's minimal samples are fitted and concentrated as one batch,
     with the same seeded samples and tie-breaks as one at a time; the
-    model refine returns always comes from the one-sample direct fitter.
+    returned model is always a one-sample fit, the one-row case of the
+    same stacked kernel.
     """
     cfg = cfg or RefineConfig()
     pts = np.asarray(points, dtype=float)

@@ -66,14 +66,17 @@ def pairwise_distances(points: np.ndarray) -> DistanceMatrix:
     """K x K Euclidean distance matrix, computed coordinate-wise.
 
     Row-chunked so K up to MAX_POINTS stays within memory; the arithmetic
-    matches a naive per-pair evaluation bit for bit.
+    matches a naive per-pair evaluation bit for bit.  K above MAX_POINTS
+    is refused here, before any K x K array exists.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise TooFewPoints("need at least 2 points")
+    k = pts.shape[0]
+    if k > MAX_POINTS:
+        raise ValueError(f"K={k} exceeds the configured cap of {MAX_POINTS}")
     if not np.isfinite(pts).all():
         raise ValueError("coordinates must be finite")
-    k = pts.shape[0]
     out = np.empty((k, k))
     chunk = max(1, int(4e6) // max(k, 1))
     for start in range(0, k, chunk):

@@ -182,6 +182,55 @@ class TestDetect:
         assert f"{bad}: row 3: label 'Outlier'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_init_labels_placed_by_index(self, tmp_path):
+        # point 0 is marked an outlier on the seventh row; refine puts it
+        # back, so its tag (and no other) becomes "model"
+        data, init = tmp_path / "data.csv", tmp_path / "init.csv"
+        write_noiseless_ellipse(data, n=40)
+        order = [1, 2, 3, 4, 5, 6, 0] + list(range(7, 40))
+        init.write_text("index,label,stage\n" + "".join(
+            f"{i},{'outlier' if i == 0 else 'inlier'},none\n" for i in order))
+        out = tmp_path / "labels.csv"
+        proc = run_cli("detect", "--data", str(data), "--stage", "model",
+                       "--init-labels", str(init), "--out-labels", str(out))
+        assert proc.returncode == 0, proc.stderr
+        rows = out.read_text().splitlines()[1:]
+        assert rows[0] == "0,inlier,model"
+        assert all(row.endswith(",inlier,none") for row in rows[1:])
+
+    @pytest.mark.parametrize("row, message", [
+        (",inlier,none", "row 4: missing index"),
+        ("1,inlier,none", "row 4: index 1 is repeated"),
+        ("40,inlier,none", "row 4: index 40 is outside 0..39"),
+        ("-3,inlier,none", "row 4: index -3 is outside 0..39"),
+        ("3.0,inlier,none", "row 4: index '3.0' is not an integer"),
+        ("x,inlier,none", "row 4: index 'x' is not an integer"),
+        ("3,inlier", "row 4: expected 3 cells (index,label,stage), got 2"),
+        ("3,inlier,none,extra", "row 4: expected 3 cells"),
+    ], ids=["missing", "duplicate", "past_end", "negative", "float",
+            "text", "two_cells", "four_cells"])
+    def test_bad_init_label_row_exit_1(self, tmp_path, row, message):
+        data, init = tmp_path / "data.csv", tmp_path / "init.csv"
+        write_noiseless_ellipse(data, n=40)
+        lines = [f"{i},inlier,none" for i in range(40)]
+        lines[3] = row
+        init.write_text("index,label,stage\n" + "\n".join(lines) + "\n")
+        proc = run_cli("detect", "--data", str(data), "--stage", "model",
+                       "--init-labels", str(init))
+        assert proc.returncode == 1
+        assert f"{init}: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_above_point_cap_exit_1(self, tmp_path):
+        from conic_purge.spectral import MAX_POINTS
+        data = tmp_path / "big.csv"
+        pts = np.random.default_rng(2).normal(size=(MAX_POINTS + 1, 2))
+        write_dataset_csv(data, pts)
+        proc = run_cli("detect", "--data", str(data))
+        assert proc.returncode == 1
+        assert f"K={MAX_POINTS + 1} exceeds the configured cap" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_duplicated_points_exit_2(self, tmp_path):
         data = tmp_path / "dup.csv"
         rows = ["x,y"] + ["1.0,2.0"] * 20

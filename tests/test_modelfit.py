@@ -20,6 +20,7 @@ from conic_purge.geometry import (ellipse_boundary_points,
                                   ellipsoid_boundary_points)
 from conic_purge.modelfit import _fit_direct_batch
 
+import reference_fits
 from conftest import FREEZE_SCENARIOS, random_ellipse, random_ellipsoid
 
 
@@ -119,8 +120,8 @@ def random_axis_ellipsoid():
 
 def scalar_fits(samples):
     """The per-sample reference for ``_fit_direct_batch``: (values, ok)."""
-    fitter = fit_ellipse_direct if samples.shape[2] == 2 else \
-        fit_ellipsoid_direct
+    fitter = reference_fits.fit_ellipse_direct if samples.shape[2] == 2 \
+        else reference_fits.fit_ellipsoid_direct
     values = np.zeros((samples.shape[0], 6 if samples.shape[2] == 2 else 10))
     ok = np.zeros(samples.shape[0], dtype=bool)
     for i, sample in enumerate(samples):
@@ -161,6 +162,67 @@ def assert_batch_matches_scalar(samples):
     assert np.array_equal(ok, ref_ok)
     assert np.abs(values - ref_values).max(initial=0.0) <= 1e-12
     assert not values[~ok].any()
+
+
+def fit_outcome(fitter, points):
+    """The coefficient bytes of a fit, or the type of what it raised."""
+    try:
+        return fitter(points).values.tobytes()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+def assert_public_fit_is_reference(points):
+    dim = points.shape[1]
+    public = fit_ellipse_direct if dim == 2 else fit_ellipsoid_direct
+    reference = reference_fits.fit_ellipse_direct if dim == 2 else \
+        reference_fits.fit_ellipsoid_direct
+    assert fit_outcome(public, points) == fit_outcome(reference, points)
+
+
+class TestPublicFitsMatchReference:
+    """The public fitters are the one-row case of the stacked kernel; they
+    must reproduce the one-sample reference bit for bit, failures too."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([2, 3]),
+           extra=st.integers(-2, 300),
+           kind=st.sampled_from(["near", "near", "near", "scatter",
+                                 "coincident", "flat"]))
+    def test_bit_identical(self, seed, dim, extra, kind):
+        n = max(0, (5 if dim == 2 else 9) + extra)
+        rng = np.random.default_rng(seed)
+        if kind == "near":
+            points = near_model_stack(seed, 1, n, dim)[0]
+        elif kind == "scatter":
+            points = rng.normal(size=(n, dim))
+        elif kind == "coincident":
+            points = np.tile(rng.normal(size=dim), (n, 1))
+        else:
+            # collinear (2-D) or coplanar (3-D)
+            points = rng.normal(size=(n, dim))
+            points[:, -1] = 0.5 * points[:, 0] + 1.0
+        assert_public_fit_is_reference(points)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bit_identical_at_max_points(self, dim, seed):
+        assert_public_fit_is_reference(near_model_stack(seed, 1, 5000, dim)[0])
+
+    def test_thin_svd_memory(self):
+        # the full n x n left basis of the SVD peaked at 191 MiB
+        rng = np.random.default_rng(4)
+        e = random_axis_ellipsoid()
+        pts = ellipsoid_boundary_points(e, rng.uniform(0, 2 * math.pi, 5000),
+                                        rng.uniform(-1.4, 1.4, 5000))
+        pts = pts + rng.normal(0.0, 0.05, pts.shape)
+        tracemalloc.start()
+        try:
+            fit_ellipsoid_direct(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestFitDirectBatch:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -230,6 +231,20 @@ class TestProximityStage:
             warnings.simplefilter("ignore")
             labels_perm = proximity_stage(pts[perm], rng_seed=9)
         assert np.array_equal(labels.outlier[perm], labels_perm.outlier)
+
+    def test_refuses_above_cap_before_the_graph(self):
+        # one K x K float64 array at K=5001 is 191 MiB; the refusal comes
+        # before the first of them
+        from conic_purge.spectral import MAX_POINTS
+        pts = np.random.default_rng(3).normal(size=(MAX_POINTS + 1, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the configured cap"):
+                proximity_stage(pts, rng_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_needs_twelve_points(self):
         with pytest.raises(TooFewPoints):

@@ -189,3 +189,11 @@ class TestGeneralizedEigs:
         lp = graph_laplacian(np.ones((11, 11)))
         with pytest.raises(ValueError):
             generalized_eigs(lp)
+
+    def test_distance_size_cap(self, monkeypatch):
+        # the cap is read at call time and checked before the K x K matrix
+        from conic_purge import spectral as spectral_mod
+        monkeypatch.setattr(spectral_mod, "MAX_POINTS", 10)
+        pairwise_distances(np.zeros((10, 2)))
+        with pytest.raises(ValueError, match="K=11 exceeds"):
+            pairwise_distances(np.zeros((11, 2)))
