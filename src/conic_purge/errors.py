@@ -23,8 +23,8 @@ class DegenerateBandwidth(ConicPurgeError):
 
 
 class ConvergenceFailure(ConicPurgeError):
-    """The eigensolver exhausted its sweep budget before meeting the
-    residual tolerance."""
+    """A solved generalized eigenpair misses the residual tolerance
+    (``spectral.RESIDUAL_RTOL``) of ``generalized_eigs``'s check."""
 
 
 class ZeroVector(ConicPurgeError):

@@ -3,7 +3,8 @@
 Parametric forms (center, semi-axes, orientation) describe the shapes;
 algebraic forms (unit-norm coefficient vectors of the implicit polynomial)
 are what the fitting routines produce.  Conversions between the two are
-exact up to floating point round-off.
+exact up to floating point round-off.  The coefficient format and the one
+ellipse/ellipsoid interior test live here; the fitters use both.
 """
 
 from __future__ import annotations
@@ -31,6 +32,37 @@ __all__ = [
 ]
 
 _SIGN_EPS = 1e-12
+
+# The coefficient format: a model is the symmetric homogeneous matrix H
+# with p'Hp = 0 for p = (x, y[, z], 1), and coefficient t is factors[t] *
+# H[rows[t], cols[t]].  One (rows, cols, factors) table per vector width.
+_FORMS = {6: (np.array([0, 0, 1, 0, 1, 2]), np.array([0, 1, 1, 2, 2, 2]),
+              np.array([1.0, 2.0, 1.0, 2.0, 2.0, 1.0])),
+          10: (np.array([0, 1, 2, 0, 0, 1, 0, 1, 2, 3]),
+               np.array([0, 1, 2, 1, 2, 2, 3, 3, 3, 3]),
+               np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0]))}
+
+
+def _matrix_from_coeffs(values: np.ndarray) -> np.ndarray:
+    """(..., d+1, d+1) homogeneous matrices of (..., 6) or (..., 10) rows."""
+    rows, cols, factors = _FORMS[values.shape[-1]]
+    size = rows[-1] + 1
+    half = values / factors
+    mat = np.empty(values.shape[:-1] + (size, size))
+    mat[..., rows, cols] = mat[..., cols, rows] = half
+    return mat
+
+
+def _coeffs_from_matrix(mat: np.ndarray) -> np.ndarray:
+    """Coefficient rows of (..., 3, 3) or (..., 4, 4) homogeneous matrices."""
+    rows, cols, factors = _FORMS[6 if mat.shape[-1] == 3 else 10]
+    return factors * mat[..., rows, cols]
+
+
+def _is_ellipse(values: np.ndarray):
+    """B^2 - 4AC < 0 for a (6,) conic or each row of an (S, 6) stack."""
+    a, b, c = values[..., 0], values[..., 1], values[..., 2]
+    return b * b - 4.0 * a * c < 0.0
 
 
 def _normalize_coeffs(values: np.ndarray) -> np.ndarray:
@@ -125,8 +157,7 @@ class ConicCoeffs:
 
     @property
     def is_ellipse(self) -> bool:
-        a, b, c = self.values[:3]
-        return b * b - 4.0 * a * c < 0.0
+        return _is_ellipse(self.values)
 
     def to_json_dict(self) -> dict:
         return {"type": "conic", "coefficients": self.values.tolist()}
@@ -199,24 +230,10 @@ class QuadricCoeffs:
 
     @property
     def is_ellipsoid(self) -> bool:
-        try:
-            ellipsoid_from_quadric(self)
-        except NotAnEllipsoid:
-            return False
-        return True
+        return bool(_interior(self.values[None])[0][0])
 
     def to_json_dict(self) -> dict:
         return {"type": "quadric", "coefficients": self.values.tolist()}
-
-    def matrix_form(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Return (M, b, f) with the quadric written x'Mx + b'x + f = 0."""
-        q = self.values
-        m = np.array([
-            [q[0], q[3] / 2.0, q[4] / 2.0],
-            [q[3] / 2.0, q[1], q[5] / 2.0],
-            [q[4] / 2.0, q[5] / 2.0, q[2]],
-        ])
-        return m, q[6:9].copy(), float(q[9])
 
 
 def _rotation2(theta: float) -> np.ndarray:
@@ -224,36 +241,64 @@ def _rotation2(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _coeffs_from_shape(m: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Coefficients of (x - center)' m (x - center) = 1, read from the
+    homogeneous matrix [[m, -m center], [-center' m, center' m center - 1]]."""
+    dim = center.shape[0]
+    h = np.empty((dim + 1, dim + 1))
+    h[:dim, :dim] = m
+    h[:dim, dim] = h[dim, :dim] = -(m @ center)
+    h[dim, dim] = float(center @ m @ center) - 1.0
+    return _coeffs_from_matrix(h)
+
+
+def _interior(values: np.ndarray):
+    """The ellipse/ellipsoid test of an (S, 6) or (S, 10) coefficient stack.
+
+    A row passes when its quadratic part M is positive definite and regular
+    (for conics also B^2 < 4AC) and k = f + l'c/2 at the center c = -M^-1
+    l/2 is negative, with finite, positive semi-axes sqrt(-k / eigenvalue).
+    Returns the mask, the centers, M's eigenvectors (in columns, eigenvalues
+    ascending) and the descending semi-axes; failing rows carry no meaning.
+    """
+    dim = 2 if values.shape[-1] == 6 else 3
+    m = _matrix_from_coeffs(values)[:, :dim, :dim]
+    lin = values[:, -dim - 1:-1]
+    evals, evecs = np.linalg.eigh(m)
+    ok = evals[:, 0] > 0.0
+    if dim == 2:
+        ok &= _is_ellipse(values)
+    # a stacked solve fails as a whole on one exactly singular block; the
+    # LU of slogdet flags the same blocks, which get a harmless stand-in
+    ok &= np.linalg.slogdet(m)[0] != 0.0
+    m[~ok] = np.eye(dim)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        center = -0.5 * np.linalg.solve(m, lin[..., None])[..., 0]
+        # the stacked matmul rounds as a one-row lin @ center does
+        k = values[:, -1] + 0.5 * (lin[:, None] @ center[..., None])[:, 0, 0]
+        axes = np.sqrt(-k[:, None] / evals)
+    ok &= ((k < 0.0) & np.isfinite(center).all(axis=1)
+           & (np.isfinite(axes) & (axes > 0.0)).all(axis=1))
+    return ok, center, evecs, axes
+
+
 def conic_from_ellipse(e: EllipseParams) -> ConicCoeffs:
     """Algebraic coefficients vanishing exactly on the ellipse boundary."""
     rot = _rotation2(e.theta)
     m = rot @ np.diag([1.0 / e.a ** 2, 1.0 / e.b ** 2]) @ rot.T
-    center = e.center
-    lin = -2.0 * m @ center
-    const = float(center @ m @ center) - 1.0
-    return ConicCoeffs(np.array([m[0, 0], 2.0 * m[0, 1], m[1, 1],
-                                 lin[0], lin[1], const]))
+    return ConicCoeffs(_coeffs_from_shape(m, e.center))
 
 
 def ellipse_from_conic(c: ConicCoeffs) -> EllipseParams:
     """Invert :func:`conic_from_ellipse`.
 
     Raises NotAnEllipse for parabolic/hyperbolic, imaginary or degenerate
-    coefficient vectors.
+    coefficient vectors, and for ellipses whose axes overflow.
     """
-    a_, b_, c_, d_, e_, f_ = c.values
-    if b_ * b_ - 4.0 * a_ * c_ >= 0.0:
-        raise NotAnEllipse("discriminant B^2-4AC is not negative")
-    m = np.array([[a_, b_ / 2.0], [b_ / 2.0, c_]])
-    lin = np.array([d_, e_])
-    center = -0.5 * np.linalg.solve(m, lin)
-    k = f_ + 0.5 * float(lin @ center)
-    evals, evecs = np.linalg.eigh(m)
-    # sign convention puts A > 0, hence m positive definite for a real ellipse
-    if evals[0] <= 0.0 or k >= 0.0:
-        raise NotAnEllipse("conic has no real interior")
-    axes = np.sqrt(-k / evals)
-    major = evecs[:, 0]
+    ok, center, evecs, axes = _interior(c.values[None])
+    if not ok[0]:
+        raise NotAnEllipse("conic is not a real, non-degenerate ellipse")
+    center, axes, major = center[0], axes[0], evecs[0, :, 0]
     theta = math.atan2(major[1], major[0])
     if theta >= math.pi / 2:
         theta -= math.pi
@@ -267,36 +312,26 @@ def quadric_from_ellipsoid(e: EllipsoidParams) -> QuadricCoeffs:
     """Algebraic coefficients vanishing exactly on the ellipsoid surface."""
     rot = e.orientation
     m = rot @ np.diag(1.0 / e.semi_axes ** 2) @ rot.T
-    lin = -2.0 * m @ e.center
-    const = float(e.center @ m @ e.center) - 1.0
-    return QuadricCoeffs(np.array([
-        m[0, 0], m[1, 1], m[2, 2],
-        2.0 * m[0, 1], 2.0 * m[0, 2], 2.0 * m[1, 2],
-        lin[0], lin[1], lin[2], const,
-    ]))
+    return QuadricCoeffs(_coeffs_from_shape(m, e.center))
 
 
 def ellipsoid_from_quadric(q: QuadricCoeffs) -> EllipsoidParams:
     """Invert :func:`quadric_from_ellipsoid`.
 
     Raises NotAnEllipsoid when the (sign-normalized) quadratic part is not
-    positive definite or the surface has no real interior.
+    positive definite or exactly singular, the surface has no real interior
+    or its axes overflow.
     """
-    m, lin, f_ = q.matrix_form()
-    evals, evecs = np.linalg.eigh(m)
-    if evals[0] <= 0.0:
-        raise NotAnEllipsoid("quadratic part is not positive definite")
-    center = -0.5 * np.linalg.solve(m, lin)
-    k = f_ + 0.5 * float(lin @ center)
-    if k >= 0.0:
-        raise NotAnEllipsoid("quadric has no real interior")
-    axes = np.sqrt(-k / evals)  # ascending evals -> descending axes
+    ok, center, evecs, axes = _interior(q.values[None])
+    if not ok[0]:
+        raise NotAnEllipsoid("quadric is not a real, non-degenerate ellipsoid")
+    evecs = evecs[0]
     cols = [evecs[:, 0], evecs[:, 1]]
     for i, col in enumerate(cols):
         if col[np.argmax(np.abs(col))] < 0.0:
             cols[i] = -col
     rot = np.column_stack([cols[0], cols[1], np.cross(cols[0], cols[1])])
-    return EllipsoidParams(center, axes, rot)
+    return EllipsoidParams(center[0], axes[0], rot)
 
 
 def _conic_residual_and_grad(points: np.ndarray, values: np.ndarray):
@@ -329,9 +364,7 @@ def signed_residuals(points, model) -> np.ndarray:
     vectors; the result is then (S, n), one row per model.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if isinstance(model, ConicCoeffs):
-        values = model.values
-    elif isinstance(model, QuadricCoeffs):
+    if isinstance(model, (ConicCoeffs, QuadricCoeffs)):
         values = model.values
     else:
         values = np.asarray(model, dtype=float)

@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import (DegenerateConfiguration, NoValidModel, NotAnEllipse,
                      NotAnEllipsoid, TooFewPoints)
-from .geometry import (ConicCoeffs, QuadricCoeffs, _normalize_coeff_rows,
-                       signed_residuals)
+from .geometry import (ConicCoeffs, QuadricCoeffs, _coeffs_from_matrix,
+                       _interior, _is_ellipse, _matrix_from_coeffs,
+                       _normalize_coeff_rows, signed_residuals)
 from .proximity import DetectionLabels
 
 __all__ = [
@@ -65,27 +66,6 @@ class FitResult:
     converged: bool
 
 
-# (row, column, factor) of each coefficient in the symmetric matrix form of
-# a conic or quadric: coefficient = factor * matrix[row, column]
-_CONIC_FORM = ((0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0),
-               (0, 2, 2.0), (1, 2, 2.0), (2, 2, 1.0))
-_QUADRIC_FORM = ((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0),
-                 (0, 1, 2.0), (0, 2, 2.0), (1, 2, 2.0),
-                 (0, 3, 2.0), (1, 3, 2.0), (2, 3, 2.0), (3, 3, 1.0))
-
-
-def _form_from_coeffs(q: np.ndarray, form) -> np.ndarray:
-    size = form[-1][0] + 1
-    mat = np.empty((q.shape[0], size, size))
-    for t, (i, j, factor) in enumerate(form):
-        mat[:, i, j] = mat[:, j, i] = q[:, t] / factor
-    return mat
-
-
-def _coeffs_from_form(mat: np.ndarray, form) -> np.ndarray:
-    return np.stack([factor * mat[:, i, j] for i, j, factor in form], axis=-1)
-
-
 def _denormalize_quadratic(coeff_mat: np.ndarray, mean: np.ndarray,
                            scale: np.ndarray) -> np.ndarray:
     """Map quadratic-form matrices of normalized points to world coordinates.
@@ -131,8 +111,7 @@ def _conic_batch(u: np.ndarray):
     best = np.argmax(np.where(admissible, cond, -np.inf), axis=1)
     a1 = vecs[np.arange(len(vecs)), :, best]
     a2 = (t_mat @ a1[..., None])[..., 0]
-    return _form_from_coeffs(np.concatenate([a1, a2], axis=1),
-                             _CONIC_FORM), ok
+    return _matrix_from_coeffs(np.concatenate([a1, a2], axis=1)), ok
 
 
 def _quadric_batch(u: np.ndarray):
@@ -148,21 +127,7 @@ def _quadric_batch(u: np.ndarray):
     # with fewer than 10 rows the null vector is only in the full basis
     _, svals, vt = np.linalg.svd(design, full_matrices=design.shape[1] < 10)
     ok = ~((svals[:, 0] == 0.0) | (svals[:, 8] < 1e-10 * svals[:, 0]))
-    return _form_from_coeffs(vt[:, -1], _QUADRIC_FORM), ok
-
-
-def _ellipsoid_rows(values: np.ndarray) -> np.ndarray:
-    """Row-wise ``QuadricCoeffs.is_ellipsoid`` for unit-norm rows."""
-    m = _form_from_coeffs(values, _QUADRIC_FORM)[:, :3, :3]
-    lin = values[:, 6:9]
-    evals = np.linalg.eigh(m)[0]
-    definite = evals[:, 0] > 0.0
-    m[~definite] = np.eye(3)
-    center = -0.5 * np.linalg.solve(m, lin[..., None])[..., 0]
-    k = values[:, 9] + 0.5 * np.sum(lin * center, axis=1)
-    axes = np.sqrt(-k[:, None] / evals)
-    return (definite & (k < 0.0) & np.isfinite(center).all(axis=1)
-            & (np.isfinite(axes) & (axes > 0.0)).all(axis=1))
+    return _matrix_from_coeffs(vt[:, -1]), ok
 
 
 def _fit_direct_raw(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,9 +135,10 @@ def _fit_direct_raw(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each sample is shifted to its centroid and scaled to unit RMS
     coordinate, fitted by :func:`_conic_batch` or :func:`_quadric_batch`
-    and mapped back to world coordinates.  Returns the (S, 6) or (S, 10)
-    coefficient rows and a mask of the samples that are not all one point
-    and pass the admissibility (conic) or rank (quadric) test.
+    and mapped back to world coordinates, read through geometry's
+    coefficient table.  Returns the (S, 6) or (S, 10) coefficient rows
+    and a mask of the samples that are not all one point and pass the
+    admissibility (conic) or rank (quadric) test.
     """
     conic = samples.shape[2] == 2
     if samples.shape[1] < (MIN_POINTS_ELLIPSE if conic
@@ -188,18 +154,17 @@ def _fit_direct_raw(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mat, ok = (_conic_batch if conic else _quadric_batch)(
             shifted / scale[:, None, None])
         w = _denormalize_quadratic(mat, mean, scale)
-    coeffs = _coeffs_from_form(w, _CONIC_FORM if conic else _QUADRIC_FORM)
-    return coeffs, ok & spread
+    return _coeffs_from_matrix(w), ok & spread
 
 
 def _fit_direct_batch(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Direct fits of an (S, n, 2) or (S, n, 3) stack of point samples.
 
-    :func:`_fit_direct_raw`, then unit-norm/sign normalization and the
-    ellipse or ellipsoid test, row by row as array operations.  Row i
-    equals ``fit_ellipse_direct(samples[i]).values`` (or the ellipsoid
-    fit) up to the rounding of the row-wise normalization, and the
-    accept/reject decisions are the same.
+    :func:`_fit_direct_raw`, then unit-norm/sign normalization and
+    geometry's ellipse or ellipsoid test, row by row as array operations.
+    Row i equals ``fit_ellipse_direct(samples[i]).values`` (or the
+    ellipsoid fit) up to the rounding of the row-wise normalization, and
+    the accept/reject decisions are the same.
     Returns the (S, 6) or (S, 10) unit-norm coefficients and a mask of the
     samples whose one-sample fit succeeds; the other rows are zero.
     """
@@ -207,11 +172,8 @@ def _fit_direct_batch(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         values, valid = _normalize_coeff_rows(raw)
         ok &= valid
-        if samples.shape[2] == 2:
-            a, b, c = values[:, 0], values[:, 1], values[:, 2]
-            ok &= b * b - 4.0 * a * c < 0.0
-        else:
-            ok &= _ellipsoid_rows(values)
+        ok &= (_is_ellipse(values) if samples.shape[2] == 2
+               else _interior(values)[0])
     values[~ok] = 0.0
     return values, ok
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConicPurgeError
-from .geometry import (ConicCoeffs, ellipse_from_conic,
+from .geometry import (ConicCoeffs, QuadricCoeffs, ellipse_from_conic,
                        ellipsoid_from_quadric, nonoverlap_ratio)
 from .modelfit import (FitResult, RefineConfig, fit_ellipse_direct,
                        fit_ellipsoid_direct, refine, vanilla_ransac)

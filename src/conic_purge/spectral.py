@@ -90,17 +90,16 @@ def pairwise_distances(points: np.ndarray) -> DistanceMatrix:
 def select_bandwidth(dist: DistanceMatrix, rank_multiplier: int = 4) -> float:
     """Squared bandwidth t from the ranked flattened distance matrix.
 
-    All K^2 entries (diagonal zeros and both symmetric copies included) are
-    sorted ascending and the (rank_multiplier * K)-th one, 1-indexed and
-    clamped to K^2, is taken as sqrt(t).  A zero value there means
-    duplicated points dominate and no meaningful scale exists.
+    Of all K^2 entries (diagonal zeros and both symmetric copies included)
+    the (rank_multiplier * K)-th smallest, 1-indexed and clamped to K^2, is
+    taken as sqrt(t); a selection finds it without sorting.  A zero value
+    there means duplicated points dominate and no meaningful scale exists.
     """
     if rank_multiplier < 1:
         raise ValueError("rank multiplier must be >= 1")
     k = dist.shape[0]
-    flat = np.sort(dist, axis=None)
     idx = min(rank_multiplier * k, k * k) - 1
-    root_t = float(flat[idx])
+    root_t = float(np.partition(dist, idx, axis=None)[idx])
     if root_t <= 0.0:
         raise DegenerateBandwidth(
             f"rank-{rank_multiplier * k} pairwise distance is zero; "

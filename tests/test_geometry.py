@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_geometry as ref
 from conic_purge import (ConicCoeffs, EllipseParams, EllipsoidParams,
-                         NotAnEllipse, QuadricCoeffs, conic_from_ellipse,
-                         ellipse_from_conic, ellipsoid_from_quadric,
-                         nonoverlap_ratio, quadric_from_ellipsoid,
-                         sampson_distance)
-from conic_purge.geometry import (ellipse_boundary_points,
+                         NotAnEllipse, NotAnEllipsoid, QuadricCoeffs,
+                         conic_from_ellipse, ellipse_from_conic,
+                         ellipsoid_from_quadric, nonoverlap_ratio,
+                         quadric_from_ellipsoid, sampson_distance)
+from conic_purge.geometry import (_coeffs_from_matrix, _interior,
+                                  _matrix_from_coeffs,
+                                  ellipse_boundary_points,
                                   ellipsoid_boundary_points, signed_residuals)
 
-from conftest import random_ellipse, random_ellipsoid
+from conftest import random_ellipse, random_ellipsoid, random_rotation
 
 
 UNIT_CIRCLE = EllipseParams(0.0, 0.0, 1.0, 1.0, 0.0)
@@ -239,3 +244,161 @@ class TestParamInvariants:
         s = random_ellipsoid(rng)
         back3 = EllipsoidParams.from_json_dict(s.to_json_dict())
         assert np.allclose(back3.orientation, s.orientation)
+
+
+def _output(func, *args):
+    """The bytes func(*args) returns, or the type of what it raised."""
+    try:
+        out = func(*args)
+    except Exception as exc:  # the raised type is the outcome
+        return type(exc)
+    if isinstance(out, (ConicCoeffs, QuadricCoeffs)):
+        return out.values.tobytes()
+    if isinstance(out, EllipseParams):
+        return np.array([out.center_x, out.center_y, out.a, out.b,
+                         out.theta]).tobytes()
+    if isinstance(out, EllipsoidParams):
+        return (out.center.tobytes() + out.semi_axes.tobytes()
+                + out.orientation.tobytes())
+    return out
+
+
+def _assert_same_output(func, ref_func, arg, rejected):
+    """func(arg) reproduces the reference.  Where the reference leaked a
+    non-library error, for an overflowing semi-axis (ValueError) or an
+    exactly singular quadratic part (LinAlgError), it now rejects."""
+    with np.errstate(all="ignore"):
+        expected = _output(ref_func, arg)
+    if expected in (ValueError, np.linalg.LinAlgError):
+        expected = rejected
+    assert _output(func, arg) == expected
+
+
+def _random_ellipse(rng) -> EllipseParams:
+    a = 10.0 ** rng.uniform(-3.0, 3.0)
+    b = a * 10.0 ** rng.uniform(-3.0, 0.0)
+    center = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-3.0, 3.0)
+    theta = rng.uniform(-math.pi / 2, math.pi / 2)
+    return EllipseParams(center[0], center[1], a, b, theta)
+
+
+def _random_ellipsoid(rng) -> EllipsoidParams:
+    axes = np.sort(10.0 ** rng.uniform(-3.0, 3.0, 3))[::-1]
+    center = rng.uniform(-1.0, 1.0, 3) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return EllipsoidParams(center, axes, random_rotation(rng))
+
+
+def _random_row(rng, dim: int, kind: str) -> np.ndarray:
+    """A coefficient row of any conic (dim 2) or quadric (dim 3) type."""
+    width = 6 if dim == 2 else 10
+    if kind == "normal":  # ellipses, hyperbolas, imaginary ellipses, ...
+        row = rng.normal(size=width)
+    elif kind == "integer":  # circles, parabolas, line pairs, cylinders
+        row = rng.integers(-2, 3, width).astype(float)
+    elif kind == "imaginary":
+        row = _coeffs_from_matrix(np.diag(np.r_[rng.uniform(0.1, 1.0, dim),
+                                                rng.uniform(0.1, 1.0)]))
+    elif kind == "singular":  # a rank-deficient quadratic part
+        vecs = rng.integers(-2, 3, (dim - 1, dim)).astype(float)
+        mat = np.zeros((dim + 1, dim + 1))
+        mat[:dim, :dim] = vecs.T @ vecs
+        mat[dim, :] = mat[:, dim] = rng.normal(size=dim + 1)
+        row = _coeffs_from_matrix(mat)
+    else:
+        model = _random_ellipse(rng) if dim == 2 else _random_ellipsoid(rng)
+        row = (conic_from_ellipse(model) if dim == 2
+               else quadric_from_ellipsoid(model)).values.copy()
+        if kind == "overflow":  # axis-aligned, one axis beyond float range
+            row[[1] if dim == 2 else [3, 4, 5]] = 0.0
+            row[rng.integers(dim) * (2 if dim == 2 else 1)] = \
+                10.0 ** rng.uniform(-320.0, -300.0)
+        else:
+            row *= 1.0 + rng.normal(0.0, 1e-3, width)
+    if not row.any():
+        row[-1] = 1.0
+    return row
+
+
+class TestConversionsMatchReference:
+    """The table-driven conversions and the one interior test reproduce
+    the hand-written ones bit for bit, failures too."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_ellipse_round_trip(self, seed):
+        e = _random_ellipse(np.random.default_rng(seed))
+        conic = conic_from_ellipse(e)
+        assert (conic.values.tobytes()
+                == ref.conic_from_ellipse(e).values.tobytes())
+        _assert_same_output(ellipse_from_conic, ref.ellipse_from_conic, conic,
+                            NotAnEllipse)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_ellipsoid_round_trip(self, seed):
+        e = _random_ellipsoid(np.random.default_rng(seed))
+        quadric = quadric_from_ellipsoid(e)
+        assert (quadric.values.tobytes()
+                == ref.quadric_from_ellipsoid(e).values.tobytes())
+        _assert_same_output(ellipsoid_from_quadric, ref.ellipsoid_from_quadric,
+                            quadric, NotAnEllipsoid)
+        assert quadric.is_ellipsoid is ref.is_ellipsoid(quadric)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([2, 3]),
+           kind=st.sampled_from(["normal", "integer", "imaginary",
+                                 "singular", "near", "overflow"]))
+    def test_coefficient_rows(self, seed, dim, kind):
+        row = _random_row(np.random.default_rng(seed), dim, kind)
+        if dim == 2:
+            _assert_same_output(ellipse_from_conic, ref.ellipse_from_conic,
+                                ConicCoeffs(row), NotAnEllipse)
+        else:
+            quadric = QuadricCoeffs(row)
+            _assert_same_output(ellipsoid_from_quadric,
+                                ref.ellipsoid_from_quadric, quadric,
+                                NotAnEllipsoid)
+            _assert_same_output(lambda q: q.is_ellipsoid, ref.is_ellipsoid,
+                                quadric, False)
+
+
+class TestInteriorTest:
+    def test_overflowing_axis_is_rejected(self):
+        # the semi-axis sqrt(-k / 1e-310) overflows to inf
+        conic = ConicCoeffs(np.array([1, 0, 1e-310, 0, 0, -1.0]))
+        with pytest.raises(NotAnEllipse):
+            ellipse_from_conic(conic)
+        q = QuadricCoeffs(np.array([1, 1, 1e-310, 0, 0, 0, 0, 0, 0, -1.0]))
+        assert q.is_ellipsoid is False
+        with pytest.raises(NotAnEllipsoid):
+            ellipsoid_from_quadric(q)
+
+    def test_exactly_singular_quadratic_part_is_rejected(self):
+        # an elliptic cylinder: eigh finds a tiny positive eigenvalue, but
+        # the LU of the solve meets an exact zero pivot
+        q = QuadricCoeffs(np.array([2, 2, 1, 0, 2, 2, 0, 0, 0, -1.0]))
+        assert q.is_ellipsoid is False
+        with pytest.raises(NotAnEllipsoid):
+            ellipsoid_from_quadric(q)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_rows_match_one_row_tests(self, rng, dim):
+        kinds = ["near", "normal", "integer", "imaginary", "singular",
+                 "overflow"] * 4
+        rows = np.array([_random_row(rng, dim, kind) for kind in kinds])
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        ok = _interior(rows)[0]
+        for row, passed in zip(rows, ok):
+            single = _interior(row[None])[0][0]
+            assert passed == single
+            if dim == 3:
+                assert QuadricCoeffs(row).is_ellipsoid is bool(passed)
+        assert ok.any() and not ok.all()
+
+    @pytest.mark.parametrize("width", [6, 10])
+    def test_table_round_trip(self, rng, width):
+        rows = rng.normal(size=(7, width))
+        mat = _matrix_from_coeffs(rows)
+        assert np.array_equal(mat, np.swapaxes(mat, 1, 2))
+        assert np.array_equal(_coeffs_from_matrix(mat), rows)
+        assert np.array_equal(_matrix_from_coeffs(rows[0]), mat[0])

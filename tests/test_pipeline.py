@@ -1,9 +1,14 @@
+import dataclasses
+import typing
+
 import numpy as np
 import pytest
 
-from conic_purge import (ExperimentConfig, ellipse_from_eccentricity,
-                         detect_points, make_dataset, run_experiment)
-from conic_purge.pipeline import PIPELINES, run_sweep_cell, sweep_trial_seed
+from conic_purge import (ConicCoeffs, ExperimentConfig, QuadricCoeffs,
+                         detect_points, ellipse_from_eccentricity,
+                         make_dataset, run_experiment)
+from conic_purge.pipeline import (PIPELINES, DetectionOutcome, RunRecord,
+                                  run_sweep_cell, sweep_trial_seed)
 
 
 TYPICAL = ExperimentConfig(model=ellipse_from_eccentricity(5.0, 0.95),
@@ -31,6 +36,14 @@ class TestDetectPoints:
         out = detect_points(data.points, seed=1, ransac_k=100)
         assert out.proximity_labels is None
         assert out.fit.iterations == 100
+
+
+@pytest.mark.parametrize("record", [DetectionOutcome, RunRecord])
+def test_record_annotations_resolve(record):
+    hints = typing.get_type_hints(record)
+    assert set(hints) == {f.name for f in dataclasses.fields(record)}
+    if record is DetectionOutcome:
+        assert hints["model"] == ConicCoeffs | QuadricCoeffs
 
 
 class TestRunExperiment:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conic_purge import (DegenerateBandwidth,
                          TooFewPoints, generalized_eigs, graph_laplacian,
@@ -68,6 +70,30 @@ class TestSelectBandwidth:
     def test_rank_three_clamped(self):
         q = pairwise_distances(self.POINTS)
         assert select_bandwidth(q, 3) == 4.0  # 9th (last) element = 2
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 120),
+           rank=st.sampled_from([1, 2, 4, 7, 64, 200]),
+           kind=st.sampled_from(["normal", "rounded", "duplicates"]))
+    def test_selection_is_the_sorted_entry(self, seed, k, rank, kind):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(k, 2))
+        if kind == "rounded":  # many tied distances
+            pts = np.round(pts, 1)
+        elif kind == "duplicates":  # a few distinct points, many copies
+            pts = pts[rng.integers(0, max(1, k // 8), k)]
+        dist = pairwise_distances(pts)
+        root_t = float(np.sort(dist, axis=None)[min(rank * k, k * k) - 1])
+        if root_t == 0.0:
+            with pytest.raises(DegenerateBandwidth):
+                select_bandwidth(dist, rank)
+        else:
+            assert select_bandwidth(dist, rank) == root_t * root_t
+
+    def test_selection_at_benchmark_size(self, rng):
+        dist = pairwise_distances(rng.normal(size=(800, 2)))
+        root_t = float(np.sort(dist, axis=None)[4 * 800 - 1])
+        assert select_bandwidth(dist, 4) == root_t * root_t
 
 
 class TestHeatKernel:
