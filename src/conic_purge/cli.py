@@ -8,9 +8,7 @@ re-runs with the same inputs and seed; timing chatter goes to stderr.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -171,6 +169,18 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
+def _p90_error(errs: np.ndarray) -> float:
+    """numpy's type-7 90th percentile of trial errors, a failed trial's inf
+    included: numpy reads nan where the upper neighbour is inf; this reads
+    inf when that neighbour has weight and the lower neighbour when not."""
+    ordered = np.sort(errs)
+    pos = (len(ordered) - 1) * 0.9
+    lo = int(pos)
+    if np.isinf(ordered[min(lo + 1, len(ordered) - 1)]):
+        return float("inf") if pos > lo else float(ordered[lo])
+    return float(np.percentile(errs, 90))
+
+
 def _aggregate_rows(rows: list[tuple]) -> list[str]:
     cells: dict = {}
     for param_index, value, pipeline, err, prec, rec in rows:
@@ -185,7 +195,7 @@ def _aggregate_rows(rows: list[tuple]) -> list[str]:
         lines.append(",".join([
             repr(float(value)), pipeline,
             repr(float(np.mean(errs))), repr(float(np.median(errs))),
-            repr(float(np.percentile(errs, 90))),
+            repr(_p90_error(errs)),
             repr(float(np.mean(precs))), repr(float(np.mean(recs))),
         ]))
     return lines
@@ -216,25 +226,13 @@ def cmd_sweep(args) -> int:
 
     header = ("param_value,pipeline,mean_error,median_error,p90_error,"
               "mean_precision,mean_recall")
-    jobs = [(base, vary, value, pi, ti, master_seed, pipelines, ransac_k)
-            for pi, value in enumerate(grid) for ti in range(trials)]
-    workers = max(1, int(os.environ.get("CONIC_PURGE_THREADS", "1")))
-    rows: list[tuple] = []
-    if workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            for chunk in pool.map(_run_cell_star, jobs):
-                rows.extend(chunk)
-    else:
-        for job in jobs:
-            rows.extend(run_sweep_cell(*job))
+    rows = [row for pi, value in enumerate(grid) for ti in range(trials)
+            for row in run_sweep_cell(base, vary, value, pi, ti, master_seed,
+                                      pipelines, ransac_k)]
     _write_text(args.out, "\n".join([header] + _aggregate_rows(rows)) + "\n")
     print(f"wrote {len(grid) * len(pipelines)} sweep rows to {args.out}",
           file=sys.stderr)
     return EXIT_OK
-
-
-def _run_cell_star(job):
-    return run_sweep_cell(*job)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -258,6 +258,8 @@ def _interior(values: np.ndarray):
     A row passes when its quadratic part M is positive definite and regular
     (for conics also B^2 < 4AC) and k = f + l'c/2 at the center c = -M^-1
     l/2 is negative, with finite, positive semi-axes sqrt(-k / eigenvalue).
+    Regular means M's smallest eigenvalue exceeds dim * eps * max|eigenvalue|,
+    the tolerance of ``np.linalg.matrix_rank``.
     Returns the mask, the centers, M's eigenvectors (in columns, eigenvalues
     ascending) and the descending semi-axes; failing rows carry no meaning.
     """
@@ -265,7 +267,9 @@ def _interior(values: np.ndarray):
     m = _matrix_from_coeffs(values)[:, :dim, :dim]
     lin = values[:, -dim - 1:-1]
     evals, evecs = np.linalg.eigh(m)
-    ok = evals[:, 0] > 0.0
+    # a smaller eigenvalue is not told from zero: a cylinder, a parabola
+    floor = dim * np.finfo(float).eps * np.abs(evals).max(axis=1)
+    ok = evals[:, 0] > floor
     if dim == 2:
         ok &= _is_ellipse(values)
     # a stacked solve fails as a whole on one exactly singular block; the

@@ -219,6 +219,8 @@ def fit_ellipsoid_direct(points: np.ndarray) -> QuadricCoeffs:
 def _dim_tools(pts: np.ndarray, min_points: int | None):
     if pts.ndim != 2 or pts.shape[1] not in (2, 3):
         raise ValueError("points must be (n, 2) or (n, 3)")
+    if not np.isfinite(pts).all():
+        raise ValueError("coordinates must be finite")
     if pts.shape[1] == 2:
         fitter, floor = fit_ellipse_direct, MIN_POINTS_ELLIPSE
     else:

@@ -162,7 +162,8 @@ def run_experiment(cfg: ExperimentConfig, pipeline: str = "two_stage",
 
 def sweep_trial_seed(master_seed: int, param_index: int,
                      trial_index: int) -> int:
-    """Stable 64-bit per-trial seed; reproducible parallel scheduling."""
+    """Stable 64-bit seed of one sweep trial, from the master seed and the
+    trial's grid and trial indexes."""
     seq = np.random.SeedSequence([int(master_seed), int(param_index),
                                   int(trial_index)])
     return int(seq.generate_state(1, np.uint64)[0])
@@ -171,10 +172,7 @@ def sweep_trial_seed(master_seed: int, param_index: int,
 def run_sweep_cell(base: ExperimentConfig, vary: str, value,
                    param_index: int, trial_index: int, master_seed: int,
                    pipelines: tuple[str, ...], ransac_k: int) -> list[tuple]:
-    """One (grid point, trial) unit of a sweep; returns per-pipeline rows.
-
-    Module-level so process pools can pickle it.
-    """
+    """One (grid point, trial) unit of a sweep; returns per-pipeline rows."""
     if vary not in ("n_inliers", "n_outliers", "sigma0", "sigma1"):
         raise ValueError(f"cannot sweep over {vary!r}")
     cast = int if vary.startswith("n_") else float

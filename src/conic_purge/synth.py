@@ -226,10 +226,24 @@ def outlier_flag(label: str, where: str) -> bool:
     return label == "outlier"
 
 
+def _coordinate(cell: str, where: str) -> float:
+    """The finite number a coordinate cell holds; anything else is refused."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"{where}: coordinate {cell!r} is not a number") \
+            from None
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: coordinate {cell!r} is not finite")
+    return value
+
+
 def read_dataset_csv(path):
     """Read points and the optional ground-truth label column.
 
-    Returns (points, truth_flags_or_None).
+    Returns (points, truth_flags_or_None).  A row with the wrong number of
+    cells, a coordinate that is not a finite number or an unknown label is
+    refused with the file and row named.
     """
     with open(path, "r", encoding="utf-8") as fh:
         rows = [line.strip() for line in fh if line.strip()]
@@ -243,11 +257,13 @@ def read_dataset_csv(path):
     dim = len(coord_names)
     points, flags = [], []
     for row, line in enumerate(rows[1:], start=1):
+        where = f"{path}: row {row}"
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(header):
-            raise ValueError(f"{path}: ragged row {line!r}")
-        points.append([float(c) for c in cells[:dim]])
+            raise ValueError(f"{where}: expected {len(header)} cells "
+                             f"({','.join(header)}), got {len(cells)}")
+        points.append([_coordinate(c, where) for c in cells[:dim]])
         if has_label:
-            flags.append(outlier_flag(cells[dim], f"{path}: row {row}"))
+            flags.append(outlier_flag(cells[dim], where))
     pts = np.asarray(points, dtype=float)
     return pts, (np.asarray(flags, dtype=bool) if has_label else None)

@@ -57,6 +57,15 @@ def rng():
     return np.random.default_rng(20240811)
 
 
+def pytest_configure(config):
+    # subprocess runs of the CLI fail on the same numpy floating-point
+    # warnings as the tests themselves: export the ``error:`` filters
+    errors = [f for f in config.getini("filterwarnings")
+              if f.startswith("error:")]
+    os.environ["PYTHONWARNINGS"] = ",".join(
+        filter(None, [os.environ.get("PYTHONWARNINGS"), *errors]))
+
+
 def pytest_terminal_summary(terminalreporter):
     try:
         from test_acceptance import RESULTS

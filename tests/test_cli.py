@@ -1,7 +1,10 @@
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +19,10 @@ def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "conic_purge", *args],
                           capture_output=True, text=True, cwd=cwd)
 
+
+# sha256 of the curves CSV of TestSweep.test_sweep_curves_frozen
+FROZEN_SWEEP_DIGEST = \
+    "c57b5f53d7c8ee679293d55bd1b16f6c251b65cf2486dd4a860ae82b123cd4db"
 
 TYPICAL_CONFIG = {
     "model": {"type": "ellipse", "center": [0.0, 0.0], "semi_major": 5.0,
@@ -181,6 +188,21 @@ class TestDetect:
         assert proc.returncode == 1
         assert f"{bad}: row 3: label 'Outlier'" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("stage", [["--stage", "both"],
+                                       ["--stage", "model"],
+                                       ["--baseline", "ransac"]],
+                             ids=["both", "model", "ransac"])
+    @pytest.mark.parametrize("cell", ["abc", "nan", "inf", "-inf"])
+    def test_bad_coordinate_exit_1(self, tmp_path, capsys, cell, stage):
+        from conic_purge import cli
+        data = tmp_path / "data.csv"
+        write_noiseless_ellipse(data, n=40)
+        lines = data.read_text().splitlines()
+        lines[5] = f"{lines[5].split(',')[0]},{cell}"
+        data.write_text("\n".join(lines) + "\n")
+        assert cli.main(["detect", "--data", str(data), *stage]) == 1
+        assert f"{data}: row 5: coordinate {cell!r}" in capsys.readouterr().err
 
     def test_init_labels_placed_by_index(self, tmp_path):
         # point 0 is marked an outlier on the seventh row; refine puts it
@@ -394,16 +416,58 @@ class TestSweep:
         assert "ransac_k must be >= 1" in proc.stderr
         assert not out.exists()
 
-    def test_sweep_determinism_and_threads(self, tmp_path, monkeypatch):
-        import os
+    @pytest.mark.parametrize("trials, failed, p90", [
+        (11, 1, "1.0"),  # zero weight on the failed upper neighbour
+        (10, 3, "inf"),
+        (20, 3, "inf"),
+        (21, 2, "1.0"),
+        (1, 1, "inf"),
+        (4, 4, "inf"),
+    ])
+    def test_failed_trials_in_p90(self, trials, failed, p90):
+        from conic_purge.cli import _aggregate_rows
+        good = trials - failed
+        errs = [(i + 1) / good for i in range(good)] + [math.inf] * failed
+        rows = [(0, 30.0, "two_stage", err, 1.0, 1.0)
+                for err in np.random.default_rng(trials).permutation(errs)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (line,) = _aggregate_rows(rows)
+        assert line.split(",")[4] == p90
+
+    def test_finite_p90_is_numpys(self):
+        from conic_purge.cli import _aggregate_rows
+        errs = np.random.default_rng(3).exponential(size=(5, 13))
+        rows = [(i, float(i), "ransac", err, 0.5, 0.5)
+                for i in range(5) for err in errs[i, :i + 9]]
+        for i, line in enumerate(_aggregate_rows(rows)):
+            assert line.split(",")[4] == \
+                repr(float(np.percentile(errs[i, :i + 9], 90)))
+
+    def test_sweep_determinism(self, tmp_path):
         spec = tmp_path / "sweep.json"
         spec.write_text(json.dumps(self.sweep_spec()))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli("sweep", "--spec", str(spec), "--out", str(a))
-        env = dict(os.environ, CONIC_PURGE_THREADS="2")
+        assert run_cli("sweep", "--spec", str(spec),
+                       "--out", str(a)).returncode == 0
+        assert run_cli("sweep", "--spec", str(spec),
+                       "--out", str(b)).returncode == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_curves_frozen(self, tmp_path):
+        # the curves CSV of all three pipelines, pinned byte for byte; the
+        # spectrum depends on the BLAS thread count, so it runs on one
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps(dict(
+            self.sweep_spec(trials=3, grid=(20, 60)),
+            pipelines=["two_stage", "no_elimination", "ransac"],
+            master_seed=9, ransac_k=100)))
+        out = tmp_path / "curves.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         proc = subprocess.run(
             [sys.executable, "-m", "conic_purge", "sweep", "--spec",
-             str(spec), "--out", str(b)],
+             str(spec), "--out", str(out)],
             capture_output=True, text=True, env=env)
-        assert proc.returncode == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            FROZEN_SWEEP_DIGEST

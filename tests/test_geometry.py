@@ -263,13 +263,27 @@ def _output(func, *args):
     return out
 
 
+def _below_rank_floor(coeffs) -> bool:
+    """The quadratic part's smallest eigenvalue is at or below numpy's
+    matrix_rank tolerance, dim * eps * max|eigenvalue|."""
+    values = coeffs.values
+    dim = 2 if values.shape[0] == 6 else 3
+    evals = np.linalg.eigh(
+        _matrix_from_coeffs(values[None])[:, :dim, :dim])[0][0]
+    return bool(evals[0] <= dim * np.finfo(float).eps * np.abs(evals).max())
+
+
 def _assert_same_output(func, ref_func, arg, rejected):
     """func(arg) reproduces the reference.  Where the reference leaked a
     non-library error, for an overflowing semi-axis (ValueError) or an
-    exactly singular quadratic part (LinAlgError), it now rejects."""
+    exactly singular quadratic part (LinAlgError), it now rejects.  It also
+    rejects what the reference accepted with a quadratic part whose
+    smallest eigenvalue cannot be told from zero."""
     with np.errstate(all="ignore"):
         expected = _output(ref_func, arg)
     if expected in (ValueError, np.linalg.LinAlgError):
+        expected = rejected
+    elif expected is not rejected and _below_rank_floor(arg):
         expected = rejected
     assert _output(func, arg) == expected
 
@@ -380,6 +394,34 @@ class TestInteriorTest:
         assert q.is_ellipsoid is False
         with pytest.raises(NotAnEllipsoid):
             ellipsoid_from_quadric(q)
+
+    def test_elliptic_cylinder_is_rejected(self):
+        # rank 2: eigh rounds the zero eigenvalue to a tiny positive one
+        q = QuadricCoeffs(np.array([2, 5, 2, 6, 0, -2, 0, 0, 0, -1.0]))
+        assert ref.is_ellipsoid(q) is True
+        assert q.is_ellipsoid is False
+        with pytest.raises(NotAnEllipsoid):
+            ellipsoid_from_quadric(q)
+
+    def test_rank_two_quadratic_parts_are_rejected(self):
+        # integer quadrics whose quadratic part has rank 2 exactly: the
+        # determinant of twice the matrix is 0 and its adjugate is not
+        rng = np.random.default_rng(11)
+        quad = rng.integers(-6, 7, (600_000, 6))
+        a, b, c, d, e, f = quad.T
+        minors = np.stack([4 * b * c - f * f, 4 * a * c - e * e,
+                           4 * a * b - d * d, 2 * c * d - e * f,
+                           2 * b * e - d * f, 2 * a * f - d * e])
+        det = 2 * a * minors[0] - d * minors[3] - e * minors[4]
+        quad = quad[(det == 0) & minors.any(axis=0)][:4000]
+        assert len(quad) == 4000
+        rows = np.column_stack([quad, rng.integers(-3, 4, (4000, 3)),
+                                -np.ones(4000)]).astype(float)
+        quadrics = [QuadricCoeffs(row) for row in rows]
+        # a plain sign test on the smallest eigenvalue accepts some of them
+        with np.errstate(all="ignore"):
+            assert any(_output(ref.is_ellipsoid, q) is True for q in quadrics)
+        assert not any(q.is_ellipsoid for q in quadrics)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_stack_rows_match_one_row_tests(self, rng, dim):

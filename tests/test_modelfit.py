@@ -338,6 +338,13 @@ class TestRefine:
             result = refine(pts, initial, RefineConfig(tau_scale=tau_scale))
             assert not result.labels.outlier[:50].any()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, value, rng):
+        pts = ellipse_samples(random_ellipse(rng), 30)
+        pts[7, 1] = value
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            refine(pts, DetectionLabels(np.zeros(30, bool), "proximity"))
+
     @pytest.mark.parametrize("tau_scale", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_scale_rejected(self, tau_scale):
         with pytest.raises(ValueError, match="tau_scale"):
@@ -451,6 +458,13 @@ class TestVanillaRansac:
         with pytest.raises(NoValidModel):
             vanilla_ransac(pts, iterations=10, rng_seed=0)
 
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, value, rng):
+        pts = ellipsoid_samples(random_ellipsoid(rng), 30)
+        pts[7, 2] = value
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            vanilla_ransac(pts, iterations=10)
 
     @pytest.mark.parametrize("iterations", [0, -1])
     def test_rejects_trial_count_below_one(self, iterations, rng):

@@ -184,6 +184,23 @@ class TestDatasetCsv:
             read_dataset_csv(path)
 
 
+    @pytest.mark.parametrize("row, message", [
+        ("abc,4,inlier", "coordinate 'abc' is not a number"),
+        ("3,,inlier", "coordinate '' is not a number"),
+        ("3,nan,inlier", "coordinate 'nan' is not finite"),
+        ("inf,4,inlier", "coordinate 'inf' is not finite"),
+        ("3,-inf,inlier", "coordinate '-inf' is not finite"),
+        ("3,4", "expected 3 cells (x,y,label), got 2"),
+        ("3,4,5,inlier", "expected 3 cells (x,y,label), got 4"),
+    ], ids=["text", "empty", "nan", "inf", "-inf", "short", "long"])
+    def test_bad_coordinate_row_names_the_row(self, tmp_path, row, message):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x,y,label\n1,2,inlier\n{row}\n5,6,outlier\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: row 2: {message}")):
+            read_dataset_csv(path)
+
+
 class TestConfigJson:
     def test_round_trip(self):
         cfg = ExperimentConfig(model=TYPICAL, n_inliers=77, n_outliers=33,
