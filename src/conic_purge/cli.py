@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConicPurgeError
 from .modelfit import RefineConfig
-from .pipeline import (PIPELINES, detect_points, model_params_from_coeffs,
-                       run_sweep_cell)
+from .pipeline import (_SWEEP_CASTS, PIPELINES, detect_points,
+                       model_params_from_coeffs, run_sweep_cell)
 from .proximity import (DetectionLabels, EligibilityConfig,
                         eigenvector_flag_report, spectrum_of_points)
 from .synth import (ExperimentConfig, detection_metrics, make_dataset,
@@ -223,6 +223,18 @@ def cmd_sweep(args) -> int:
         raise _CliError("error: trials must be >= 1", EXIT_CONFIG)
     if ransac_k < 1:
         raise _CliError("error: ransac_k must be >= 1", EXIT_CONFIG)
+    # refuse a bad vary or grid value before any cell runs
+    cast = _SWEEP_CASTS.get(vary) if isinstance(vary, str) else None
+    if cast is None:
+        raise _CliError(f"error: {args.spec}: vary {vary!r} is not one of "
+                        f"{', '.join(_SWEEP_CASTS)}", EXIT_CONFIG)
+    for i, value in enumerate(grid):
+        try:
+            cast(value)
+        except (TypeError, ValueError, OverflowError):
+            kind = "an integer" if cast is int else "a number"
+            raise _CliError(f"error: {args.spec}: grid[{i}] {value!r} is not "
+                            f"{kind} for {vary}", EXIT_CONFIG) from None
 
     header = ("param_value,pipeline,mean_error,median_error,p90_error,"
               "mean_precision,mean_recall")

@@ -444,46 +444,133 @@ def _ellipsoid_halfwidths(e: EllipsoidParams) -> np.ndarray:
     return np.sqrt(np.sum(scaled ** 2, axis=1))
 
 
+# 2-D grid cells within this many rows of a computed end of a column's
+# interval are tested with ellipse_contains; the others are counted
+_BAND_ROWS = 2
+# 3-D Monte Carlo points drawn and tested at a time.  A chunk's (n, 3)
+# arrays (96 KiB) stay below glibc's default 128 KiB mmap threshold, so
+# they reuse heap memory; larger chunks are mapped and page-faulted afresh
+# each time, which costs about as much as one full-size draw
+_MC_CHUNK = 1 << 12
+
+
+def _column_intervals(e: EllipseParams, xs: np.ndarray, y0: float,
+                      span: float, n: int):
+    """The rows of each grid column that lie inside ``e``, as intervals.
+
+    Row i of a column holds the cell centre y0 + (i + 0.5) span / n.  In
+    each column the inside rows are one interval, whose ends solve the
+    ellipse's quadratic in y.  Returns the first and last row of each
+    column that lie more than ``_BAND_ROWS`` rows inside both ends (last <
+    first when there is none) and the (columns, 2, 2 _BAND_ROWS + 1) rows
+    within ``_BAND_ROWS`` of either end, -1 marking no row.  A column with
+    no or one real end (discriminant <= 0) has its band on the apex row.
+    """
+    w = _BAND_ROWS
+    c, s = math.cos(e.theta), math.sin(e.theta)
+    ia, ib = 1.0 / e.a ** 2, 1.0 / e.b ** 2
+    dx = xs - e.center_x
+    # qa u^2 + 2 hb u + dx^2 (c^2 ia + s^2 ib) - 1 = 0 at u = y - center_y;
+    # hb^2 - qa (dx^2 (c^2 ia + s^2 ib) - 1) simplifies to the disc below
+    qa = s * s * ia + c * c * ib
+    hb = dx * (c * s * (ia - ib))
+    disc = qa - dx * dx * (ia * ib)
+    scale = n / span
+    half = np.sqrt(np.maximum(disc, 0.0)) / qa * scale
+    mid = (e.center_y - y0 - hb / qa) * scale - 0.5
+    ends = np.stack([mid - half, mid + half], axis=1)
+    ends = np.clip(ends, -2 * w - 2, n + 2 * w + 2)
+    first = np.maximum(np.floor(ends[:, 0] + w).astype(np.int64) + 1, 0)
+    last = np.minimum(np.ceil(ends[:, 1] - w).astype(np.int64) - 1, n - 1)
+    band = np.ceil(ends - w).astype(np.int64)[..., None] + np.arange(2 * w + 1)
+    band[(band > ends[..., None] + w) | (band < 0) | (band >= n)] = -1
+    return first, last, band
+
+
+def _union_box(fit, truth, halfwidths) -> tuple[np.ndarray, np.ndarray]:
+    los = [mdl.center - halfwidths(mdl) for mdl in (fit, truth)]
+    his = [mdl.center + halfwidths(mdl) for mdl in (fit, truth)]
+    return np.minimum(*los), np.maximum(*his)
+
+
+def _grid_counts(fit: EllipseParams, truth: EllipseParams,
+                 resolution: int) -> tuple[int, int]:
+    """Cells of the resolution x resolution grid over the union bounding box
+    in the symmetric difference and in ``truth``, as ellipse_contains
+    classifies their centres."""
+    lo, hi = _union_box(fit, truth, _ellipse_halfwidths)
+    xs = lo[0] + (np.arange(resolution) + 0.5) * (hi[0] - lo[0]) / resolution
+    ys = lo[1] + (np.arange(resolution) + 0.5) * (hi[1] - lo[1]) / resolution
+    (f_first, f_last, f_band), (t_first, t_last, t_band) = (
+        _column_intervals(mdl, xs, lo[1], hi[1] - lo[1], resolution)
+        for mdl in (fit, truth))
+    # the band cells of either model, each once: rows sorted per column
+    rows = np.sort(np.concatenate([f_band, t_band], axis=1).reshape(
+        resolution, -1), axis=1)
+    keep = rows >= 0
+    keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+    col = np.nonzero(keep)[0]
+    row = rows[keep]
+    pts = np.column_stack([xs[col], ys[row]])
+    in_fit = ellipse_contains(fit, pts)
+    in_truth = ellipse_contains(truth, pts)
+    # a band cell is never inside its own model's interval, so no band
+    # cell lies inside both intervals
+    in_f_rows = (row >= f_first[col]) & (row <= f_last[col])
+    in_t_rows = (row >= t_first[col]) & (row <= t_last[col])
+    n_fit = (int(np.maximum(f_last - f_first + 1, 0).sum())
+             - int(np.count_nonzero(in_f_rows))
+             + int(np.count_nonzero(in_fit)))
+    n_truth = (int(np.maximum(t_last - t_first + 1, 0).sum())
+               - int(np.count_nonzero(in_t_rows))
+               + int(np.count_nonzero(in_truth)))
+    n_both = (int(np.maximum(np.minimum(f_last, t_last)
+                             - np.maximum(f_first, t_first) + 1, 0).sum())
+              + int(np.count_nonzero(in_fit & in_truth)))
+    return n_fit + n_truth - 2 * n_both, n_truth
+
+
+def _monte_carlo_counts(fit: EllipsoidParams, truth: EllipsoidParams,
+                        samples: int, seed: int) -> tuple[int, int]:
+    """Of ``samples`` seeded uniform points in the union bounding box, those
+    in the symmetric difference and those in ``truth``."""
+    lo, hi = _union_box(fit, truth, _ellipsoid_halfwidths)
+    rng = np.random.default_rng(seed)
+    n_diff = n_truth = 0
+    # chunked draws continue the one stream, so these are the same points
+    # as one (samples, 3) draw
+    for start in range(0, samples, _MC_CHUNK):
+        pts = rng.uniform(lo, hi, size=(min(_MC_CHUNK, samples - start), 3))
+        in_fit = ellipsoid_contains(fit, pts)
+        in_truth = ellipsoid_contains(truth, pts)
+        n_diff += int(np.count_nonzero(in_fit ^ in_truth))
+        n_truth += int(np.count_nonzero(in_truth))
+    return n_diff, n_truth
+
+
 def nonoverlap_ratio(fit, truth, resolution: int = 512,
                      mc_samples: int = 1_000_000, seed: int = 0) -> float:
     """Symmetric-difference area (volume) of fit vs truth over the truth's.
 
-    2-D uses a deterministic resolution x resolution grid of cell centers
-    over the union bounding box; 3-D uses seeded Monte Carlo sampling.
-    Identical models give exactly 0, disjoint models
-    (area_fit + area_truth) / area_truth.
+    2-D is an exact count of the resolution x resolution grid cell centres
+    over the union bounding box: per grid column the cells inside each
+    ellipse form an interval of rows, counted by arithmetic, and only the
+    cells within a few rows of an interval end are tested one by one.
+    3-D counts seeded uniform Monte Carlo points in the union bounding box,
+    drawn and tested in chunks.  The values are those of testing every
+    cell (every point) at once.  Identical models give exactly 0, disjoint
+    models (area_fit + area_truth) / area_truth.
     """
     if isinstance(fit, EllipseParams) and isinstance(truth, EllipseParams):
         if resolution < 64:
             raise ValueError("resolution must be at least 64 cells per axis")
-        los, his = [], []
-        for mdl in (fit, truth):
-            hw = _ellipse_halfwidths(mdl)
-            los.append(mdl.center - hw)
-            his.append(mdl.center + hw)
-        lo, hi = np.minimum(*los), np.maximum(*his)
-        xs = lo[0] + (np.arange(resolution) + 0.5) * (hi[0] - lo[0]) / resolution
-        ys = lo[1] + (np.arange(resolution) + 0.5) * (hi[1] - lo[1]) / resolution
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        in_fit = ellipse_contains(fit, pts)
-        in_truth = ellipse_contains(truth, pts)
+        n_diff, n_truth = _grid_counts(fit, truth, resolution)
     elif isinstance(fit, EllipsoidParams) and isinstance(truth, EllipsoidParams):
         if mc_samples < 1_000_000:
             raise ValueError("need at least 1e6 Monte Carlo samples")
-        los, his = [], []
-        for mdl in (fit, truth):
-            hw = _ellipsoid_halfwidths(mdl)
-            los.append(mdl.center - hw)
-            his.append(mdl.center + hw)
-        lo, hi = np.minimum(*los), np.maximum(*his)
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(lo, hi, size=(mc_samples, 3))
-        in_fit = ellipsoid_contains(fit, pts)
-        in_truth = ellipsoid_contains(truth, pts)
+        n_diff, n_truth = _monte_carlo_counts(fit, truth, mc_samples, seed)
     else:
         raise ValueError("fit and truth must both be ellipses or both ellipsoids")
-    n_truth = int(np.count_nonzero(in_truth))
     if n_truth == 0:
         raise ValueError("truth model not resolved; increase resolution/samples")
-    return float(np.count_nonzero(in_fit ^ in_truth)) / n_truth
+    return float(n_diff) / n_truth

@@ -28,6 +28,10 @@ __all__ = [
 
 PIPELINES = ("two_stage", "no_elimination", "ransac")
 
+# the config fields a sweep may vary, with the cast of their grid values
+_SWEEP_CASTS = {"n_inliers": int, "n_outliers": int, "sigma0": float,
+                "sigma1": float}
+
 
 @dataclass(frozen=True)
 class DetectionOutcome:
@@ -173,10 +177,9 @@ def run_sweep_cell(base: ExperimentConfig, vary: str, value,
                    param_index: int, trial_index: int, master_seed: int,
                    pipelines: tuple[str, ...], ransac_k: int) -> list[tuple]:
     """One (grid point, trial) unit of a sweep; returns per-pipeline rows."""
-    if vary not in ("n_inliers", "n_outliers", "sigma0", "sigma1"):
+    if vary not in _SWEEP_CASTS:
         raise ValueError(f"cannot sweep over {vary!r}")
-    cast = int if vary.startswith("n_") else float
-    cfg = replace(base, **{vary: cast(value)},
+    cfg = replace(base, **{vary: _SWEEP_CASTS[vary](value)},
                   seed=sweep_trial_seed(master_seed, param_index, trial_index))
     rows = []
     for pipeline in pipelines:

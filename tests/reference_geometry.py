@@ -8,6 +8,11 @@ out the coefficient positions by hand, with a scalar interior test.  The
 functions below are that implementation, copied verbatim; the two methods
 ``QuadricCoeffs.matrix_form`` and ``is_ellipsoid`` became functions of the
 coefficient object.
+
+``nonoverlap_ratio`` is the scorer as it was before it counted per grid
+column and per chunk of Monte Carlo points: it tests every 2-D cell
+centre of the full grid, and all 3-D points of one draw, at once.  It is
+copied verbatim with the four helpers it calls.
 """
 
 import math
@@ -115,3 +120,70 @@ def ellipsoid_from_quadric(q: QuadricCoeffs) -> EllipsoidParams:
             cols[i] = -col
     rot = np.column_stack([cols[0], cols[1], np.cross(cols[0], cols[1])])
     return EllipsoidParams(center, axes, rot)
+
+
+def ellipse_contains(e: EllipseParams, points: np.ndarray) -> np.ndarray:
+    pts = np.atleast_2d(points) - e.center
+    body = pts @ _rotation2(e.theta)
+    return (body[:, 0] / e.a) ** 2 + (body[:, 1] / e.b) ** 2 <= 1.0
+
+
+def ellipsoid_contains(e: EllipsoidParams, points: np.ndarray) -> np.ndarray:
+    body = (np.atleast_2d(points) - e.center) @ e.orientation
+    return np.sum((body / e.semi_axes) ** 2, axis=1) <= 1.0
+
+
+def _ellipse_halfwidths(e: EllipseParams) -> np.ndarray:
+    c2, s2 = math.cos(e.theta) ** 2, math.sin(e.theta) ** 2
+    return np.sqrt([e.a ** 2 * c2 + e.b ** 2 * s2,
+                    e.a ** 2 * s2 + e.b ** 2 * c2])
+
+
+def _ellipsoid_halfwidths(e: EllipsoidParams) -> np.ndarray:
+    scaled = e.orientation * e.semi_axes  # columns scaled by axis lengths
+    return np.sqrt(np.sum(scaled ** 2, axis=1))
+
+
+def nonoverlap_ratio(fit, truth, resolution: int = 512,
+                     mc_samples: int = 1_000_000, seed: int = 0) -> float:
+    """Symmetric-difference area (volume) of fit vs truth over the truth's.
+
+    2-D uses a deterministic resolution x resolution grid of cell centers
+    over the union bounding box; 3-D uses seeded Monte Carlo sampling.
+    Identical models give exactly 0, disjoint models
+    (area_fit + area_truth) / area_truth.
+    """
+    if isinstance(fit, EllipseParams) and isinstance(truth, EllipseParams):
+        if resolution < 64:
+            raise ValueError("resolution must be at least 64 cells per axis")
+        los, his = [], []
+        for mdl in (fit, truth):
+            hw = _ellipse_halfwidths(mdl)
+            los.append(mdl.center - hw)
+            his.append(mdl.center + hw)
+        lo, hi = np.minimum(*los), np.maximum(*his)
+        xs = lo[0] + (np.arange(resolution) + 0.5) * (hi[0] - lo[0]) / resolution
+        ys = lo[1] + (np.arange(resolution) + 0.5) * (hi[1] - lo[1]) / resolution
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        in_fit = ellipse_contains(fit, pts)
+        in_truth = ellipse_contains(truth, pts)
+    elif isinstance(fit, EllipsoidParams) and isinstance(truth, EllipsoidParams):
+        if mc_samples < 1_000_000:
+            raise ValueError("need at least 1e6 Monte Carlo samples")
+        los, his = [], []
+        for mdl in (fit, truth):
+            hw = _ellipsoid_halfwidths(mdl)
+            los.append(mdl.center - hw)
+            his.append(mdl.center + hw)
+        lo, hi = np.minimum(*los), np.maximum(*his)
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(lo, hi, size=(mc_samples, 3))
+        in_fit = ellipsoid_contains(fit, pts)
+        in_truth = ellipsoid_contains(truth, pts)
+    else:
+        raise ValueError("fit and truth must both be ellipses or both ellipsoids")
+    n_truth = int(np.count_nonzero(in_truth))
+    if n_truth == 0:
+        raise ValueError("truth model not resolved; increase resolution/samples")
+    return float(np.count_nonzero(in_fit ^ in_truth)) / n_truth

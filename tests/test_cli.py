@@ -404,6 +404,28 @@ class TestSweep:
         assert run_cli("sweep", "--spec", str(spec),
                        "--out", str(tmp_path / "c.csv")).returncode == 1
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"vary": "bogus", "grid": []}, "vary 'bogus' is not one of"),
+        ({"vary": ["n_outliers"]}, "vary ['n_outliers'] is not one of"),
+        ({"grid": [10, "abc"]},
+         "grid[1] 'abc' is not an integer for n_outliers"),
+        ({"grid": [math.inf]}, "grid[0] inf is not an integer for n_outliers"),
+        ({"vary": "sigma1", "grid": [3.0, None]},
+         "grid[1] None is not a number for sigma1"),
+        ({"vary": "sigma0", "grid": [[0.1]]},
+         "grid[0] [0.1] is not a number for sigma0"),
+    ], ids=["vary", "vary-list", "text", "inf", "null", "list"])
+    def test_bad_vary_or_grid_exit_1(self, tmp_path, capsys, fields,
+                                     message):
+        # refused before any cell runs, naming the spec file and the field
+        from conic_purge import cli
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps(dict(self.sweep_spec(), **fields)))
+        out = tmp_path / "c.csv"
+        assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        assert f"error: {spec}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("ransac_k", [0, -1])
     def test_ransac_trial_count_exit_1(self, tmp_path, ransac_k):
         spec = tmp_path / "sweep.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import reference_geometry as ref
 from conic_purge import (ConicCoeffs, EllipseParams, EllipsoidParams,
                          NotAnEllipse, NotAnEllipsoid, QuadricCoeffs,
                          conic_from_ellipse, ellipse_from_conic,
+                         ellipse_from_eccentricity,
                          ellipsoid_from_quadric, nonoverlap_ratio,
                          quadric_from_ellipsoid, sampson_distance)
 from conic_purge.geometry import (_coeffs_from_matrix, _interior,
@@ -179,8 +181,9 @@ class TestSignedResidualStack:
 
 class TestNonoverlapRatio:
     def test_identical_is_zero(self):
-        e = EllipseParams(1.0, 2.0, 3.0, 2.0, 0.4)
-        assert nonoverlap_ratio(e, e) <= 5e-3
+        for e in (EllipseParams(1.0, 2.0, 3.0, 2.0, 0.4),
+                  EllipseParams(-3.0, 7.0, 8.0, 8e-3, 1.1)):  # thin, turned
+            assert nonoverlap_ratio(e, e) == 0.0
 
     def test_concentric_double_circle(self):
         fit = EllipseParams(0.0, 0.0, 2.0, 2.0, 0.0)
@@ -219,6 +222,162 @@ class TestNonoverlapRatio:
         sphere = EllipsoidParams(np.zeros(3), np.ones(3), np.eye(3))
         with pytest.raises(ValueError):
             nonoverlap_ratio(UNIT_CIRCLE, sphere)
+
+
+def _ratio_or_error(func, *args, **kwargs):
+    try:
+        return func(*args, **kwargs)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def _turned(theta: float) -> float:
+    return (theta + math.pi / 2) % math.pi - math.pi / 2
+
+
+def _ellipse_pair(rng, kind: str, resolution: int):
+    """A (fit, truth) pair of ellipses: axis ratios 1e-3 to 1, any rotation,
+    and ``kind`` placing the fit relative to the truth."""
+    a = 10.0 ** rng.uniform(-1.0, 1.0)
+    truth = EllipseParams(*rng.uniform(-10.0, 10.0, 2), a,
+                          a * 10.0 ** rng.uniform(-3.0, 0.0),
+                          rng.uniform(-math.pi / 2, math.pi / 2))
+    if kind == "identical":
+        return truth, truth
+    if kind == "near":  # centre offsets up to 0.3a
+        axes = sorted(np.array([truth.a, truth.b]) * rng.uniform(0.8, 1.25, 2),
+                      reverse=True)
+        return EllipseParams(*(truth.center + rng.uniform(-0.3, 0.3, 2) * a),
+                             *axes, _turned(truth.theta
+                                            + rng.normal(0.0, 0.1))), truth
+    if kind == "nested":
+        k = rng.choice([rng.uniform(0.3, 0.95), rng.uniform(1.05, 3.0)])
+        return EllipseParams(truth.center_x, truth.center_y, k * truth.a,
+                             k * truth.b, truth.theta), truth
+    if kind == "disjoint":
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        shift = 2.5 * a * np.array([math.cos(phi), math.sin(phi)])
+        return EllipseParams(*(truth.center + shift), a, truth.b,
+                             _turned(truth.theta + phi)), truth
+    if kind == "random":
+        b = 10.0 ** rng.uniform(-1.0, 1.0)
+        return EllipseParams(*rng.uniform(-10.0, 10.0, 2), b,
+                             b * 10.0 ** rng.uniform(-3.0, 0.0),
+                             rng.uniform(-math.pi / 2, math.pi / 2)), truth
+    # tangent: a small truth inside a large fit's bounding box touches a
+    # grid column with its leftmost or rightmost point; axis-aligned, that
+    # point is also a cell centre
+    fit = EllipseParams(0.0, 0.0, 10.0, rng.uniform(5.0, 10.0),
+                        rng.uniform(-math.pi / 2, math.pi / 2))
+    theta = rng.choice([0.0, rng.uniform(-math.pi / 2, math.pi / 2)])
+    size = rng.uniform(0.05, 1.0)
+    small = EllipseParams(0.0, 0.0, size, size * truth.b / a, theta)
+    hw_fit, hw = ref._ellipse_halfwidths(fit), ref._ellipse_halfwidths(small)
+    # the grid's cell centres, spelled as nonoverlap_ratio spells them
+    xs, ys = (-hw_fit[:, None] + (np.arange(resolution) + 0.5)
+              * (2.0 * hw_fit[:, None]) / resolution)
+    col = rng.choice(np.flatnonzero(np.abs(xs) < 3.0))
+    row = rng.choice(np.flatnonzero(np.abs(ys) < 3.0))
+    side = rng.choice([-1.0, 1.0])
+    return fit, EllipseParams(xs[col] + side * hw[0], ys[row], small.a,
+                              small.b, theta)
+
+
+def _ellipsoid_pair(rng, kind: str):
+    axes = np.sort(10.0 ** rng.uniform(-1.0, 1.0, 3))[::-1]
+    truth = EllipsoidParams(rng.uniform(-5.0, 5.0, 3), axes,
+                            random_rotation(rng))
+    if kind == "identical":
+        return truth, truth
+    if kind == "near":
+        return EllipsoidParams(truth.center + rng.uniform(-0.3, 0.3, 3)
+                               * axes[0], axes * rng.uniform(0.9, 1.1),
+                               truth.orientation), truth
+    if kind == "nested":
+        return EllipsoidParams(truth.center, axes * rng.uniform(1.05, 2.0),
+                               truth.orientation), truth
+    if kind == "disjoint":
+        return EllipsoidParams(truth.center + 2.5 * axes[0], axes,
+                               random_rotation(rng)), truth
+    return EllipsoidParams(rng.uniform(-5.0, 5.0, 3),
+                           np.sort(10.0 ** rng.uniform(-1.0, 1.0, 3))[::-1],
+                           random_rotation(rng)), truth
+
+
+class TestNonoverlapMatchesReference:
+    """The per-column interval count (2-D) and the chunked Monte Carlo
+    count (3-D) give the float of testing every cell or point at once,
+    errors too."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["identical", "near", "nested", "disjoint",
+                                 "random", "tangent"]),
+           resolution=st.sampled_from([64, 97, 512]))
+    def test_ellipse_pairs(self, seed, kind, resolution):
+        fit, truth = _ellipse_pair(np.random.default_rng(seed), kind,
+                                   resolution)
+        got = _ratio_or_error(nonoverlap_ratio, fit, truth,
+                              resolution=resolution)
+        assert got == _ratio_or_error(ref.nonoverlap_ratio, fit, truth,
+                                      resolution=resolution)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["identical", "near", "nested", "disjoint",
+                                 "random"]),
+           samples=st.sampled_from([1_000_000, 1_012_345]))
+    def test_ellipsoid_pairs(self, seed, kind, samples):
+        fit, truth = _ellipsoid_pair(np.random.default_rng(seed), kind)
+        got = _ratio_or_error(nonoverlap_ratio, fit, truth,
+                              mc_samples=samples, seed=seed)
+        assert got == _ratio_or_error(ref.nonoverlap_ratio, fit, truth,
+                                      mc_samples=samples, seed=seed)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((UNIT_CIRCLE, UNIT_CIRCLE), {"resolution": 63}),
+        ((UNIT_CIRCLE, UNIT_CIRCLE), {"resolution": 0}),
+        ((EllipsoidParams(np.zeros(3), np.ones(3), np.eye(3)),) * 2,
+         {"mc_samples": 999_999}),
+        ((UNIT_CIRCLE, EllipsoidParams(np.zeros(3), np.ones(3), np.eye(3))),
+         {}),
+        ((EllipsoidParams(np.zeros(3), np.ones(3), np.eye(3)), UNIT_CIRCLE),
+         {}),
+        ((EllipseParams(0.0, 0.0, 10.0, 10.0, 0.0),
+          EllipseParams(0.0, 0.0, 1e-4, 1e-4, 0.0)), {}),
+        ((EllipsoidParams(np.zeros(3), np.full(3, 10.0), np.eye(3)),
+          EllipsoidParams(np.zeros(3), np.full(3, 1e-3), np.eye(3))), {}),
+    ])
+    def test_same_errors(self, args, kwargs):
+        expected = _ratio_or_error(ref.nonoverlap_ratio, *args, **kwargs)
+        assert expected[0] is ValueError
+        assert _ratio_or_error(nonoverlap_ratio, *args, **kwargs) == expected
+
+
+class TestNonoverlapMemory:
+    """Scoring builds neither the full 2-D grid nor the 3-D point array."""
+
+    @staticmethod
+    def _peak_mib(fit, truth) -> float:
+        tracemalloc.start()
+        try:
+            nonoverlap_ratio(fit, truth)
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    def test_2d_peak(self):
+        truth = ellipse_from_eccentricity(5.0, 0.95)
+        fit = EllipseParams(0.05, -0.03, 1.02 * truth.a, 0.98 * truth.b, 0.03)
+        assert self._peak_mib(fit, truth) <= 2.0
+
+    def test_3d_peak(self):
+        truth = EllipsoidParams(np.zeros(3), np.array([5.0, 4.0, 3.0]),
+                                np.eye(3))
+        fit = EllipsoidParams(np.array([0.1, -0.1, 0.05]),
+                              np.array([5.1, 3.9, 3.05]),
+                              random_rotation(np.random.default_rng(5)))
+        assert self._peak_mib(fit, truth) <= 8.0
 
 
 class TestParamInvariants:
