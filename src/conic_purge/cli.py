@@ -230,7 +230,9 @@ def cmd_sweep(args) -> int:
                         f"{', '.join(_SWEEP_CASTS)}", EXIT_CONFIG)
     for i, value in enumerate(grid):
         try:
-            cast(value)
+            # a row records float(value): 3.7 must not run as 3
+            if cast(value) != float(value) and cast is int:
+                raise ValueError
         except (TypeError, ValueError, OverflowError):
             kind = "an integer" if cast is int else "a number"
             raise _CliError(f"error: {args.spec}: grid[{i}] {value!r} is not "

@@ -410,11 +410,12 @@ class TestSweep:
         ({"grid": [10, "abc"]},
          "grid[1] 'abc' is not an integer for n_outliers"),
         ({"grid": [math.inf]}, "grid[0] inf is not an integer for n_outliers"),
+        ({"grid": [10, 3.7]}, "grid[1] 3.7 is not an integer for n_outliers"),
         ({"vary": "sigma1", "grid": [3.0, None]},
          "grid[1] None is not a number for sigma1"),
         ({"vary": "sigma0", "grid": [[0.1]]},
          "grid[0] [0.1] is not a number for sigma0"),
-    ], ids=["vary", "vary-list", "text", "inf", "null", "list"])
+    ], ids=["vary", "vary-list", "text", "inf", "fraction", "null", "list"])
     def test_bad_vary_or_grid_exit_1(self, tmp_path, capsys, fields,
                                      message):
         # refused before any cell runs, naming the spec file and the field

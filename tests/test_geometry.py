@@ -13,10 +13,13 @@ from conic_purge import (ConicCoeffs, EllipseParams, EllipsoidParams,
                          ellipse_from_eccentricity,
                          ellipsoid_from_quadric, nonoverlap_ratio,
                          quadric_from_ellipsoid, sampson_distance)
-from conic_purge.geometry import (_coeffs_from_matrix, _interior,
+from conic_purge import geometry
+from conic_purge.geometry import (_MC_CHUNK, _coeffs_from_matrix, _interior,
                                   _matrix_from_coeffs,
+                                  _monte_carlo_counts,
                                   ellipse_boundary_points,
-                                  ellipsoid_boundary_points, signed_residuals)
+                                  ellipsoid_boundary_points,
+                                  ellipsoid_contains, signed_residuals)
 
 from conftest import random_ellipse, random_ellipsoid, random_rotation
 
@@ -284,6 +287,24 @@ def _ellipse_pair(rng, kind: str, resolution: int):
 
 
 def _ellipsoid_pair(rng, kind: str):
+    """A (fit, truth) pair of ellipsoids, ``kind`` placing the fit relative
+    to the truth; "far" pairs are small and up to 1e3 off the origin, "thin"
+    ones have an axis ratio of 1e-3."""
+    if kind == "far":  # a large |lo| against a small span
+        axes = np.sort(10.0 ** rng.uniform(-2.0, 0.0, 3))[::-1]
+        truth = EllipsoidParams(rng.uniform(-1e3, 1e3, 3), axes,
+                                random_rotation(rng))
+        return EllipsoidParams(truth.center + rng.uniform(-0.3, 0.3, 3)
+                               * axes[0], axes * rng.uniform(0.9, 1.1),
+                               random_rotation(rng)), truth
+    if kind == "thin":
+        a = 10.0 ** rng.uniform(-1.0, 1.0)
+        axes = a * np.array([1.0, 10.0 ** rng.uniform(-1.0, 0.0), 1e-3])
+        truth = EllipsoidParams(rng.uniform(-5.0, 5.0, 3), axes,
+                                random_rotation(rng))
+        return EllipsoidParams(truth.center + rng.uniform(-0.5, 0.5, 3)
+                               * axes[2], axes * rng.uniform(0.9, 1.1),
+                               truth.orientation), truth
     axes = np.sort(10.0 ** rng.uniform(-1.0, 1.0, 3))[::-1]
     truth = EllipsoidParams(rng.uniform(-5.0, 5.0, 3), axes,
                             random_rotation(rng))
@@ -304,6 +325,20 @@ def _ellipsoid_pair(rng, kind: str):
                            random_rotation(rng)), truth
 
 
+_ELLIPSOID_KINDS = ["identical", "near", "nested", "disjoint", "random",
+                    "far", "thin"]
+
+
+def _ulp_shell(rng, e: EllipsoidParams, n: int) -> np.ndarray:
+    """Points on the boundary of ``e`` moved along their offset from the
+    centre by -4 to 4 ulp: whether each is inside hangs on the last bit."""
+    body = ellipsoid_boundary_points(
+        e, rng.uniform(0.0, 2.0 * math.pi, n),
+        rng.uniform(-math.pi / 2, math.pi / 2, n)) - e.center
+    k = rng.integers(-4, 5, (n, 1))
+    return e.center + body * (1.0 + k * np.finfo(float).eps)
+
+
 class TestNonoverlapMatchesReference:
     """The per-column interval count (2-D) and the chunked Monte Carlo
     count (3-D) give the float of testing every cell or point at once,
@@ -322,10 +357,9 @@ class TestNonoverlapMatchesReference:
         assert got == _ratio_or_error(ref.nonoverlap_ratio, fit, truth,
                                       resolution=resolution)
 
-    @settings(max_examples=8, deadline=None, derandomize=True)
+    @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1),
-           kind=st.sampled_from(["identical", "near", "nested", "disjoint",
-                                 "random"]),
+           kind=st.sampled_from(_ELLIPSOID_KINDS),
            samples=st.sampled_from([1_000_000, 1_012_345]))
     def test_ellipsoid_pairs(self, seed, kind, samples):
         fit, truth = _ellipsoid_pair(np.random.default_rng(seed), kind)
@@ -352,6 +386,84 @@ class TestNonoverlapMatchesReference:
         expected = _ratio_or_error(ref.nonoverlap_ratio, *args, **kwargs)
         assert expected[0] is ValueError
         assert _ratio_or_error(nonoverlap_ratio, *args, **kwargs) == expected
+
+    def test_unbounded_box_overflows(self):
+        # the bounding box of 1e200 axes is infinite: numpy's uniform refuses
+        # its range, and so does the chunked draw
+        big = EllipsoidParams(np.zeros(3), np.full(3, 1e200), np.eye(3))
+        for func in (ref.nonoverlap_ratio, nonoverlap_ratio):
+            with np.errstate(over="ignore"), pytest.raises(
+                    OverflowError, match="Range exceeds valid bounds"):
+                func(big, big)
+
+
+class TestEllipsoidContainsMatchesReference:
+    """ellipsoid_contains gives the booleans of the full-array expression
+    in ``tests/reference_geometry.py``, element for element, on points a few
+    ulp off the boundary (where a change in the order of rounding flips
+    some) and on points of any layout."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_same_booleans(self, seed):
+        rng = np.random.default_rng(seed)
+        e = _random_ellipsoid(rng)
+        shell = _ulp_shell(rng, e, 2000)
+        box = e.center + rng.uniform(-1.2, 1.2, (2000, 3)) * e.semi_axes[0]
+        wide = np.empty((2000, 6))
+        wide[:, ::2] = shell
+        inputs = [shell, box, shell[0], shell[:5].tolist(),
+                  np.asfortranarray(shell), shell[::3], wide[:, ::2]]
+        for pts in inputs:
+            want = ref.ellipsoid_contains(e, pts)
+            got = ellipsoid_contains(e, pts)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        inside = ref.ellipsoid_contains(e, shell)
+        assert inside.any() and not inside.all()
+
+    @pytest.mark.parametrize("shape", [(5, 2), (5, 4), (2,)])
+    def test_wrong_width_rejected(self, shape):
+        e = EllipsoidParams(np.zeros(3), np.ones(3), np.eye(3))
+        for func in (ref.ellipsoid_contains, ellipsoid_contains):
+            with pytest.raises(ValueError):
+                func(e, np.zeros(shape))
+
+
+class TestMonteCarloPoints:
+    """The chunked Monte Carlo count tests exactly the points of one
+    ``rng.uniform(lo, hi, size=(samples, 3))`` draw, in order, against both
+    models."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(_ELLIPSOID_KINDS),
+           samples=st.sampled_from([1, _MC_CHUNK - 1, _MC_CHUNK,
+                                    2 * _MC_CHUNK + 1, 3 * _MC_CHUNK + 123]))
+    def test_points_are_one_draw(self, seed, kind, samples):
+        fit, truth = _ellipsoid_pair(np.random.default_rng(seed), kind)
+        tested = []
+
+        def record(e, pts):
+            tested.append((e, pts.copy()))
+            return ellipsoid_contains(e, pts)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "ellipsoid_contains", record)
+            counts = _monte_carlo_counts(fit, truth, samples, seed)
+        # the union bounding box, spelled as the reference scorer spells it
+        hws = [ref._ellipsoid_halfwidths(m) for m in (fit, truth)]
+        lo = np.minimum(fit.center - hws[0], truth.center - hws[1])
+        hi = np.maximum(fit.center + hws[0], truth.center + hws[1])
+        pts = np.random.default_rng(seed).uniform(lo, hi, size=(samples, 3))
+        assert all(e is fit for e, _ in tested[::2])
+        assert all(e is truth for e, _ in tested[1::2])
+        for chunks in (tested[::2], tested[1::2]):
+            assert np.array_equal(np.concatenate([p for _, p in chunks]), pts)
+        in_fit = ref.ellipsoid_contains(fit, pts)
+        in_truth = ref.ellipsoid_contains(truth, pts)
+        assert counts == (np.count_nonzero(in_fit ^ in_truth),
+                          np.count_nonzero(in_truth))
 
 
 class TestNonoverlapMemory:
