@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConicPurgeError
 from .modelfit import RefineConfig
-from .pipeline import (_SWEEP_CASTS, PIPELINES, detect_points,
-                       model_params_from_coeffs, run_sweep_cell)
+from .pipeline import (PIPELINES, detect_points, model_params_from_coeffs,
+                       run_sweep_cell, sweep_configs)
 from .proximity import (DetectionLabels, EligibilityConfig,
                         eigenvector_flag_report, spectrum_of_points)
 from .synth import (ExperimentConfig, detection_metrics, make_dataset,
@@ -122,8 +122,15 @@ def cmd_detect(args) -> int:
             EXIT_CONFIG)
     eligibility = _eligibility_from_args(args)
     refine_cfg = RefineConfig(tau_scale=args.tau_scale)
+    ransac_k = args.k if args.baseline == "ransac" else None
+    if args.init_labels and (ransac_k is not None or args.stage != "model"):
+        conflict = ("--baseline ransac" if ransac_k is not None
+                    else f"--stage {args.stage}")
+        raise _CliError(f"error: --init-labels starts --stage model and "
+                        f"cannot be used with {conflict}", EXIT_CONFIG)
 
-    spectrum = None
+    # one pass over the eligible eigenvectors serves the dumps and the stage
+    report = None
     if args.dump_spectrum or args.dump_eligible:
         spectrum = spectrum_of_points(points, eligibility)
         if args.dump_spectrum:
@@ -131,11 +138,13 @@ def cmd_detect(args) -> int:
             lines += [f"{i},{float(lam)!r}"
                       for i, lam in enumerate(spectrum.eigenvalues)]
             _write_text(args.dump_spectrum, "\n".join(lines) + "\n")
+        if args.dump_eligible or (ransac_k is None and args.stage != "model"):
+            report = eigenvector_flag_report(
+                spectrum, eligibility, args.seed, bool(args.dump_eligible))
         if args.dump_eligible:
-            report = eigenvector_flag_report(spectrum, eligibility, args.seed)
             lines = ["eigenvalue,hf_measure,flagged_count"]
             lines += [f"{lam!r},{hf!r},{int(flags.sum())}"
-                      for _i, lam, hf, flags in report]
+                      for _i, lam, hf, _trusted, flags in report]
             _write_text(args.dump_eligible, "\n".join(lines) + "\n")
 
     init_labels = read_labels_csv(args.init_labels) if args.init_labels else None
@@ -143,10 +152,9 @@ def cmd_detect(args) -> int:
         raise _CliError(
             "error: initial labels do not match the dataset length",
             EXIT_CONFIG)
-    ransac_k = args.k if args.baseline == "ransac" else None
     outcome = detect_points(points, args.stage, eligibility, refine_cfg,
                             seed=args.seed, init_labels=init_labels,
-                            ransac_k=ransac_k, spectrum=spectrum)
+                            ransac_k=ransac_k, report=report)
 
     data_path = Path(args.data)
     labels_path = args.out_labels or data_path.with_suffix(".labels.csv")
@@ -223,20 +231,11 @@ def cmd_sweep(args) -> int:
         raise _CliError("error: trials must be >= 1", EXIT_CONFIG)
     if ransac_k < 1:
         raise _CliError("error: ransac_k must be >= 1", EXIT_CONFIG)
-    # refuse a bad vary or grid value before any cell runs
-    cast = _SWEEP_CASTS.get(vary) if isinstance(vary, str) else None
-    if cast is None:
-        raise _CliError(f"error: {args.spec}: vary {vary!r} is not one of "
-                        f"{', '.join(_SWEEP_CASTS)}", EXIT_CONFIG)
-    for i, value in enumerate(grid):
-        try:
-            # a row records float(value): 3.7 must not run as 3
-            if cast(value) != float(value) and cast is int:
-                raise ValueError
-        except (TypeError, ValueError, OverflowError):
-            kind = "an integer" if cast is int else "a number"
-            raise _CliError(f"error: {args.spec}: grid[{i}] {value!r} is not "
-                            f"{kind} for {vary}", EXIT_CONFIG) from None
+    # build every cell's config before the first cell runs
+    try:
+        sweep_configs(base, vary, grid)
+    except ValueError as exc:
+        raise _CliError(f"error: {args.spec}: {exc}", EXIT_CONFIG) from None
 
     header = ("param_value,pipeline,mean_error,median_error,p90_error,"
               "mean_precision,mean_recall")

@@ -13,7 +13,6 @@ from .geometry import (ConicCoeffs, QuadricCoeffs, ellipse_from_conic,
 from .modelfit import (FitResult, RefineConfig, fit_ellipse_direct,
                        fit_ellipsoid_direct, refine, vanilla_ransac)
 from .proximity import DetectionLabels, EligibilityConfig, proximity_stage
-from .spectral import Spectrum
 from .synth import ExperimentConfig, detection_metrics, make_dataset
 
 __all__ = [
@@ -22,6 +21,7 @@ __all__ = [
     "detect_points",
     "run_experiment",
     "sweep_trial_seed",
+    "sweep_configs",
     "run_sweep_cell",
     "PIPELINES",
 ]
@@ -77,14 +77,14 @@ def detect_points(points: np.ndarray, stage: str = "both",
                   seed: int = 0,
                   init_labels: DetectionLabels | None = None,
                   ransac_k: int | None = None,
-                  spectrum: Spectrum | None = None) -> DetectionOutcome:
+                  report: list[tuple] | None = None) -> DetectionOutcome:
     """Run the requested stage(s) on raw points.
 
     stage "proximity" stops after the graph stage (the reported model is a
     direct fit of its inliers); "model" refines from ``init_labels`` (all
     points when omitted); "both" chains the two.  ``ransac_k`` switches to
-    the consensus-sampling baseline instead.  ``spectrum`` is the points'
-    graph spectrum when the caller has already solved it.
+    the consensus-sampling baseline instead.  ``report`` is the proximity
+    stage's ``eigenvector_flag_report`` when the caller already has it.
     """
     pts = np.asarray(points, dtype=float)
     eligibility = eligibility or EligibilityConfig()
@@ -101,7 +101,7 @@ def detect_points(points: np.ndarray, stage: str = "both",
     prox_labels = None
     if stage in ("proximity", "both"):
         start = time.perf_counter()
-        prox_labels = proximity_stage(pts, eligibility, seed, spectrum)
+        prox_labels = proximity_stage(pts, eligibility, seed, report)
         timings["proximity_ms"] = 1e3 * (time.perf_counter() - start)
         if stage == "proximity":
             model = _direct_fit(pts[prox_labels.inlier])
@@ -173,14 +173,43 @@ def sweep_trial_seed(master_seed: int, param_index: int,
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def sweep_configs(base: ExperimentConfig, vary: str,
+                  grid) -> list[ExperimentConfig]:
+    """``base`` with its field ``vary`` set to each grid value in turn.
+
+    Raises ValueError, naming ``vary`` or ``grid[i]``, for a field a sweep
+    cannot vary, a value its field cannot take (a fractional count too,
+    since a sweep row records ``float(value)``) or a config it makes
+    invalid.
+    """
+    cast = _SWEEP_CASTS.get(vary) if isinstance(vary, str) else None
+    if cast is None:
+        raise ValueError(f"vary {vary!r} is not one of "
+                         f"{', '.join(_SWEEP_CASTS)}")
+    configs = []
+    for i, value in enumerate(grid):
+        where = f"grid[{i}] {value!r}"
+        try:
+            typed = cast(value)
+            if cast is int and typed != float(value):
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            kind = "an integer" if cast is int else "a number"
+            raise ValueError(f"{where} is not {kind} for {vary}") from None
+        try:
+            configs.append(replace(base, **{vary: typed}))
+        except ValueError as exc:
+            raise ValueError(f"{where} for {vary}: {exc}") from None
+    return configs
+
+
 def run_sweep_cell(base: ExperimentConfig, vary: str, value,
                    param_index: int, trial_index: int, master_seed: int,
                    pipelines: tuple[str, ...], ransac_k: int) -> list[tuple]:
     """One (grid point, trial) unit of a sweep; returns per-pipeline rows."""
-    if vary not in _SWEEP_CASTS:
-        raise ValueError(f"cannot sweep over {vary!r}")
-    cfg = replace(base, **{vary: _SWEEP_CASTS[vary](value)},
-                  seed=sweep_trial_seed(master_seed, param_index, trial_index))
+    (cfg,) = sweep_configs(base, vary, [value])
+    cfg = replace(cfg, seed=sweep_trial_seed(master_seed, param_index,
+                                             trial_index))
     rows = []
     for pipeline in pipelines:
         rec = run_experiment(cfg, pipeline, ransac_k)

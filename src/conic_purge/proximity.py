@@ -298,13 +298,16 @@ def _vector_seed(rng_seed: int, idx: int) -> np.random.SeedSequence:
 
 
 def eigenvector_flag_report(spectrum: Spectrum, cfg: EligibilityConfig,
-                            rng_seed: int) -> list[tuple[int, float, float,
-                                                         np.ndarray]]:
-    """Per eligible eigenvector: (index, eigenvalue, hf measure, flags).
+                            rng_seed: int, detect_all: bool = False,
+                            ) -> list[tuple]:
+    """Per eligible eigenvector: (index, eigenvalue, hf measure, trusted,
+    flags), in index order; empty when nothing is eligible.
 
-    Empty when nothing is eligible.  Unlike the stage, the report runs the
-    detector on every eligible vector, trusted or not; its flags equal the
-    stage's for the vectors the stage examines.
+    Trusted vectors are near-binary (spike ratio at least ``binary_ratio``)
+    and of strongly separated groups (eigenvalue below
+    ``strong_eig_threshold``).  The detector runs once on each trusted
+    vector, or on every eligible one with ``detect_all``; the flags of a
+    vector it does not run on are None.
     """
     try:
         eligible = select_eligible(spectrum, cfg)
@@ -312,52 +315,46 @@ def eigenvector_flag_report(spectrum: Spectrum, cfg: EligibilityConfig,
         return []
     report = []
     for idx in eligible:
+        lam = float(spectrum.eigenvalues[idx])
         vec = spectrum.eigenvectors[:, idx]
-        report.append((idx, float(spectrum.eigenvalues[idx]),
-                       high_frequency_measure(vec),
-                       _detect_vector(vec, cfg, _vector_seed(rng_seed, idx))))
+        trusted = (lam < cfg.strong_eig_threshold
+                   and spike_ratio(vec) >= cfg.binary_ratio)
+        flags = (_detect_vector(vec, cfg, _vector_seed(rng_seed, idx))
+                 if trusted or detect_all else None)
+        report.append((idx, lam, high_frequency_measure(vec), trusted, flags))
     return report
 
 
 def proximity_stage(points: np.ndarray, cfg: EligibilityConfig | None = None,
-                    rng_seed: int = 0, spectrum: Spectrum | None = None,
+                    rng_seed: int = 0, report: list[tuple] | None = None,
                     ) -> DetectionLabels:
     """Run the full proximity stage on a point set.
 
-    Builds the heat-kernel graph (or takes ``spectrum`` when the caller
-    already has it) and keeps the eligible eigenvectors the stage can
-    trust before detecting anything: near-binary vectors (spike ratio at
-    least ``binary_ratio``) of strongly separated groups (eigenvalue below
-    ``strong_eig_threshold``).  Only those go through the 1-D detector,
-    and a detection counts when it flags at most ``max_flag_fraction`` of
-    the data.  The union of the counted flags grows from the
-    most-separated groups up and stops before it would exceed half the
-    data, since inliers are assumed to be the majority.  With nothing
-    eligible or trusted the stage flags nothing; the subtle outliers it
-    cannot see are the model stage's job.
+    Builds the heat-kernel graph and reads its eligible eigenvectors from
+    ``eigenvector_flag_report`` (or from ``report`` when the caller made
+    it already, with the same ``cfg`` and ``rng_seed``), so that only the
+    vectors the stage can trust go through the 1-D detector.  A detection
+    counts when it flags at most ``max_flag_fraction`` of the data.  The
+    union of the counted flags grows from the most-separated groups up
+    and stops before it would exceed half the data, since inliers are
+    assumed to be the majority.  With nothing eligible or trusted the
+    stage flags nothing; the subtle outliers it cannot see are the model
+    stage's job.
     """
     cfg = cfg or EligibilityConfig()
     pts = np.asarray(points, dtype=float)
     k = pts.shape[0]
     if k < 12:
         raise TooFewPoints("proximity stage needs at least 12 points")
-    if spectrum is None:
-        spectrum = spectrum_of_points(pts, cfg)
-    try:
-        eligible = select_eligible(spectrum, cfg)
-    except NoEligibleVectors:
+    if report is None:
+        report = eigenvector_flag_report(spectrum_of_points(pts, cfg), cfg,
+                                         rng_seed)
+    if not report:
         warnings.warn("no eligible eigenvectors; skipping proximity flags",
                       RuntimeWarning, stacklevel=2)
         return DetectionLabels(np.zeros(k, dtype=bool), "proximity")
-    trusted = []
-    for idx in eligible:
-        lam = float(spectrum.eigenvalues[idx])
-        vec = spectrum.eigenvectors[:, idx]
-        if lam >= cfg.strong_eig_threshold or spike_ratio(vec) < cfg.binary_ratio:
-            continue
-        flags = _detect_vector(vec, cfg, _vector_seed(rng_seed, idx))
-        if 0 < np.count_nonzero(flags) <= cfg.max_flag_fraction * k:
-            trusted.append((lam, idx, flags))
+    trusted = [(lam, idx, flags) for idx, lam, _hf, ok, flags in report
+               if ok and 0 < np.count_nonzero(flags) <= cfg.max_flag_fraction * k]
     trusted.sort(key=lambda t: (t[0], t[1]))
     flagged = np.zeros(k, dtype=bool)
     for _lam, _idx, flags in trusted:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +62,8 @@ class ExperimentConfig:
             raise ValueError("need at least 12 inliers")
         if self.n_outliers < 0:
             raise ValueError("outlier count cannot be negative")
+        if not (math.isfinite(self.sigma0) and math.isfinite(self.sigma1)):
+            raise ValueError("sigma0 and sigma1 must be finite")
         if not 0.0 <= self.sigma0 <= self.sigma1:
             raise ValueError("require sigma1 >= sigma0 >= 0")
         if self.outlier_mode not in ("gaussian", "uniform"):
@@ -70,9 +72,6 @@ class ExperimentConfig:
     @property
     def dimension(self) -> int:
         return 2 if isinstance(self.model, EllipseParams) else 3
-
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, seed=int(seed))
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,7 +12,7 @@ import pytest
 from conic_purge import EllipseParams
 from conic_purge.geometry import ellipse_boundary_points
 from conic_purge.proximity import DetectionLabels
-from conic_purge.synth import write_dataset_csv
+from conic_purge.synth import read_dataset_csv, write_dataset_csv
 
 
 def run_cli(*args, cwd=None):
@@ -85,6 +85,20 @@ class TestGenerate:
         proc = run_cli("generate", "--config", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("sigmas", [(0.01, math.inf), (math.inf, math.inf),
+                                        (-math.inf, 2.0), (0.01, math.nan)],
+                             ids=["sigma1", "both", "sigma0", "nan"])
+    def test_non_finite_noise_exit_1(self, tmp_path, capsys, sigmas):
+        from conic_purge import cli
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(TYPICAL_CONFIG, sigma0=sigmas[0],
+                                        sigma1=sigmas[1])))
+        out = tmp_path / "d.csv"
+        assert cli.main(["generate", "--config", str(path),
+                         "--out", str(out)]) == 1
+        assert "sigma0 and sigma1 must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDetect:
@@ -291,28 +305,74 @@ class TestDetect:
 
     def test_dumps_share_the_detection_spectrum(self, tmp_path, config_path,
                                                 monkeypatch):
+        # for every stage, baseline and dump combination, one spectrum and
+        # at most one detector run per eligible vector serve the dumps and
+        # the stage, and the dumps leave the outputs alone
         from conic_purge import cli, proximity
         data = tmp_path / "data.csv"
         assert cli.main(["generate", "--config", str(config_path),
                          "--out", str(data)]) == 0
-        plain = tmp_path / "plain.labels.csv"
-        assert cli.main(["detect", "--data", str(data), "--seed", "11",
-                         "--out-labels", str(plain),
-                         "--out-model", str(tmp_path / "plain.json")]) == 0
-        solves = []
-        original = proximity.generalized_eigs
+        eligibility = proximity.EligibilityConfig()
+        report = proximity.eigenvector_flag_report(
+            proximity.spectrum_of_points(read_dataset_csv(data)[0],
+                                         eligibility), eligibility, 11)
+        solves, detected = [], []
+        original_eigs = proximity.generalized_eigs
+        original_detect = proximity.detect_1d
         monkeypatch.setattr(proximity, "generalized_eigs",
-                            lambda lp: solves.append(1) or original(lp))
-        dumped = tmp_path / "dumped.labels.csv"
-        assert cli.main(["detect", "--data", str(data), "--seed", "11",
-                         "--out-labels", str(dumped),
-                         "--out-model", str(tmp_path / "dumped.json"),
-                         "--dump-spectrum", str(tmp_path / "spec.csv"),
-                         "--dump-eligible", str(tmp_path / "elig.csv")]) == 0
-        assert len(solves) == 1
-        assert dumped.read_bytes() == plain.read_bytes()
-        assert (tmp_path / "dumped.json").read_bytes() == \
-            (tmp_path / "plain.json").read_bytes()
+                            lambda lp: solves.append(1) or original_eigs(lp))
+        monkeypatch.setattr(
+            proximity, "detect_1d",
+            lambda values, *args, **kwargs: detected.append(
+                np.asarray(values).tobytes())
+            or original_detect(values, *args, **kwargs))
+        modes = [[], ["--stage", "proximity"], ["--stage", "model"],
+                 ["--baseline", "ransac", "--k", "50"]]
+        for mode in modes:
+            outs = {}
+            for dumps in [(), ("spectrum",), ("eligible",),
+                          ("spectrum", "eligible")]:
+                solves.clear()
+                detected.clear()
+                labels, model = tmp_path / "labels.csv", tmp_path / "m.json"
+                assert cli.main(
+                    ["detect", "--data", str(data), "--seed", "11", *mode,
+                     "--out-labels", str(labels), "--out-model", str(model),
+                     *[arg for d in dumps
+                       for arg in (f"--dump-{d}", str(tmp_path / d))]]) == 0
+                outs[dumps] = labels.read_bytes(), model.read_bytes()
+                stage_runs = mode in modes[:2]
+                assert len(solves) == int(stage_runs or bool(dumps))
+                assert len(set(detected)) == len(detected)
+                if "eligible" in dumps:
+                    assert len(detected) == len(report) > 0
+                else:
+                    assert len(detected) == \
+                        stage_runs * sum(r[3] for r in report)
+            assert len(set(outs.values())) == 1
+
+    @pytest.mark.parametrize("mode, conflict", [
+        ([], "--stage both"),
+        (["--stage", "proximity"], "--stage proximity"),
+        (["--stage", "model", "--baseline", "ransac"], "--baseline ransac"),
+        (["--stage", "proximity", "--baseline", "ransac"],
+         "--baseline ransac"),
+    ], ids=["both", "proximity", "ransac-model", "ransac-proximity"])
+    def test_init_labels_need_stage_model(self, tmp_path, capsys, mode,
+                                          conflict):
+        # only --stage model starts from the labels; elsewhere they would
+        # be ignored
+        from conic_purge import cli
+        data, init = tmp_path / "data.csv", tmp_path / "init.csv"
+        write_noiseless_ellipse(data, n=40)
+        init.write_text("index,label,stage\n" + "".join(
+            f"{i},inlier,none\n" for i in range(40)))
+        out = tmp_path / "labels.csv"
+        assert cli.main(["detect", "--data", str(data), *mode,
+                         "--init-labels", str(init),
+                         "--out-labels", str(out)]) == 1
+        assert f"cannot be used with {conflict}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ellipsoid_dataset(self, tmp_path):
         cfg = {"model": {"type": "ellipsoid", "center": [0.0, 0.0, 0.0],
@@ -415,11 +475,19 @@ class TestSweep:
          "grid[1] None is not a number for sigma1"),
         ({"vary": "sigma0", "grid": [[0.1]]},
          "grid[0] [0.1] is not a number for sigma0"),
-    ], ids=["vary", "vary-list", "text", "inf", "fraction", "null", "list"])
-    def test_bad_vary_or_grid_exit_1(self, tmp_path, capsys, fields,
-                                     message):
+        ({"grid": [5, -1]},
+         "grid[1] -1 for n_outliers: outlier count cannot be negative"),
+        ({"vary": "sigma1", "grid": [0.5, math.inf]},
+         "grid[1] inf for sigma1: sigma0 and sigma1 must be finite"),
+        ({"vary": "sigma1", "grid": [0.5, 0.05]},
+         "grid[1] 0.05 for sigma1: require sigma1 >= sigma0 >= 0"),
+    ], ids=["vary", "vary-list", "text", "inf", "fraction", "null", "list",
+            "negative", "infinite-sigma", "sigma-order"])
+    def test_bad_vary_or_grid_exit_1(self, tmp_path, capsys, monkeypatch,
+                                     fields, message):
         # refused before any cell runs, naming the spec file and the field
         from conic_purge import cli
+        monkeypatch.setattr(cli, "run_sweep_cell", None)
         spec = tmp_path / "sweep.json"
         spec.write_text(json.dumps(dict(self.sweep_spec(), **fields)))
         out = tmp_path / "c.csv"

@@ -503,7 +503,9 @@ class TestFilterFirst:
         monkeypatch.setattr(proximity, "detect_1d", counting)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            proximity_stage(data.points, cfg.eligibility, cfg.seed, spectrum)
+            report = proximity.eigenvector_flag_report(
+                spectrum, cfg.eligibility, cfg.seed)
+            proximity_stage(data.points, cfg.eligibility, cfg.seed, report)
         assert len(calls) == len(expected) > 0
         assert len(expected) < len(select_eligible(spectrum, cfg.eligibility))
         for values, idx in zip(calls, expected):
@@ -533,20 +535,33 @@ class TestFilterFirst:
         assert json.loads(proc.stdout) == FROZEN_SPECTRUM_DIGESTS
 
     def test_report_seeds_per_index(self):
-        # the report runs every eligible vector, seeded by eigenvector index
-        # as in the stage, so a vector the stage examines gets the same flags
+        # with detect_all the report runs every eligible vector, seeded by
+        # eigenvector index, so the trusted vectors get the same flags as
+        # in the report the stage makes, which detects only those
         cfg = FREEZE_SCENARIOS["typical2d"]
         data = make_dataset(cfg)
         spectrum = spectrum_of_points(data.points, cfg.eligibility)
         report = proximity.eigenvector_flag_report(spectrum, cfg.eligibility,
-                                                   cfg.seed)
+                                                   cfg.seed, detect_all=True)
+        stage = proximity.eigenvector_flag_report(spectrum, cfg.eligibility,
+                                                  cfg.seed)
         assert [r[0] for r in report] == select_eligible(spectrum,
                                                          cfg.eligibility)
-        for idx, _lam, _hf, flags in report:
+        assert [r[0] for r in report if r[3]] == \
+            pre_trusted(spectrum, cfg.eligibility)
+        for (idx, lam, hf, trusted, flags), stage_record in zip(report, stage,
+                                                              strict=True):
+            vec = spectrum.eigenvectors[:, idx]
             seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(idx,))
-            own = detect_1d(spectrum.eigenvectors[:, idx],
-                            cfg.eligibility.gamma, seed.spawn(1)[0])
+            own = detect_1d(vec, cfg.eligibility.gamma, seed.spawn(1)[0])
             assert np.array_equal(flags, own)
+            assert lam == float(spectrum.eigenvalues[idx])
+            assert hf == high_frequency_measure(vec)
+            assert stage_record[:4] == (idx, lam, hf, trusted)
+            if trusted:
+                assert np.array_equal(stage_record[4], own)
+            else:
+                assert stage_record[4] is None
 
     @pytest.mark.parametrize("eig_threshold", [1e-6, 1e-3, 0.1, 1.0, 2.0])
     def test_eig_threshold_at_or_above_strong_cut_is_inert(self,
@@ -561,8 +576,12 @@ class TestFilterFirst:
                                         eig_threshold=eig_threshold)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                base = proximity_stage(data.points, cfg.eligibility,
-                                       cfg.seed, spectrum)
-                labels = proximity_stage(data.points, loose, cfg.seed,
-                                         spectrum)
+                base = proximity_stage(
+                    data.points, cfg.eligibility, cfg.seed,
+                    proximity.eigenvector_flag_report(
+                        spectrum, cfg.eligibility, cfg.seed))
+                labels = proximity_stage(
+                    data.points, loose, cfg.seed,
+                    proximity.eigenvector_flag_report(spectrum, loose,
+                                                      cfg.seed))
             assert np.array_equal(labels.outlier, base.outlier)
