@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import ConicPurgeError
 from .modelfit import RefineConfig
-from .pipeline import (PIPELINES, detect_points, model_params_from_coeffs,
-                       run_sweep_cell, sweep_configs)
+from .pipeline import (PIPELINES, _sweep_value, detect_points,
+                       model_params_from_coeffs, run_sweep_cell,
+                       sweep_configs)
 from .proximity import (DetectionLabels, EligibilityConfig,
                         eigenvector_flag_report, spectrum_of_points)
 from .synth import (ExperimentConfig, detection_metrics, make_dataset,
@@ -129,6 +130,13 @@ def cmd_detect(args) -> int:
         raise _CliError(f"error: --init-labels starts --stage model and "
                         f"cannot be used with {conflict}", EXIT_CONFIG)
 
+    # every input is read and checked before any dump is written
+    init_labels = read_labels_csv(args.init_labels) if args.init_labels else None
+    if init_labels is not None and len(init_labels) != points.shape[0]:
+        raise _CliError(
+            "error: initial labels do not match the dataset length",
+            EXIT_CONFIG)
+
     # one pass over the eligible eigenvectors serves the dumps and the stage
     report = None
     if args.dump_spectrum or args.dump_eligible:
@@ -147,11 +155,6 @@ def cmd_detect(args) -> int:
                       for _i, lam, hf, _trusted, flags in report]
             _write_text(args.dump_eligible, "\n".join(lines) + "\n")
 
-    init_labels = read_labels_csv(args.init_labels) if args.init_labels else None
-    if init_labels is not None and len(init_labels) != points.shape[0]:
-        raise _CliError(
-            "error: initial labels do not match the dataset length",
-            EXIT_CONFIG)
     outcome = detect_points(points, args.stage, eligibility, refine_cfg,
                             seed=args.seed, init_labels=init_labels,
                             ransac_k=ransac_k, report=report)
@@ -216,10 +219,10 @@ def cmd_sweep(args) -> int:
         base = ExperimentConfig.from_json_dict(spec["base"])
         vary = spec["vary"]
         grid = list(spec["grid"])
-        trials = int(spec.get("trials", 20))
         pipelines = tuple(spec.get("pipelines", ["two_stage"]))
-        master_seed = int(spec.get("master_seed", 0))
-        ransac_k = int(spec.get("ransac_k", 1000))
+        trials, master_seed, ransac_k = (
+            _sweep_value(int, spec.get(key, default), key) for key, default
+            in (("trials", 20), ("master_seed", 0), ("ransac_k", 1000)))
     except (KeyError, TypeError, ValueError) as exc:
         raise _CliError(f"error: malformed sweep spec: {exc}",
                                   EXIT_CONFIG)

@@ -65,35 +65,35 @@ def _is_ellipse(values: np.ndarray):
     return b * b - 4.0 * a * c < 0.0
 
 
-def _normalize_coeffs(values: np.ndarray) -> np.ndarray:
-    """Scale to unit Euclidean norm and make the first nonzero entry positive."""
-    values = np.asarray(values, dtype=float)
-    norm = float(np.linalg.norm(values))
-    if not np.isfinite(norm) or norm == 0.0:
-        raise ValueError("coefficient vector must be finite and nonzero")
-    values = values / norm
-    for v in values:
-        if abs(v) > _SIGN_EPS:
-            if v < 0.0:
-                values = -values
-            break
-    return values
-
-
 def _normalize_coeff_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_normalize_coeffs` applied to each row of an (S, m) stack.
+    """Scale each row of an (S, m) stack to unit Euclidean norm and make its
+    first nonzero entry positive.
 
     Returns the normalized rows and a mask of the rows that were finite
     and nonzero; the other rows come back as zeros.
     """
-    norm = np.linalg.norm(values, axis=1)
+    # on C-ordered rows the stacked matmul rounds each squared norm as
+    # np.linalg.norm of one row does; norm(axis=1), and BLAS on strided
+    # rows, sum the squares in other orders
+    values = np.ascontiguousarray(values)
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((values[:, None, :] @ values[..., None])[:, 0, 0])
     valid = np.isfinite(norm) & (norm != 0.0)
     values = np.where(valid[:, None], values, 0.0) / np.where(valid, norm,
                                                               1.0)[:, None]
-    big = np.abs(values) > _SIGN_EPS
-    lead = values[np.arange(values.shape[0]), np.argmax(big, axis=1)]
-    flip = big.any(axis=1) & (lead < 0.0)
-    return np.where(flip[:, None], -values, values), valid
+    # the first entry above _SIGN_EPS in magnitude, or entry 0 when none is
+    lead = values[np.arange(values.shape[0]),
+                  np.argmax(np.abs(values) > _SIGN_EPS, axis=1)]
+    return values * np.where(lead < -_SIGN_EPS, -1.0, 1.0)[:, None], valid
+
+
+def _normalize_coeffs(values: np.ndarray) -> np.ndarray:
+    """The one-row case of :func:`_normalize_coeff_rows`; raises ValueError
+    for a row that is not finite and nonzero."""
+    rows, valid = _normalize_coeff_rows(np.asarray(values, dtype=float)[None])
+    if not valid[0]:
+        raise ValueError("coefficient vector must be finite and nonzero")
+    return rows[0]
 
 
 @dataclass(frozen=True)

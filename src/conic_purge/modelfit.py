@@ -163,8 +163,8 @@ def _fit_direct_batch(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`_fit_direct_raw`, then unit-norm/sign normalization and
     geometry's ellipse or ellipsoid test, row by row as array operations.
     Row i equals ``fit_ellipse_direct(samples[i]).values`` (or the
-    ellipsoid fit) up to the rounding of the row-wise normalization, and
-    the accept/reject decisions are the same.
+    ellipsoid fit) bit for bit, and the accept/reject decisions are the
+    same.
     Returns the (S, 6) or (S, 10) unit-norm coefficients and a mask of the
     samples whose one-sample fit succeeds; the other rows are zero.
     """
@@ -250,41 +250,16 @@ def _median_distance(pts, model, mask) -> float:
     return float(np.median(np.abs(signed_residuals(pts, model))[mask]))
 
 
-def _concentrate(pts: np.ndarray, model, fitter, min_points: int):
-    """Refit on the tightest half of the data until that set stabilizes.
-
-    Standard least-trimmed-squares concentration: each refit on the
-    smallest-residual half cannot be worse on that half, so the model
-    walks toward the dominant structure even when the starting fit is
-    inflated by heavy symmetric contamination.  Inliers are the majority
-    by assumption, so the half-set at the fixpoint is essentially clean.
-    """
-    k = pts.shape[0]
-    half = max(min_points, (k + 1) // 2)
-    core = None
-    for _ in range(30):
-        dist = np.abs(signed_residuals(pts, model))
-        tight = np.zeros(k, dtype=bool)
-        tight[np.argsort(dist, kind="stable")[:half]] = True
-        if core is not None and np.array_equal(tight, core):
-            break
-        try:
-            model = fitter(pts[tight])
-        except (DegenerateConfiguration, NotAnEllipse, NotAnEllipsoid):
-            break
-        core = tight
-    return model, core
-
-
-def _classification_loop(pts, model, inliers, reference, fitter,
-                         min_points, cfg):
+def _classification_loop(pts, start, fitter, min_points, cfg):
     """Spec loop: classify all points against the threshold, refit, repeat.
 
-    ``reference`` seeds the first threshold estimate; successive
-    classifications are compared to each other, with ``inliers`` (the
-    initial labeling) counting as the zeroth.  Cycles resolve to the
-    iterate with the smallest median inlier residual.
+    Starts from the fit of the ``start`` mask, whose residuals also seed
+    the first threshold estimate; successive classifications are compared
+    to each other, with ``start`` counting as the zeroth.  Cycles resolve
+    to the iterate with the smallest median inlier residual.
     """
+    model = fitter(pts[start])
+    inliers = reference = start
     seen = {inliers.tobytes()}
     history = [(inliers, model)]
     converged = False
@@ -317,9 +292,39 @@ def _classification_loop(pts, model, inliers, reference, fitter,
     return model, inliers, iterations, converged
 
 
-def _trimmed_objective(pts, model, half: int) -> float:
-    dist = np.abs(signed_residuals(pts, model))
-    return float(np.sum(np.sort(dist)[:half]))
+def _trimmed_objectives(pts, values, half: int) -> np.ndarray:
+    """Sum of the ``half`` smallest absolute residuals of each (S, m) row."""
+    dist = np.sort(np.abs(signed_residuals(pts, values)), axis=1)
+    return dist[:, :half].sum(axis=1)
+
+
+def _concentrate(pts, values, half: int, steps: int):
+    """Up to ``steps`` concentration steps (C-steps) of an (S, m) model stack.
+
+    Each step refits every active row on its ``half`` smallest-residual
+    points, taken in index order: least-trimmed-squares concentration
+    (Rousseeuw & Van Driessen 1999), which cannot worsen a row's sum over
+    its half-set.  A row stops when its half-set repeats, since the refit
+    would give the same bits, and when the batch fit rejects its refit; it
+    keeps its last model.  The rows do not interact: a row of a stack
+    equals that row run alone.  Returns the models and the (S, half)
+    indexes of each row's last fitted half-set, -1 in a row never refitted.
+    """
+    values = values.copy()
+    cores = np.full((values.shape[0], half), -1)
+    active = np.arange(values.shape[0])
+    for _ in range(steps):
+        dist = np.abs(signed_residuals(pts, values[active]))
+        tight = np.sort(np.argsort(dist, axis=1, kind="stable")[:, :half],
+                        axis=1)
+        moved = (tight != cores[active]).any(axis=1)
+        active, tight = active[moved], tight[moved]
+        if active.size == 0:
+            break
+        refit, good = _fit_direct_batch(pts[tight])
+        active, tight = active[good], tight[good]
+        values[active], cores[active] = refit[good], tight
+    return values, cores
 
 
 _MULTISTART_SEED = 0x5EED
@@ -340,78 +345,68 @@ def _model_type(pts: np.ndarray):
     return ConicCoeffs if pts.shape[1] == 2 else QuadricCoeffs
 
 
-def _multistart_concentrate(pts, fitter, min_points):
-    """Best trimmed fit over seeded random minimal samples.
+def _multistart_concentrate(pts, min_points, half):
+    """Start mask of the rescue trajectory: the best trimmed half-set.
 
-    Two concentration steps per sample, then full concentration from the
-    best one: the classic way to reach the global trimmed optimum when
-    every available starting fit is captured by structured contamination.
-    Fully deterministic for a given point order.  The samples are drawn
-    one per seeded child as always, but fitted, concentrated and scored as
-    one batch; a sample whose concentration refit fails keeps its last
-    model, and the earliest smallest trimmed objective wins.
+    Two concentration steps per seeded random minimal sample, then full
+    concentration from the best one: the classic way to reach the global
+    trimmed optimum when every available starting fit is captured by
+    structured contamination.  Fully deterministic for a given point
+    order.  The samples are drawn one per seeded child, fitted as one
+    batch and concentrated as one stack by :func:`_concentrate`, the
+    kernel the full concentration runs on its one row; the earliest
+    smallest trimmed objective wins.  Returns the final half-set of
+    ``half`` points as a mask, or None when no sample fits or the best
+    one's first refit fails.
     """
-    k = pts.shape[0]
-    half = max(min_points, (k + 1) // 2)
-    samples = _minimal_samples(k, min_points, _MULTISTART_SEED,
+    samples = _minimal_samples(len(pts), min_points, _MULTISTART_SEED,
                                _MULTISTART_SAMPLES)
     values, ok = _fit_direct_batch(pts[samples])
-    active = ok.copy()
-    for _ in range(2):
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
-            break
-        dist = np.abs(signed_residuals(pts, values[rows]))
-        tight = np.argsort(dist, axis=1, kind="stable")[:, :half]
-        refit, good = _fit_direct_batch(pts[tight])
-        values[rows[good]] = refit[good]
-        active[rows[~good]] = False
-    dist = np.sort(np.abs(signed_residuals(pts, values)), axis=1)
-    objective = dist[:, :half].sum(axis=1)
-    objective[~(ok & (objective < np.inf))] = np.inf
+    if not ok.any():
+        return None
+    values, _ = _concentrate(pts, values[ok], half, 2)
+    objective = _trimmed_objectives(pts, values, half)
+    objective[~(objective < np.inf)] = np.inf
     best = int(np.argmin(objective))
     if objective[best] == np.inf:
-        return None, None
-    return _concentrate(pts, _model_type(pts)(values[best]), fitter,
-                        min_points)
+        return None
+    _, core = _concentrate(pts, values[best:best + 1], half, 30)
+    if core[0, 0] < 0:
+        return None
+    start = np.zeros(len(pts), dtype=bool)
+    start[core[0]] = True
+    return start
 
 
 def refine(points: np.ndarray, initial: DetectionLabels,
            cfg: RefineConfig | None = None) -> FitResult:
     """Iterative model-consistency reclassification from an initial labeling.
 
-    Fits on the initial inliers and iterates the classify/refit loop to a
-    fixpoint.  A second trajectory guards against fits captured by
-    structured contamination by concentrating seeded random minimal-sample
-    fits on the tightest half of the data.  The result whose model has the
+    Two trajectories run the same classify/refit loop to a fixpoint, each
+    from the one-sample fit of its start mask.  The plain one starts from
+    the initial inliers.  The rescue guards against fits captured by
+    structured contamination: it starts from the half-set that seeded
+    random minimal-sample fits concentrate on (see
+    :func:`_multistart_concentrate`).  The result whose model has the
     smallest trimmed residual sum wins, the plain trajectory breaking
-    ties, which keeps re-running refine on its own output a no-op.  The
-    rescue's minimal samples are fitted and concentrated as one batch,
-    with the same seeded samples and tie-breaks as one at a time; the
-    returned model is always a one-sample fit, the one-row case of the
-    same stacked kernel.
+    ties, which keeps re-running refine on its own output a no-op.
     """
     cfg = cfg or RefineConfig()
     pts = np.asarray(points, dtype=float)
     fitter, min_points = _dim_tools(pts, cfg.min_points)
-    first = initial.inlier.copy()
-    if np.count_nonzero(first) < min_points:
+    if np.count_nonzero(initial.inlier) < min_points:
         raise TooFewPoints(
             f"refinement needs at least {min_points} initial inliers")
-    model = fitter(pts[first])
     half = max(min_points, (pts.shape[0] + 1) // 2)
 
     # the rescue route must not depend on the starting labels, otherwise
     # re-running refine on its own output could surface new candidates
-    outcomes = [_classification_loop(pts, model, first.copy(), first, fitter,
-                                     min_points, cfg)]
-    multi_model, multi_core = _multistart_concentrate(pts, fitter, min_points)
-    if multi_core is not None:
-        outcomes.append(_classification_loop(pts, multi_model,
-                                             multi_core.copy(), multi_core,
-                                             fitter, min_points, cfg))
-    model, inliers, iterations, converged = min(
-        outcomes, key=lambda out: _trimmed_objective(pts, out[0], half))
+    starts = [initial.inlier, _multistart_concentrate(pts, min_points, half)]
+    outcomes = [_classification_loop(pts, start, fitter, min_points, cfg)
+                for start in starts if start is not None]
+    best = int(np.argmin(_trimmed_objectives(
+        pts, np.stack([out[0].values for out in outcomes]), half)))
+    model, inliers, iterations, converged = outcomes[best]
     stage = np.where(inliers == initial.inlier, initial.stage, "model")
     return FitResult(model, DetectionLabels(~inliers, stage),
                      iterations, converged)

@@ -173,14 +173,29 @@ def sweep_trial_seed(master_seed: int, param_index: int,
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _sweep_value(cast, value, what: str):
+    """``cast(value)`` for ``what``, a field of type ``cast`` (int or float).
+
+    Raises ValueError, naming ``what``, for a value the field cannot take:
+    a fractional count too, since a sweep row records ``float(value)``.
+    """
+    try:
+        typed = cast(value)
+        if cast is int and typed != float(value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if cast is int else "a number"
+        raise ValueError(f"{what} {value!r} is not {kind}") from None
+    return typed
+
+
 def sweep_configs(base: ExperimentConfig, vary: str,
                   grid) -> list[ExperimentConfig]:
     """``base`` with its field ``vary`` set to each grid value in turn.
 
     Raises ValueError, naming ``vary`` or ``grid[i]``, for a field a sweep
-    cannot vary, a value its field cannot take (a fractional count too,
-    since a sweep row records ``float(value)``) or a config it makes
-    invalid.
+    cannot vary, a value its field cannot take (see :func:`_sweep_value`)
+    or a config it makes invalid.
     """
     cast = _SWEEP_CASTS.get(vary) if isinstance(vary, str) else None
     if cast is None:
@@ -190,12 +205,9 @@ def sweep_configs(base: ExperimentConfig, vary: str,
     for i, value in enumerate(grid):
         where = f"grid[{i}] {value!r}"
         try:
-            typed = cast(value)
-            if cast is int and typed != float(value):
-                raise ValueError
-        except (TypeError, ValueError, OverflowError):
-            kind = "an integer" if cast is int else "a number"
-            raise ValueError(f"{where} is not {kind} for {vary}") from None
+            typed = _sweep_value(cast, value, f"grid[{i}]")
+        except ValueError as exc:
+            raise ValueError(f"{exc} for {vary}") from None
         try:
             configs.append(replace(base, **{vary: typed}))
         except ValueError as exc:

@@ -139,17 +139,25 @@ def high_frequency_measure(vector: np.ndarray) -> float:
     return (total - abs(float(v.sum()))) / total
 
 
+def _eligible_measures(spectrum: Spectrum,
+                       cfg: EligibilityConfig) -> list[tuple[int, float]]:
+    """(index, hf measure) of each eligible eigenvector, ascending."""
+    eligible = []
+    for i, lam in enumerate(spectrum.eigenvalues):
+        if lam < cfg.eig_threshold:
+            hf = high_frequency_measure(spectrum.eigenvectors[:, i])
+            if hf < cfg.hf_threshold:
+                eligible.append((i, hf))
+    return eligible
+
+
 def select_eligible(spectrum: Spectrum, cfg: EligibilityConfig) -> list[int]:
     """Indices of low-eigenvalue, low-sign-mix eigenvectors, ascending.
 
     Raises NoEligibleVectors when nothing qualifies; callers fall back to
     "no proximity outliers" and continue with the model stage.
     """
-    eligible = [
-        i for i, lam in enumerate(spectrum.eigenvalues)
-        if lam < cfg.eig_threshold
-        and high_frequency_measure(spectrum.eigenvectors[:, i]) < cfg.hf_threshold
-    ]
+    eligible = [i for i, _hf in _eligible_measures(spectrum, cfg)]
     if not eligible:
         raise NoEligibleVectors("no eigenvector passed the eligibility filters")
     return eligible
@@ -309,19 +317,15 @@ def eigenvector_flag_report(spectrum: Spectrum, cfg: EligibilityConfig,
     vector, or on every eligible one with ``detect_all``; the flags of a
     vector it does not run on are None.
     """
-    try:
-        eligible = select_eligible(spectrum, cfg)
-    except NoEligibleVectors:
-        return []
     report = []
-    for idx in eligible:
+    for idx, hf in _eligible_measures(spectrum, cfg):
         lam = float(spectrum.eigenvalues[idx])
         vec = spectrum.eigenvectors[:, idx]
         trusted = (lam < cfg.strong_eig_threshold
                    and spike_ratio(vec) >= cfg.binary_ratio)
         flags = (_detect_vector(vec, cfg, _vector_seed(rng_seed, idx))
                  if trusted or detect_all else None)
-        report.append((idx, lam, high_frequency_measure(vec), trusted, flags))
+        report.append((idx, lam, hf, trusted, flags))
     return report
 
 

@@ -13,6 +13,10 @@ coefficient object.
 column and per chunk of Monte Carlo points: it tests every 2-D cell
 centre of the full grid, and all 3-D points of one draw, at once.  It is
 copied verbatim with the four helpers it calls.
+
+``_normalize_coeffs`` is the coefficient normaliser as it was before it
+became the one-row case of the stacked one, copied verbatim: it takes
+the norm of one row with ``np.linalg.norm``.
 """
 
 import math
@@ -21,6 +25,7 @@ import numpy as np
 
 from conic_purge import (ConicCoeffs, EllipseParams, EllipsoidParams,
                          NotAnEllipse, NotAnEllipsoid, QuadricCoeffs)
+from conic_purge.geometry import _SIGN_EPS
 
 
 def matrix_form(q: QuadricCoeffs) -> tuple[np.ndarray, np.ndarray, float]:
@@ -187,3 +192,18 @@ def nonoverlap_ratio(fit, truth, resolution: int = 512,
     if n_truth == 0:
         raise ValueError("truth model not resolved; increase resolution/samples")
     return float(np.count_nonzero(in_fit ^ in_truth)) / n_truth
+
+
+def _normalize_coeffs(values: np.ndarray) -> np.ndarray:
+    """Scale to unit Euclidean norm and make the first nonzero entry positive."""
+    values = np.asarray(values, dtype=float)
+    norm = float(np.linalg.norm(values))
+    if not np.isfinite(norm) or norm == 0.0:
+        raise ValueError("coefficient vector must be finite and nonzero")
+    values = values / norm
+    for v in values:
+        if abs(v) > _SIGN_EPS:
+            if v < 0.0:
+                values = -values
+            break
+    return values

@@ -257,6 +257,22 @@ class TestDetect:
         assert f"{init}: {message}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_bad_init_labels_write_no_dump(self, tmp_path):
+        # the labels are read and checked before the spectrum is dumped
+        data, init = tmp_path / "data.csv", tmp_path / "init.csv"
+        write_noiseless_ellipse(data, n=40)
+        lines = [f"{i},inlier,none" for i in range(40)]
+        lines[3] = "3,inlier"
+        init.write_text("index,label,stage\n" + "\n".join(lines) + "\n")
+        spectrum, eligible = tmp_path / "spec.csv", tmp_path / "elig.csv"
+        proc = run_cli("detect", "--data", str(data), "--stage", "model",
+                       "--init-labels", str(init),
+                       "--dump-spectrum", str(spectrum),
+                       "--dump-eligible", str(eligible))
+        assert proc.returncode == 1
+        assert f"{init}: row 4: expected 3 cells" in proc.stderr
+        assert not spectrum.exists() and not eligible.exists()
+
     def test_above_point_cap_exit_1(self, tmp_path):
         from conic_purge.spectral import MAX_POINTS
         data = tmp_path / "big.csv"
@@ -493,6 +509,26 @@ class TestSweep:
         out = tmp_path / "c.csv"
         assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
         assert f"error: {spec}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("trials", 1.7, "trials 1.7 is not an integer"),
+        ("master_seed", 2.5, "master_seed 2.5 is not an integer"),
+        ("ransac_k", 99.5, "ransac_k 99.5 is not an integer"),
+        ("trials", "many", "trials 'many' is not an integer"),
+        ("ransac_k", math.inf, "ransac_k inf is not an integer"),
+    ], ids=["trials", "master_seed", "ransac_k", "text", "inf"])
+    def test_fractional_count_exit_1(self, tmp_path, capsys, monkeypatch,
+                                     key, value, message):
+        # refused before any cell runs, like a fractional grid count
+        from conic_purge import cli
+        monkeypatch.setattr(cli, "run_sweep_cell", None)
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps(dict(self.sweep_spec(), **{key: value})))
+        out = tmp_path / "c.csv"
+        assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        assert f"error: malformed sweep spec: {message}" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("ransac_k", [0, -1])

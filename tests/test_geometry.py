@@ -16,7 +16,8 @@ from conic_purge import (ConicCoeffs, EllipseParams, EllipsoidParams,
 from conic_purge import geometry
 from conic_purge.geometry import (_MC_CHUNK, _coeffs_from_matrix, _interior,
                                   _matrix_from_coeffs,
-                                  _monte_carlo_counts,
+                                  _monte_carlo_counts, _normalize_coeff_rows,
+                                  _normalize_coeffs,
                                   ellipse_boundary_points,
                                   ellipsoid_boundary_points,
                                   ellipsoid_contains, signed_residuals)
@@ -645,6 +646,37 @@ class TestConversionsMatchReference:
                                 NotAnEllipsoid)
             _assert_same_output(lambda q: q.is_ellipsoid, ref.is_ellipsoid,
                                 quadric, False)
+
+
+class TestNormalizerMatchesReference:
+    """The one coefficient normaliser scales every row of a stack as the
+    one-row normaliser with ``np.linalg.norm`` did, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), width=st.sampled_from([6, 10]),
+           count=st.integers(1, 40), scale=st.floats(-4.0, 6.0),
+           zeros=st.floats(0.0, 0.5))
+    def test_rows_bit_identical(self, seed, width, count, scale, zeros):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(count, width)) * 10.0 ** (
+            scale + rng.uniform(-1.0, 1.0, (count, 1)))
+        rows[rng.random(rows.shape) < zeros] = 0.0
+        rows[rng.random(rows.shape) < 0.05] *= 1e-14  # below the sign cut
+        rows[rng.integers(count)] = 0.0
+        if count > 1:
+            rows[rng.integers(count), rng.integers(width)] = math.inf
+        normalized, valid = _normalize_coeff_rows(rows)
+        for row, out, ok in zip(rows, normalized, valid):
+            try:
+                expected = ref._normalize_coeffs(row).tobytes()
+            except ValueError:
+                assert not ok and not out.any()
+                with pytest.raises(ValueError):
+                    _normalize_coeffs(row)
+                continue
+            assert ok
+            assert out.tobytes() == expected
+            assert _normalize_coeffs(row).tobytes() == expected
 
 
 class TestInteriorTest:

@@ -1,16 +1,19 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conic_purge import (DegenerateConfiguration, DetectionLabels,
-                         EllipseParams, NotAnEllipse, NotAnEllipsoid,
+from conic_purge import (ConicPurgeError, DegenerateConfiguration,
+                         DetectionLabels, EllipseParams, EllipsoidParams,
+                         ExperimentConfig, NotAnEllipse, NotAnEllipsoid,
                          RefineConfig, TooFewPoints, conic_from_ellipse,
-                         ellipse_from_conic, ellipsoid_from_quadric,
+                         ellipse_from_conic, ellipse_from_eccentricity,
+                         ellipsoid_from_quadric,
                          fit_ellipse_direct,
                          fit_ellipsoid_direct, make_dataset,
                          quadric_from_ellipsoid, ransac_success_prob, refine,
@@ -19,8 +22,11 @@ from conic_purge import modelfit
 from conic_purge.geometry import (ellipse_boundary_points,
                                   ellipsoid_boundary_points)
 from conic_purge.modelfit import _fit_direct_batch
+from conic_purge.pipeline import sweep_trial_seed
+from conic_purge.proximity import proximity_stage
 
 import reference_fits
+import reference_refine
 from conftest import FREEZE_SCENARIOS, random_ellipse, random_ellipsoid
 
 
@@ -565,6 +571,108 @@ def test_outputs_frozen(scenario):
     refined = refine(data.points, planted_labels(data, cfg.seed), cfg.refine)
     assert fit_digest(ransac) == FROZEN_DIGESTS[scenario, "ransac"]
     assert fit_digest(refined) == FROZEN_DIGESTS[scenario, "refine"]
+
+
+def _scenario(n_inliers, n_outliers, sigma0, sigma1, seed, model=None):
+    return ExperimentConfig(
+        model=model or ellipse_from_eccentricity(5.0, 0.95),
+        n_inliers=n_inliers, n_outliers=n_outliers, sigma0=sigma0,
+        sigma1=sigma1, seed=seed)
+
+
+# datasets of the criterion 3-7 scenario shapes, at the seeds the criteria
+# draw; the last four are datasets on which entering the rescue trajectory
+# with the concentration kernel's batched row, in place of the one-sample
+# fit of its half-set, changed the model bits
+REFINE_CASES = {
+    "c3-typical": _scenario(100, 50, 0.01, 2.0, 3),
+    "c4-m10": _scenario(100, 10, 0.1, 3.0, sweep_trial_seed(42, 0, 1)),
+    "c4-m55": _scenario(100, 55, 0.1, 3.0, sweep_trial_seed(42, 5, 2)),
+    "c5-m50": _scenario(100, 50, 0.1, 5.0, sweep_trial_seed(7, 2, 0)),
+    "c5-m90": _scenario(100, 90, 0.1, 5.0, sweep_trial_seed(7, 4, 3)),
+    "c6-s0.1": _scenario(120, 90, 0.1, 0.1, sweep_trial_seed(3, 0, 0)),
+    "c6-s0.9": _scenario(120, 90, 0.1, 0.9, sweep_trial_seed(3, 4, 5)),
+    "c7-ellipsoid": _scenario(
+        300, 50, 0.1, 5.0, 4,
+        EllipsoidParams(np.zeros(3), np.array([5.0, 4.0, 3.0]), np.eye(3))),
+    "m90-s3-1012": _scenario(100, 90, 0.1, 3.0, 1012),
+    "m90-s5-1004": _scenario(100, 90, 0.1, 5.0, 1004),
+    "c6-s0.7-1014": _scenario(120, 90, 0.1, 0.7, 1014),
+    "c6-s0.9-1038": _scenario(120, 90, 0.1, 0.9, 1038),
+}
+
+
+def refine_outcome(fn, points, initial, cfg):
+    """Labels, stage tags, model bytes, iterations and convergence of a
+    refine, or the type of what it raised."""
+    try:
+        result = fn(points, initial, cfg)
+    except ConicPurgeError as exc:
+        return type(exc)
+    return (result.labels.outlier.tobytes(), tuple(result.labels.stage),
+            result.model.values.tobytes(), result.iterations,
+            result.converged)
+
+
+class TestConcentrationKernel:
+    """Both refine trajectories and every concentration step run one code
+    path; the outputs stay those of the two C-step implementations it
+    replaced, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(REFINE_CASES))
+    def test_refine_matches_reference(self, case):
+        cfg = REFINE_CASES[case]
+        pts = make_dataset(cfg).points
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # flag budget
+            proximity = proximity_stage(pts, cfg.eligibility, cfg.seed)
+        everything = DetectionLabels(np.zeros(len(pts), dtype=bool), "model")
+        for initial in (proximity, everything):
+            assert refine_outcome(refine, pts, initial, cfg.refine) == \
+                refine_outcome(reference_refine.refine, pts, initial,
+                               cfg.refine)
+
+    @pytest.mark.parametrize("case", ["c5-m90", "c7-ellipsoid"])
+    @pytest.mark.parametrize("steps", [2, 30])
+    def test_stack_rows_are_independent(self, case, steps):
+        cfg = REFINE_CASES[case]
+        pts = make_dataset(cfg).points
+        size = 5 if pts.shape[1] == 2 else 9
+        samples = modelfit._minimal_samples(len(pts), size, cfg.seed, 16)
+        values, ok = _fit_direct_batch(pts[samples])
+        values = values[ok]
+        half = (len(pts) + 1) // 2
+        stacked, cores = modelfit._concentrate(pts, values, half, steps)
+        fitter = fit_ellipse_direct if pts.shape[1] == 2 \
+            else fit_ellipsoid_direct
+        for i in range(len(values)):
+            row, core = modelfit._concentrate(pts, values[i:i + 1], half,
+                                              steps)
+            assert row.tobytes() == stacked[i].tobytes()
+            assert np.array_equal(core[0], cores[i])
+            # a row's model is the one-sample fit of its last half-set
+            assert core[0, 0] >= 0
+            assert np.all(np.diff(core[0]) > 0)
+            assert fitter(pts[core[0]]).values.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("dim, n", [(2, 5), (2, 60), (3, 9), (3, 60)])
+    def test_batch_rows_are_public_fits(self, dim, n):
+        # the kernel refits with the batch fit, the trajectories start from
+        # the public fit: the two agree bit for bit, rejections too
+        samples = near_model_stack(7 + n, 40, n, dim)
+        values, ok = _fit_direct_batch(samples)
+        public = fit_ellipse_direct if dim == 2 else fit_ellipsoid_direct
+        for sample, row, passed in zip(samples, values, ok):
+            outcome = fit_outcome(public, sample)
+            assert bool(passed) == (not isinstance(outcome, type))
+            if passed:
+                assert outcome == row.tobytes()
+        assert ok.any()
+
+    def test_empty_stack(self):
+        pts = make_dataset(REFINE_CASES["c3-typical"]).points
+        values, cores = modelfit._concentrate(pts, np.zeros((0, 6)), 75, 30)
+        assert values.shape == (0, 6) and cores.shape == (0, 75)
 
 
 class TestRansacSuccessProb:

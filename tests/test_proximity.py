@@ -563,6 +563,27 @@ class TestFilterFirst:
             else:
                 assert stage_record[4] is None
 
+    def test_report_measures_each_vector_once(self, monkeypatch):
+        # the hf measure is computed once per vector under the eigenvalue
+        # cut, by the eligibility filter, and the report keeps that value
+        cfg = FREEZE_SCENARIOS["typical2d"]
+        spectrum = spectrum_of_points(make_dataset(cfg).points,
+                                      cfg.eligibility)
+        measured = []
+
+        def counted(vector):
+            measured.append(high_frequency_measure(vector))
+            return measured[-1]
+
+        monkeypatch.setattr(proximity, "high_frequency_measure", counted)
+        report = proximity.eigenvector_flag_report(spectrum, cfg.eligibility,
+                                                   cfg.seed)
+        below = np.count_nonzero(spectrum.eigenvalues
+                                 < cfg.eligibility.eig_threshold)
+        assert len(report) > 1 and len(measured) == below
+        assert [r[2] for r in report] == \
+            [hf for hf in measured if hf < cfg.eligibility.hf_threshold]
+
     @pytest.mark.parametrize("eig_threshold", [1e-6, 1e-3, 0.1, 1.0, 2.0])
     def test_eig_threshold_at_or_above_strong_cut_is_inert(self,
                                                            eig_threshold):
