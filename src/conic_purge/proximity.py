@@ -295,7 +295,10 @@ def spectrum_of_points(points: np.ndarray,
     cfg = cfg or EligibilityConfig()
     dist = pairwise_distances(np.asarray(points, dtype=float))
     t = select_bandwidth(dist, cfg.bandwidth_rank)
-    lp = graph_laplacian(heat_kernel_weights(dist, t))
+    w = heat_kernel_weights(dist, t)
+    del dist  # each K x K array is released once used, to bound the peak
+    lp = graph_laplacian(w)
+    del w
     return generalized_eigs(lp)
 
 

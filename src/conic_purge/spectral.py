@@ -77,12 +77,18 @@ def pairwise_distances(points: np.ndarray) -> DistanceMatrix:
         raise ValueError(f"K={k} exceeds the configured cap of {MAX_POINTS}")
     if not np.isfinite(pts).all():
         raise ValueError("coordinates must be finite")
-    out = np.empty((k, k))
+    out = np.zeros((k, k))
     chunk = max(1, int(4e6) // max(k, 1))
     for start in range(0, k, chunk):
         stop = min(start + chunk, k)
-        diff = pts[start:stop, None, :] - pts[None, :, :]
-        out[start:stop] = np.sqrt(np.sum(diff * diff, axis=2))
+        block = out[start:stop]
+        # one coordinate column at a time: 0 + dx^2 + dy^2 (+ dz^2), left
+        # to right, the order in which numpy sums fewer than 8 values
+        for column in pts.T:
+            diff = column[start:stop, None] - column[None, :]
+            diff *= diff
+            block += diff
+        np.sqrt(block, out=block)
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -108,10 +114,17 @@ def select_bandwidth(dist: DistanceMatrix, rank_multiplier: int = 4) -> float:
 
 
 def heat_kernel_weights(dist: DistanceMatrix, t: float) -> np.ndarray:
-    """Edge weights exp(-d^2 / t); the zero diagonal maps to weight 1."""
+    """Edge weights exp(-d^2 / t); the zero diagonal maps to weight 1.
+
+    exp is exactly 0 below -746, so those entries are left at 0 without
+    taking exp's slow underflow path.
+    """
     if t <= 0.0:
         raise ValueError("bandwidth t must be positive")
-    return np.exp(-(dist * dist) / t)
+    x = -(dist * dist) / t
+    w = np.zeros_like(x)
+    np.exp(x, out=w, where=~(x < -746.0))  # a NaN stays NaN
+    return w
 
 
 def graph_laplacian(weights: np.ndarray) -> LaplacianPair:
@@ -128,24 +141,46 @@ def generalized_eigs(lp: LaplacianPair) -> Spectrum:
     The problem is rescaled with D^{-1/2} to a standard symmetric one,
     which ``numpy.linalg.eigh`` solves.  Every returned pair is verified
     against
-        max|L f - lambda D f|  <=  RESIDUAL_RTOL * max-row-sum-norm(L)
-    and ConvergenceFailure is raised if any pair misses it.
+        max|L' f - lambda D f|  <=  RESIDUAL_RTOL * max-row-sum-norm(L)
+                                    + K * tiny
+    and ConvergenceFailure is raised if any pair misses it.  L' is L with
+    its entries below tiny, the smallest normal float (2.2e-308), in
+    magnitude set to 0, so the check's product avoids the slow subnormal
+    path; eigh sees L itself.  Each entry moves by less than tiny, so
+    |L' f - L f| <= K * tiny for a max-norm-1 vector, which the second
+    term allows for: a pair that meets the bound on L meets this one.  On
+    a heat-kernel graph with a rank-selected bandwidth max-row-sum-norm(L)
+    is at least 2/e, and K * tiny (at most 1.2e-304) rounds away.
+
+    Four K x K float64 arrays are live at most, L included, besides what
+    eigh allocates internally; the inputs are not modified.
     """
     lap, deg = lp.laplacian, lp.degrees
     k = lap.shape[0]
     if k > MAX_POINTS:
         raise ValueError(f"K={k} exceeds the configured cap of {MAX_POINTS}")
     inv_root = 1.0 / np.sqrt(deg)
-    sym = lap * inv_root[:, None] * inv_root[None, :]
-    sym = 0.5 * (sym + sym.T)
-    evals, evecs = np.linalg.eigh(sym)
-    vectors = evecs * inv_root[:, None]
+    # (L r_i) r_j, then 0.5 (S + S^T): the same operations in the same
+    # order as building each as a new array, done in one buffer
+    sym = lap * inv_root[:, None]
+    sym *= inv_root[None, :]
+    np.add(sym, sym.T, out=sym)
+    sym *= 0.5
+    evals, vectors = np.linalg.eigh(sym)
+    vectors *= inv_root[:, None]
     # max-norm 1 with the largest-magnitude entry exactly +1
-    peak = np.argmax(np.abs(vectors), axis=0)
-    vectors = vectors / vectors[peak, np.arange(k)]
-    residual = lap @ vectors - deg[:, None] * vectors * evals[None, :]
-    limit = RESIDUAL_RTOL * float(np.abs(lap).sum(axis=1).max())
-    worst = float(np.abs(residual).max())
+    peak = np.argmax(np.abs(vectors, out=sym), axis=0)
+    vectors /= vectors[peak, np.arange(k)]
+    # the residual check, with sym's buffer reused for |L|, L' and D F diag(λ)
+    tiny = np.finfo(float).tiny
+    np.abs(lap, out=sym)
+    limit = RESIDUAL_RTOL * float(sym.sum(axis=1).max()) + k * tiny
+    np.multiply(lap, sym >= tiny, out=sym)
+    residual = sym @ vectors
+    np.multiply(deg[:, None], vectors, out=sym)
+    sym *= evals[None, :]
+    residual -= sym
+    worst = float(np.abs(residual, out=residual).max())
     if worst > limit:
         raise ConvergenceFailure(
             f"eigenpair residual {worst:.3e} exceeds tolerance {limit:.3e}")

@@ -28,6 +28,12 @@ FREEZE_SCENARIOS = {
         n_inliers=300, n_outliers=50, sigma0=0.1, sigma1=5.0, seed=103),
 }
 
+# perfbench's large2d_cli seed 11, dataset 3 (K=800), kept apart from
+# FREEZE_SCENARIOS so that only the spectrum tests pay for its size
+LARGE_SPECTRUM_SCENARIO = ExperimentConfig(
+    model=ellipse_from_eccentricity(5.0, 0.95), n_inliers=600,
+    n_outliers=200, sigma0=0.05, sigma1=2.0, seed=6680197457481298160)
+
 
 def random_ellipse(rng) -> EllipseParams:
     a = rng.uniform(1.0, 10.0)

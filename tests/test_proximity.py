@@ -23,7 +23,7 @@ from conic_purge.proximity import (_sorted_quartiles, spectrum_of_points,
                                    spike_ratio)
 from conic_purge.spectral import (Spectrum, generalized_eigs, graph_laplacian)
 
-from conftest import FREEZE_SCENARIOS
+from conftest import FREEZE_SCENARIOS, LARGE_SPECTRUM_SCENARIO
 
 
 MILD_ELLIPSE = EllipseParams(0.0, 0.0, 5.0, 4.0, 0.0)
@@ -485,6 +485,22 @@ for name, cfg in FREEZE_SCENARIOS.items():
 print(json.dumps(digests))
 """
 
+# recorded like FROZEN_SPECTRUM_DIGESTS, from the spectral code that built
+# each K x K intermediate as a new array and checked residuals on L itself
+FROZEN_LARGE_SPECTRUM_DIGEST = \
+    "0c671c0c1c8510378bdec263a36c91c560831b26b3a6f4b74a8d56aaa500f3a3"
+
+LARGE_SPECTRUM_DIGEST_SCRIPT = """
+import hashlib
+from conftest import LARGE_SPECTRUM_SCENARIO as cfg
+from conic_purge import make_dataset
+from conic_purge.proximity import spectrum_of_points
+spectrum = spectrum_of_points(make_dataset(cfg).points, cfg.eligibility)
+h = hashlib.sha256(spectrum.eigenvalues.tobytes())
+h.update(spectrum.eigenvectors.tobytes())
+print(h.hexdigest())
+"""
+
 
 class TestFilterFirst:
     @pytest.mark.parametrize("scenario", sorted(FREEZE_SCENARIOS))
@@ -525,14 +541,41 @@ class TestFilterFirst:
         h.update("\n".join(map(str, labels.stage)).encode())
         assert h.hexdigest() == FROZEN_PROXIMITY_DIGESTS[scenario, repeats]
 
-    def test_spectrum_frozen(self):
+    @staticmethod
+    def _one_thread_stdout(script: str) -> str:
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.dirname(__file__), env["PYTHONPATH"]])
-        proc = subprocess.run([sys.executable, "-c", SPECTRUM_DIGEST_SCRIPT],
+        proc = subprocess.run([sys.executable, "-c", script],
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == FROZEN_SPECTRUM_DIGESTS
+        return proc.stdout
+
+    def test_spectrum_frozen(self):
+        assert json.loads(self._one_thread_stdout(SPECTRUM_DIGEST_SCRIPT)) \
+            == FROZEN_SPECTRUM_DIGESTS
+
+    def test_large_spectrum_frozen(self):
+        # K=800 with an ~83-dimensional near-null space, where a change of
+        # less than 2.3e-308 to entries of eigh's input rotates the basis
+        # eigh returns for it
+        assert self._one_thread_stdout(LARGE_SPECTRUM_DIGEST_SCRIPT).strip() \
+            == FROZEN_LARGE_SPECTRUM_DIGEST
+
+    def test_spectrum_memory(self):
+        # distances and weights are released once used and the eigensolve
+        # reuses its buffers: 4 K x K float64 arrays at once (8 before),
+        # the returned eigenvectors included
+        k = 1000
+        pts = make_dataset(dataclasses.replace(
+            LARGE_SPECTRUM_SCENARIO, n_inliers=750, n_outliers=250)).points
+        tracemalloc.start()
+        try:
+            spectrum_of_points(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.2 * k * k * 8
 
     def test_report_seeds_per_index(self):
         # with detect_all the report runs every eligible vector, seeded by

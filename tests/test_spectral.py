@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conic_purge import (DegenerateBandwidth,
-                         TooFewPoints, generalized_eigs, graph_laplacian,
-                         heat_kernel_weights, pairwise_distances,
-                         select_bandwidth)
+import reference_spectral as ref
+from conic_purge import (ConvergenceFailure, DegenerateBandwidth,
+                         ExperimentConfig, TooFewPoints,
+                         ellipse_from_eccentricity, generalized_eigs,
+                         graph_laplacian, heat_kernel_weights, make_dataset,
+                         pairwise_distances, select_bandwidth)
 from conic_purge.spectral import RESIDUAL_RTOL, LaplacianPair
 
 
@@ -223,3 +225,142 @@ class TestGeneralizedEigs:
         pairwise_distances(np.zeros((10, 2)))
         with pytest.raises(ValueError, match="K=11 exceeds"):
             pairwise_distances(np.zeros((11, 2)))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+def _same_spectrum(lp: LaplacianPair) -> None:
+    new = generalized_eigs(lp)
+    old = ref.generalized_eigs(lp)
+    assert _same_bits(new.eigenvalues, old.eigenvalues)
+    assert _same_bits(new.eigenvectors, old.eigenvectors)
+
+
+def _random_subnormal_weights(rng, k: int) -> np.ndarray:
+    # half the exponents up to 5, half up to 800: a share of the weights
+    # is subnormal (exponent between ~708 and ~745), a share underflows to
+    # 0, and the rest keep the graph well coupled
+    u = np.where(rng.random((k, k)) < 0.5, rng.uniform(0.0, 5.0, (k, k)),
+                 rng.uniform(0.0, 800.0, (k, k)))
+    w = np.triu(np.exp(-u), 1)
+    w = w + w.T
+    np.fill_diagonal(w, 1.0)
+    return w
+
+
+class TestMatchesReference:
+    """The lean spectral front half returns the replaced code's bits."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 90),
+           dim=st.sampled_from([2, 3]),
+           kind=st.sampled_from(["normal", "mixed", "duplicates"]))
+    def test_distances(self, seed, k, dim, kind):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(k, dim))
+        if kind == "mixed":
+            # per-coordinate magnitudes from 1e-150 to 1e150
+            pts *= 10.0 ** rng.uniform(-150.0, 150.0, (k, dim))
+        elif kind == "duplicates":
+            pts = np.round(pts[rng.integers(0, max(1, k // 3), k)], 1)
+        before = pts.copy()
+        assert _same_bits(pairwise_distances(pts),
+                          ref.pairwise_distances(pts))
+        assert _same_bits(pts, before)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_distances_across_row_chunks(self, dim):
+        # K=2001 makes row chunks of 1999 rows, so the matrix spans two
+        pts = np.random.default_rng(dim).normal(size=(2001, dim))
+        pts[::7] *= 1e6
+        assert _same_bits(pairwise_distances(pts),
+                          ref.pairwise_distances(pts))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 60),
+           t=st.floats(1e-3, 1e3))
+    def test_weights_with_subnormals(self, seed, k, t):
+        # d^2/t from 0 to 800, around exp's subnormal range and the -746
+        # cut, plus the exact boundary values
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 800.0, (k, k))
+        x.flat[:4] = [745.0, 745.2, 746.0, 746.0 + 1e-12]
+        dist = np.sqrt(x * t)
+        dist.flat[4:6] = [np.inf, np.nan][:k * k - 4]
+        before = dist.copy()
+        assert _same_bits(heat_kernel_weights(dist, t),
+                          ref.heat_kernel_weights(dist, t))
+        assert _same_bits(dist, before)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 70))
+    def test_spectrum_with_subnormal_weights(self, seed, k):
+        rng = np.random.default_rng(seed)
+        w = _random_subnormal_weights(rng, k)
+        w_before = w.copy()
+        lp = graph_laplacian(w)
+        lap_before, deg_before = lp.laplacian.copy(), lp.degrees.copy()
+        _same_spectrum(lp)
+        assert _same_bits(w, w_before)
+        assert _same_bits(lp.laplacian, lap_before)
+        assert _same_bits(lp.degrees, deg_before)
+
+    def test_graph_coupled_only_by_subnormals(self):
+        # max-row-sum-norm(L) is itself subnormal here, so the tolerance's
+        # K * tiny term is what lets the pairs that meet the bound on L pass
+        _same_spectrum(graph_laplacian(np.array([[1.0, 4e-323],
+                                                 [4e-323, 1.0]])))
+
+    def test_subnormal_weights_occur(self):
+        w = _random_subnormal_weights(np.random.default_rng(0), 60)
+        tiny = np.finfo(float).tiny
+        assert np.count_nonzero((w > 0.0) & (w < tiny)) > 10
+        assert np.count_nonzero(w == 0.0) > 10
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           sizes=st.lists(st.integers(1, 12), min_size=2, max_size=6))
+    def test_disconnected_null_space(self, seed, sizes):
+        # each block a random connected graph, no edges between blocks: the
+        # null space has one dimension per block
+        rng = np.random.default_rng(seed)
+        w = two_blocks_weights(sizes)
+        w *= rng.uniform(0.1, 1.0, w.shape)
+        w = np.maximum(w, w.T)
+        np.fill_diagonal(w, 1.0)
+        lp = graph_laplacian(w)
+        assert np.count_nonzero(
+            generalized_eigs(lp).eigenvalues < 1e-10) == len(sizes)
+        _same_spectrum(lp)
+
+    def test_benchmark_shaped_graph(self):
+        # K=800 points on and around an ellipse: subnormal weights and a
+        # many-dimensional near-null space
+        pts = make_dataset(ExperimentConfig(
+            model=ellipse_from_eccentricity(5.0, 0.95), n_inliers=600,
+            n_outliers=200, sigma0=0.05, sigma1=2.0, seed=11)).points
+        dist = pairwise_distances(pts)
+        t = select_bandwidth(dist, 4)
+        w = heat_kernel_weights(dist, t)
+        assert np.count_nonzero((w > 0.0) & (w < np.finfo(float).tiny)) > 0
+        _same_spectrum(graph_laplacian(w))
+
+
+class TestResidualCheck:
+    @pytest.mark.parametrize("column", [0, 17, 39])
+    def test_a_bad_pair_raises(self, column, monkeypatch, rng):
+        lp = random_laplacian_pair(rng, 40)
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            evals, evecs = eigh(a)
+            evecs[:, column] += 1e-4 * evecs[:, (column + 1) % 40]
+            return evals, evecs
+
+        generalized_eigs(lp)
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(ConvergenceFailure, match="exceeds tolerance"):
+            generalized_eigs(lp)
