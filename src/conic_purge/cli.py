@@ -116,6 +116,9 @@ def _eligibility_from_args(args) -> EligibilityConfig:
 def cmd_detect(args) -> int:
     if args.k < 1:
         raise _CliError(f"error: --k must be >= 1, got {args.k}", EXIT_CONFIG)
+    if args.seed < 0:
+        raise _CliError(f"error: --seed must be >= 0, got {args.seed}",
+                        EXIT_CONFIG)
     points, truth = read_dataset_csv(args.data)
     if points.shape[0] < 12:
         raise _CliError(
@@ -216,22 +219,33 @@ def cmd_sweep(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     try:
-        base = ExperimentConfig.from_json_dict(spec["base"])
+        base = spec["base"]
         vary = spec["vary"]
         grid = list(spec["grid"])
         pipelines = tuple(spec.get("pipelines", ["two_stage"]))
         trials, master_seed, ransac_k = (
             _sweep_value(int, spec.get(key, default), key) for key, default
             in (("trials", 20), ("master_seed", 0), ("ransac_k", 1000)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise _CliError(f"error: malformed sweep spec: missing key "
+                        f"{exc.args[0]!r}", EXIT_CONFIG) from None
+    except (TypeError, ValueError) as exc:
         raise _CliError(f"error: malformed sweep spec: {exc}",
-                                  EXIT_CONFIG)
+                        EXIT_CONFIG) from None
+    try:
+        base = ExperimentConfig.from_json_dict(base)
+    except (TypeError, ValueError) as exc:
+        raise _CliError(f"error: malformed sweep spec: base: {exc}",
+                        EXIT_CONFIG) from None
     for pipeline in pipelines:
         if pipeline not in PIPELINES:
             raise _CliError(
                 f"error: unknown pipeline {pipeline!r}", EXIT_CONFIG)
     if trials < 1:
         raise _CliError("error: trials must be >= 1", EXIT_CONFIG)
+    if master_seed < 0:
+        raise _CliError(f"error: master_seed must be >= 0, got {master_seed}",
+                        EXIT_CONFIG)
     if ransac_k < 1:
         raise _CliError("error: ransac_k must be >= 1", EXIT_CONFIG)
     # build every cell's config before the first cell runs

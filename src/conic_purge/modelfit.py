@@ -9,6 +9,7 @@ round out the module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -341,6 +342,20 @@ def _minimal_samples(n: int, size: int, seed: int, count: int) -> np.ndarray:
         for child in np.random.SeedSequence(seed).spawn(count)])
 
 
+# typed: a size that only compares equal to an int (5.0) still fails the
+# draw, as it would uncached
+@functools.lru_cache(maxsize=8, typed=True)
+def _rescue_samples(n: int, size: int) -> np.ndarray:
+    """Read-only (60, size) minimal samples of the multistart rescue.
+
+    Its seed is fixed, so the draw depends only on (n, size) and is made
+    once per pair; the array is shared by every later call.
+    """
+    samples = _minimal_samples(n, size, _MULTISTART_SEED, _MULTISTART_SAMPLES)
+    samples.flags.writeable = False
+    return samples
+
+
 def _model_type(pts: np.ndarray):
     return ConicCoeffs if pts.shape[1] == 2 else QuadricCoeffs
 
@@ -352,16 +367,15 @@ def _multistart_concentrate(pts, min_points, half):
     concentration from the best one: the classic way to reach the global
     trimmed optimum when every available starting fit is captured by
     structured contamination.  Fully deterministic for a given point
-    order.  The samples are drawn one per seeded child, fitted as one
-    batch and concentrated as one stack by :func:`_concentrate`, the
-    kernel the full concentration runs on its one row; the earliest
-    smallest trimmed objective wins.  Returns the final half-set of
-    ``half`` points as a mask, or None when no sample fits or the best
-    one's first refit fails.
+    order.  The samples are drawn one per seeded child under a fixed
+    seed, so they are drawn once per (n, min_points) and reused read-only
+    (:func:`_rescue_samples`); they are fitted as one batch and
+    concentrated as one stack by :func:`_concentrate`, the kernel the
+    full concentration runs on its one row; the earliest smallest trimmed
+    objective wins.  Returns the final half-set of ``half`` points as a
+    mask, or None when no sample fits or the best one's first refit fails.
     """
-    samples = _minimal_samples(len(pts), min_points, _MULTISTART_SEED,
-                               _MULTISTART_SAMPLES)
-    values, ok = _fit_direct_batch(pts[samples])
+    values, ok = _fit_direct_batch(pts[_rescue_samples(len(pts), min_points)])
     if not ok.any():
         return None
     values, _ = _concentrate(pts, values[ok], half, 2)

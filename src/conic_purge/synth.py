@@ -68,6 +68,8 @@ class ExperimentConfig:
             raise ValueError("require sigma1 >= sigma0 >= 0")
         if self.outlier_mode not in ("gaussian", "uniform"):
             raise ValueError("outlier_mode must be 'gaussian' or 'uniform'")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def dimension(self) -> int:
@@ -88,16 +90,29 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
+        """The config of a scenario JSON object; a missing required key,
+        or a model that is not an object, raises ValueError naming the key
+        and the object it belongs to."""
+        if not isinstance(obj, dict):
+            raise ValueError("expected a JSON object")
+        if "model" not in obj:
+            raise ValueError("missing key 'model'")
         model_obj = obj["model"]
-        if model_obj.get("type") == "ellipsoid":
-            model = EllipsoidParams.from_json_dict(model_obj)
-        elif "eccentricity" in model_obj:
-            model = ellipse_from_eccentricity(
-                float(model_obj["semi_major"]), float(model_obj["eccentricity"]),
-                model_obj.get("center", (0.0, 0.0)),
-                float(model_obj.get("rotation", 0.0)))
-        else:
-            model = EllipseParams.from_json_dict(model_obj)
+        if not isinstance(model_obj, dict):
+            raise ValueError("model: expected a JSON object")
+        try:
+            if model_obj.get("type") == "ellipsoid":
+                model = EllipsoidParams.from_json_dict(model_obj)
+            elif "eccentricity" in model_obj:
+                model = ellipse_from_eccentricity(
+                    float(model_obj["semi_major"]),
+                    float(model_obj["eccentricity"]),
+                    model_obj.get("center", (0.0, 0.0)),
+                    float(model_obj.get("rotation", 0.0)))
+            else:
+                model = EllipseParams.from_json_dict(model_obj)
+        except KeyError as exc:
+            raise ValueError(f"model: missing key {exc.args[0]!r}") from None
         return cls(
             model=model,
             n_inliers=int(obj.get("n_inliers", 100)),
@@ -113,7 +128,11 @@ class ExperimentConfig:
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            obj = json.load(fh)
+        try:
+            return cls.from_json_dict(obj)
+        except ValueError as exc:
+            raise ValueError(f"scenario config: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,33 @@ class TestGenerate:
         assert "sigma0 and sigma1 must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ({k: v for k, v in TYPICAL_CONFIG.items() if k != "model"},
+         "missing key 'model'"),
+        (dict(TYPICAL_CONFIG, model={"type": "ellipse", "center": [0, 0]}),
+         "model: missing key 'semi_axes'"),
+        (dict(TYPICAL_CONFIG, model={"eccentricity": 0.5}),
+         "model: missing key 'semi_major'"),
+        (dict(TYPICAL_CONFIG, model={"type": "ellipsoid",
+                                     "semi_axes": [3, 2, 1]}),
+         "model: missing key 'center'"),
+        (dict(TYPICAL_CONFIG, model=None), "model: expected a JSON object"),
+        ([TYPICAL_CONFIG], "expected a JSON object"),
+        (dict(TYPICAL_CONFIG, seed=-1), "seed must be >= 0, got -1"),
+    ], ids=["model", "semi_axes", "semi_major", "center", "model-null",
+            "list", "negative-seed"])
+    def test_bad_config_names_the_key_exit_1(self, tmp_path, capsys, config,
+                                             message):
+        from conic_purge import cli
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "d.csv"
+        assert cli.main(["generate", "--config", str(path),
+                         "--out", str(out)]) == 1
+        assert f"error: scenario config: {message}\n" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDetect:
     def test_noiseless_ellipse_zero_outliers(self, tmp_path):
@@ -390,6 +417,26 @@ class TestDetect:
         assert f"cannot be used with {conflict}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", [
+        [], ["--stage", "model"], ["--stage", "proximity"],
+        ["--baseline", "ransac"]], ids=["both", "model", "proximity",
+                                        "ransac"])
+    def test_negative_seed_exit_1(self, tmp_path, capsys, mode):
+        # refused before the dataset is read or any dump is written
+        from conic_purge import cli
+        data = tmp_path / "data.csv"
+        write_noiseless_ellipse(data, n=40)
+        outputs = [tmp_path / name for name in
+                   ("spec.csv", "elig.csv", "labels.csv", "model.json")]
+        assert cli.main(["detect", "--data", str(data), *mode, "--seed", "-1",
+                         "--dump-spectrum", str(outputs[0]),
+                         "--dump-eligible", str(outputs[1]),
+                         "--out-labels", str(outputs[2]),
+                         "--out-model", str(outputs[3])]) == 1
+        assert "error: --seed must be >= 0, got -1\n" in \
+            capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
+
     def test_ellipsoid_dataset(self, tmp_path):
         cfg = {"model": {"type": "ellipsoid", "center": [0.0, 0.0, 0.0],
                          "semi_axes": [5.0, 4.0, 3.0]},
@@ -529,6 +576,34 @@ class TestSweep:
         assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
         assert f"error: malformed sweep spec: {message}" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda spec: spec.pop("vary"),
+         "malformed sweep spec: missing key 'vary'"),
+        (lambda spec: spec.pop("base"),
+         "malformed sweep spec: missing key 'base'"),
+        (lambda spec: spec["base"].pop("model"),
+         "malformed sweep spec: base: missing key 'model'"),
+        (lambda spec: spec["base"]["model"].pop("semi_major"),
+         "malformed sweep spec: base: model: missing key 'semi_major'"),
+        (lambda spec: spec.update(master_seed=-1),
+         "master_seed must be >= 0, got -1"),
+        (lambda spec: spec["base"].update(seed=-1),
+         "malformed sweep spec: base: seed must be >= 0, got -1"),
+    ], ids=["vary", "base", "model", "semi_major", "master_seed", "seed"])
+    def test_bad_spec_names_the_key_exit_1(self, tmp_path, capsys,
+                                           monkeypatch, change, message):
+        # refused before any cell runs, naming the key and its object
+        from conic_purge import cli
+        monkeypatch.setattr(cli, "run_sweep_cell", None)
+        fields = json.loads(json.dumps(self.sweep_spec()))  # a deep copy
+        change(fields)
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps(fields))
+        out = tmp_path / "c.csv"
+        assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("ransac_k", [0, -1])

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conic_purge import (ConicPurgeError, DegenerateConfiguration,
@@ -430,6 +430,29 @@ class TestRefine:
         assert set(result.labels.stage[flipped]) <= {"model"}
         assert set(result.labels.stage[~flipped]) <= {"proximity"}
 
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([2, 3]))
+    def test_idempotent_after_convergence(self, seed, dim):
+        # the plain trajectory restarts from fit(inliers) = the model, so it
+        # converges at once; the rescue ignores the labels and at best ties,
+        # and the plain trajectory wins ties
+        model = ellipse_from_eccentricity(5.0, 0.9) if dim == 2 \
+            else random_axis_ellipsoid()
+        cfg = ExperimentConfig(model=model, n_inliers=30 * dim,
+                               n_outliers=20, sigma0=0.05, sigma1=2.0,
+                               seed=seed, outlier_mode="uniform")
+        data = make_dataset(cfg)
+        flags = data.truth.outlier.copy()
+        misflagged = np.random.default_rng(seed).choice(
+            np.flatnonzero(~flags), 3, replace=False)
+        flags[misflagged] = True
+        first = refine(data.points, DetectionLabels(flags, "proximity"))
+        assume(first.converged)
+        second = refine(data.points, first.labels)
+        assert np.array_equal(second.labels.outlier, first.labels.outlier)
+        assert tuple(second.labels.stage) == tuple(first.labels.stage)
+        assert second.model.values.tobytes() == first.model.values.tobytes()
+
 
 class TestVanillaRansac:
     def test_noiseless_recovery(self, rng):
@@ -673,6 +696,66 @@ class TestConcentrationKernel:
         pts = make_dataset(REFINE_CASES["c3-typical"]).points
         values, cores = modelfit._concentrate(pts, np.zeros((0, 6)), 75, 30)
         assert values.shape == (0, 6) and cores.shape == (0, 75)
+
+
+class TestRescueSamples:
+    """The rescue's minimal samples are drawn once per (n, size) and shared
+    read-only; refine's outputs do not depend on the cache's state."""
+
+    @pytest.mark.parametrize("n, size", [(12, 5), (150, 5), (40, 7),
+                                         (20, 9), (350, 9), (60, 13)])
+    def test_cached_draw_is_the_seeded_draw(self, n, size):
+        modelfit._rescue_samples.cache_clear()
+        cold = modelfit._rescue_samples(n, size)
+        expected = modelfit._minimal_samples(
+            n, size, modelfit._MULTISTART_SEED, modelfit._MULTISTART_SAMPLES)
+        assert cold.dtype == expected.dtype
+        assert np.array_equal(cold, expected)
+        assert modelfit._rescue_samples(n, size) is cold
+
+    def test_cached_draw_is_read_only(self):
+        samples = modelfit._rescue_samples(150, 5)
+        with pytest.raises(ValueError, match="read-only"):
+            samples[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            samples += 1
+        assert np.array_equal(samples, modelfit._minimal_samples(
+            150, 5, modelfit._MULTISTART_SEED, modelfit._MULTISTART_SAMPLES))
+
+    @pytest.mark.parametrize("case", sorted(REFINE_CASES))
+    def test_cold_and_warm_refine_agree(self, case):
+        cfg = REFINE_CASES[case]
+        data = make_dataset(cfg)
+        initial = planted_labels(data, cfg.seed)
+        modelfit._rescue_samples.cache_clear()
+        cold = refine_outcome(refine, data.points, initial, cfg.refine)
+        hits = modelfit._rescue_samples.cache_info().hits
+        warm = refine_outcome(refine, data.points, initial, cfg.refine)
+        assert modelfit._rescue_samples.cache_info().hits == hits + 1
+        assert cold == warm == refine_outcome(
+            reference_refine.refine, data.points, initial, cfg.refine)
+
+    @pytest.mark.parametrize("min_points", [None, 7])
+    def test_more_point_counts_than_the_cache_holds(self, min_points):
+        # round-robin over more distinct n than the cache keeps, twice, so
+        # every call of the second round finds its entry evicted
+        data = make_dataset(REFINE_CASES["c5-m50"])
+        cfg = RefineConfig(min_points=min_points)
+        count = modelfit._rescue_samples.cache_info().maxsize + 2
+        cases = []
+        for n in range(100, 100 + 6 * count, 6):
+            pts = data.points[:n]
+            cases.append((pts, DetectionLabels(data.truth.outlier[:n],
+                                               "proximity")))
+        modelfit._rescue_samples.cache_clear()
+        expected = [refine_outcome(reference_refine.refine, pts, initial, cfg)
+                    for pts, initial in cases]
+        for _ in range(2):
+            assert [refine_outcome(refine, pts, initial, cfg)
+                    for pts, initial in cases] == expected
+        assert modelfit._rescue_samples.cache_info().hits == 0
+        assert modelfit._rescue_samples.cache_info().currsize == \
+            modelfit._rescue_samples.cache_info().maxsize
 
 
 class TestRansacSuccessProb:

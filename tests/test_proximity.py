@@ -232,6 +232,30 @@ class TestProximityStage:
             labels_perm = proximity_stage(pts[perm], rng_seed=9)
         assert np.array_equal(labels.outlier[perm], labels_perm.outlier)
 
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-6, 6),
+           dim=st.sampled_from([2, 3]))
+    def test_exact_scale_invariance(self, seed, k, dim):
+        # scaling by 2^k scales every distance by 2^k and t by 4^k exactly,
+        # so -d^2/t, the Laplacian, the spectrum and the labels keep their
+        # bits
+        model = MILD_ELLIPSE if dim == 2 \
+            else FREEZE_SCENARIOS["ellipsoid3d"].model
+        cfg = ExperimentConfig(model=model, n_inliers=40 * dim,
+                               n_outliers=15, sigma0=0.05, sigma1=2.0,
+                               seed=seed)
+        pts = make_dataset(cfg).points
+        scaled = pts * 2.0 ** k
+        a, b = spectrum_of_points(pts), spectrum_of_points(scaled)
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            labels = proximity_stage(pts, rng_seed=seed)
+            labels_scaled = proximity_stage(scaled, rng_seed=seed)
+        assert labels.outlier.tobytes() == labels_scaled.outlier.tobytes()
+        assert tuple(labels.stage) == tuple(labels_scaled.stage)
+
     def test_refuses_above_cap_before_the_graph(self):
         # one K x K float64 array at K=5001 is 191 MiB; the refusal comes
         # before the first of them
