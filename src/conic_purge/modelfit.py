@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._draws import seeded_choices
 from .errors import (DegenerateConfiguration, NoValidModel, NotAnEllipse,
                      NotAnEllipsoid, TooFewPoints)
 from .geometry import (ConicCoeffs, QuadricCoeffs, _coeffs_from_matrix,
@@ -336,10 +337,14 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def _minimal_samples(n: int, size: int, seed: int, count: int) -> np.ndarray:
-    """(count, size) indices: one draw without replacement per seeded trial."""
-    return np.array([
-        np.random.default_rng(child).choice(n, size=size, replace=False)
-        for child in np.random.SeedSequence(seed).spawn(count)])
+    """(count, size) indices: one draw without replacement per seeded trial.
+
+    Trial i's sample is the one of its own child generator,
+    ``default_rng(SeedSequence(seed).spawn(count)[i]).choice(n, size,
+    replace=False)``; :func:`seeded_choices` computes all of them together,
+    bit for bit, without building the children.
+    """
+    return seeded_choices(n, size, seed, count)
 
 
 # typed: a size that only compares equal to an int (5.0) still fails the
@@ -403,7 +408,9 @@ def refine(points: np.ndarray, initial: DetectionLabels,
     random minimal-sample fits concentrate on (see
     :func:`_multistart_concentrate`).  The result whose model has the
     smallest trimmed residual sum wins, the plain trajectory breaking
-    ties, which keeps re-running refine on its own output a no-op.
+    ties, which keeps re-running refine on its own output a no-op.  When
+    the start fit of one trajectory fails, the other's result stands
+    alone; the plain trajectory's error is raised only when both fail.
     """
     cfg = cfg or RefineConfig()
     pts = np.asarray(points, dtype=float)
@@ -416,8 +423,17 @@ def refine(points: np.ndarray, initial: DetectionLabels,
     # the rescue route must not depend on the starting labels, otherwise
     # re-running refine on its own output could surface new candidates
     starts = [initial.inlier, _multistart_concentrate(pts, min_points, half)]
-    outcomes = [_classification_loop(pts, start, fitter, min_points, cfg)
-                for start in starts if start is not None]
+    outcomes, errors = [], []
+    for start in starts:
+        if start is None:
+            continue
+        try:
+            outcomes.append(_classification_loop(pts, start, fitter,
+                                                 min_points, cfg))
+        except (DegenerateConfiguration, NotAnEllipse, NotAnEllipsoid) as exc:
+            errors.append(exc)
+    if not outcomes:
+        raise errors[0]
     best = int(np.argmin(_trimmed_objectives(
         pts, np.stack([out[0].values for out in outcomes]), half)))
     model, inliers, iterations, converged = outcomes[best]
@@ -436,10 +452,11 @@ def vanilla_ransac(points: np.ndarray, iterations: int = 1000,
     set.  Consensus needs one threshold shared by all trials for counts to
     be comparable: when none is given it is tau_scale robust standard
     deviations, with the scale calibrated from the best (smallest) median
-    absolute residual any trial achieved.  Each trial draws its sample
-    from its own seeded child generator; the trials are then fitted and
-    scored in batches of about 65k residual entries, which changes neither
-    the samples nor the tie-breaks.
+    absolute residual any trial achieved.  Each trial's sample is the one
+    its own seeded child generator draws; all of them are computed
+    together (:func:`_minimal_samples`), then fitted and scored in batches
+    of about 65k residual entries, which changes neither the samples nor
+    the tie-breaks.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")

@@ -10,7 +10,10 @@ loop it called and the batched fit and row normaliser of the same
 version, so the differential tests compare ``refine`` with the code it
 replaced bit for bit.  The helpers that did not change are imported;
 so are the public fitters, whose normaliser is pinned to its old version
-by a test of its own.
+by a test of its own.  One later change is applied to the copy: when the
+plain trajectory's start fit fails, ``refine`` returns the rescue
+trajectory's result instead of raising, and raises only when there is no
+rescue trajectory either.
 """
 
 import numpy as np
@@ -21,10 +24,11 @@ from conic_purge.geometry import _SIGN_EPS, _interior, _is_ellipse
 from conic_purge.modelfit import (_CYCLE_WINDOW, _MULTISTART_SAMPLES,
                                   _MULTISTART_SEED, FitResult, RefineConfig,
                                   _dim_tools, _fit_direct_raw,
-                                  _median_distance, _minimal_samples,
-                                  _model_type, _robust_inlier_mask,
-                                  signed_residuals)
+                                  _median_distance, _model_type,
+                                  _robust_inlier_mask, signed_residuals)
 from conic_purge.proximity import DetectionLabels
+
+from reference_draws import _minimal_samples
 
 
 def _normalize_coeff_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,18 +198,27 @@ def refine(points: np.ndarray, initial: DetectionLabels,
     if np.count_nonzero(first) < min_points:
         raise TooFewPoints(
             f"refinement needs at least {min_points} initial inliers")
-    model = fitter(pts[first])
+    # amended after the copy: a failed plain start fit leaves the rescue
+    # trajectory to stand alone, and is raised only without one
+    outcomes = []
+    try:
+        model = fitter(pts[first])
+    except (DegenerateConfiguration, NotAnEllipse, NotAnEllipsoid) as exc:
+        plain_error = exc
+    else:
+        outcomes.append(_classification_loop(pts, model, first.copy(), first,
+                                             fitter, min_points, cfg))
     half = max(min_points, (pts.shape[0] + 1) // 2)
 
     # the rescue route must not depend on the starting labels, otherwise
     # re-running refine on its own output could surface new candidates
-    outcomes = [_classification_loop(pts, model, first.copy(), first, fitter,
-                                     min_points, cfg)]
     multi_model, multi_core = _multistart_concentrate(pts, fitter, min_points)
     if multi_core is not None:
         outcomes.append(_classification_loop(pts, multi_model,
                                              multi_core.copy(), multi_core,
                                              fitter, min_points, cfg))
+    if not outcomes:
+        raise plain_error
     model, inliers, iterations, converged = min(
         outcomes, key=lambda out: _trimmed_objective(pts, out[0], half))
     stage = np.where(inliers == initial.inlier, initial.stage, "model")

@@ -453,6 +453,58 @@ class TestRefine:
         assert tuple(second.labels.stage) == tuple(first.labels.stage)
         assert second.model.values.tobytes() == first.model.values.tobytes()
 
+    @staticmethod
+    def missed_outliers_scene(seed):
+        """80 noisy points on the 5-4-3 ellipsoid, 20 outliers uniform in
+        twice its box, and start labels that miss 3 of the outliers."""
+        rng = np.random.default_rng(seed)
+        e = random_axis_ellipsoid()
+        surface = ellipsoid_boundary_points(
+            e, rng.uniform(0.0, 2.0 * math.pi, 80),
+            rng.uniform(-math.pi / 2.0, math.pi / 2.0, 80))
+        surface = surface + rng.normal(0.0, 0.05, (80, 3))
+        box = 2.0 * e.semi_axes
+        pts = np.vstack([surface, rng.uniform(-box, box, (20, 3))])
+        truth = np.arange(100) >= 80
+        start = truth.copy()
+        start[rng.choice(np.arange(80, 100), 3, replace=False)] = False
+        return pts, truth, DetectionLabels(start, "proximity")
+
+    @staticmethod
+    def trajectory(pts, start):
+        model, inliers, iterations, converged = modelfit._classification_loop(
+            pts, start, fit_ellipsoid_direct, modelfit.MIN_POINTS_ELLIPSOID,
+            RefineConfig())
+        return (model.values.tobytes(), inliers.tobytes(), iterations,
+                converged)
+
+    @staticmethod
+    def result_trajectory(result):
+        return (result.model.values.tobytes(), result.labels.inlier.tobytes(),
+                result.iterations, result.converged)
+
+    @pytest.mark.parametrize("seed, caught", [(1, 20), (14, 19)])
+    def test_rescue_stands_when_the_plain_start_fit_fails(self, seed, caught):
+        pts, truth, initial = self.missed_outliers_scene(seed)
+        with pytest.raises(NotAnEllipsoid):
+            fit_ellipsoid_direct(pts[initial.inlier])
+        result = refine(pts, initial)
+        rescue = modelfit._multistart_concentrate(
+            pts, modelfit.MIN_POINTS_ELLIPSOID, 50)
+        assert self.result_trajectory(result) == self.trajectory(pts, rescue)
+        assert result.converged
+        assert np.count_nonzero(result.labels.outlier & truth) == caught
+
+    def test_plain_stands_when_the_rescue_start_fit_fails(self, monkeypatch):
+        pts, truth, failing = self.missed_outliers_scene(1)
+        monkeypatch.setattr(modelfit, "_multistart_concentrate",
+                            lambda *args: failing.inlier)
+        result = refine(pts, DetectionLabels(truth, "proximity"))
+        assert self.result_trajectory(result) == self.trajectory(pts, ~truth)
+        # with both start fits failing, the plain one's error is raised
+        with pytest.raises(NotAnEllipsoid):
+            refine(pts, failing)
+
 
 class TestVanillaRansac:
     def test_noiseless_recovery(self, rng):
