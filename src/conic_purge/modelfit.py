@@ -331,9 +331,10 @@ def _concentrate(pts, values, half: int, steps: int):
 
 _MULTISTART_SEED = 0x5EED
 _MULTISTART_SAMPLES = 60
-# residual entries per batch of vanilla_ransac trials: bounds the (block, n)
-# temporaries next to the (iterations, n) distance array at any n
-_BLOCK_ENTRIES = 1 << 16
+# distance entries per block of vanilla_ransac's distance pass: each (block, n)
+# temporary of the residual kernel is ~64 KiB, small enough to stay in the
+# L2 cache next to the (iterations, n) distance array at any n
+_BLOCK_ENTRIES = 1 << 13
 
 
 def _minimal_samples(n: int, size: int, seed: int, count: int) -> np.ndarray:
@@ -452,37 +453,52 @@ def vanilla_ransac(points: np.ndarray, iterations: int = 1000,
     set.  Consensus needs one threshold shared by all trials for counts to
     be comparable: when none is given it is tau_scale robust standard
     deviations, with the scale calibrated from the best (smallest) median
-    absolute residual any trial achieved.  Each trial's sample is the one
-    its own seeded child generator draws; all of them are computed
-    together (:func:`_minimal_samples`), then fitted and scored in batches
-    of about 65k residual entries, which changes neither the samples nor
-    the tie-breaks.
+    absolute residual any trial achieved; a given threshold must be
+    positive and finite.  Each trial's sample is the one its own seeded
+    child generator draws; all of them are computed together
+    (:func:`_minimal_samples`) and fitted as one batch.  The distances are
+    written in blocks of about 8k entries.  A trial's median is taken
+    only when it can lower the best median so far: a trial with at most
+    (n - 1) // 2 distances at or below it has a larger lower-middle order
+    statistic, so a larger (or NaN) median.  Rejected trials and an
+    explicit threshold take no median.  None of this changes the samples,
+    the threshold, the counts or the tie-breaks.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if inlier_threshold is not None and not 0.0 < inlier_threshold < math.inf:
+        raise ValueError(f"inlier_threshold must be positive and finite, "
+                         f"got {inlier_threshold}")
     pts = np.asarray(points, dtype=float)
     fitter, min_points = _dim_tools(pts, None)
     n = pts.shape[0]
     if n < min_points:
         raise TooFewPoints(f"need at least {min_points} points")
     samples = _minimal_samples(n, min_points, rng_seed, iterations)
-    values = np.empty((iterations, 6 if pts.shape[1] == 2 else 10))
-    ok = np.empty(iterations, dtype=bool)
+    values, ok = _fit_direct_batch(pts[samples])
+    if not ok.any():
+        raise NoValidModel("every minimal sample was degenerate")
     distances = np.empty((iterations, n))
-    medians = np.empty(iterations)
+    low = (n - 1) // 2
+    # NaN until a median is taken: fmin skips NaN medians, and when all of
+    # them are NaN the threshold is NaN, as a min over every trial would be
+    best_med = math.nan
     step = max(1, _BLOCK_ENTRIES // n)
     for start in range(0, iterations, step):
         block = slice(start, start + step)
-        values[block], ok[block] = _fit_direct_batch(pts[samples[block]])
-        np.abs(signed_residuals(pts, values[block]), out=distances[block])
-        medians[block] = np.median(distances[block], axis=1)
-    if not ok.any():
-        raise NoValidModel("every minimal sample was degenerate")
+        dist = distances[block]
+        np.abs(signed_residuals(pts, values[block]), out=dist)
+        if inlier_threshold is not None:
+            continue
+        rows = ok[block]
+        if not math.isnan(best_med):
+            rows = rows & (np.count_nonzero(dist <= best_med, axis=1) > low)
+        if rows.any():
+            best_med = float(np.fmin.reduce(
+                np.median(dist[rows], axis=1), initial=best_med))
     if inlier_threshold is not None:
         tau = inlier_threshold
     else:
-        # fmin skips NaN medians, as a running min() over the trials would
-        best_med = float(np.fmin.reduce(medians[ok]))
         tau = max(tau_scale * MAD_TO_SIGMA * best_med, _TAU_FLOOR)
     counts = np.where(ok, np.count_nonzero(distances <= tau, axis=1), -1)
     best = int(np.argmax(counts))

@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,12 +21,13 @@ from conic_purge import (ConicPurgeError, DegenerateConfiguration,
                          vanilla_ransac)
 from conic_purge import modelfit
 from conic_purge.geometry import (ellipse_boundary_points,
-                                  ellipsoid_boundary_points)
+                                  ellipsoid_boundary_points, signed_residuals)
 from conic_purge.modelfit import _fit_direct_batch
 from conic_purge.pipeline import sweep_trial_seed
 from conic_purge.proximity import proximity_stage
 
 import reference_fits
+import reference_ransac
 import reference_refine
 from conftest import FREEZE_SCENARIOS, random_ellipse, random_ellipsoid
 
@@ -572,16 +574,28 @@ class TestVanillaRansac:
         e = random_ellipse(rng)
         pts = np.vstack([ellipse_samples(e, 60, jitter=0.02 * e.b, rng=rng),
                          rng.uniform(-20, 20, (40, 2))])
-        # 100 points: blocks of 13 trials, the last one short
-        monkeypatch.setattr(modelfit, "_BLOCK_ENTRIES", 1300)
-        blocked = vanilla_ransac(pts, iterations=137, rng_seed=2)
-        monkeypatch.setattr(modelfit, "_BLOCK_ENTRIES", 1)
-        single = vanilla_ransac(pts, iterations=137, rng_seed=2)
-        monkeypatch.setattr(modelfit, "_BLOCK_ENTRIES", 10 ** 9)
-        whole = vanilla_ransac(pts, iterations=137, rng_seed=2)
-        for other in (single, whole):
-            assert np.array_equal(blocked.labels.outlier, other.labels.outlier)
-            assert np.array_equal(blocked.model.values, other.model.values)
+        for threshold in (None, 0.5):
+            case = dict(points=pts, iterations=137,
+                        inlier_threshold=threshold, rng_seed=2)
+            expected = ransac_outcome(reference_ransac.vanilla_ransac, **case)
+            # 100 points: one trial per block; blocks of 13 trials, the
+            # last one short; all 137 trials in one block
+            for entries in (1, 1300, 10 ** 9):
+                monkeypatch.setattr(modelfit, "_BLOCK_ENTRIES", entries)
+                assert ransac_outcome(vanilla_ransac, **case) == expected
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, math.inf,
+                                           -math.inf])
+    def test_rejects_a_threshold_that_is_not_positive_and_finite(
+            self, threshold, rng, monkeypatch):
+        pts = ellipse_samples(random_ellipse(rng), 30)
+
+        def no_draw(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(modelfit, "_minimal_samples", no_draw)
+        with pytest.raises(ValueError, match="inlier_threshold"):
+            vanilla_ransac(pts, iterations=10, inlier_threshold=threshold)
 
     def test_peak_memory_at_max_points(self):
         # the per-trial implementation peaked at 40.2 MiB here, holding
@@ -598,6 +612,104 @@ class TestVanillaRansac:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 40.2 * 2 ** 20
+
+
+def ransac_outcome(fn, points, **kwargs):
+    """Labels, stage tags, model bytes, trial count and convergence of a
+    consensus fit, or the type and message of what it raised.  Far points
+    overflow the residuals to inf or NaN, so numpy's warnings are off."""
+    try:
+        with np.errstate(all="ignore"):
+            result = fn(points, **kwargs)
+    except (ConicPurgeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (result.labels.outlier.tobytes(), tuple(result.labels.stage),
+            result.model.values.tobytes(), result.iterations,
+            result.converged)
+
+
+# two far points: every model with a nonzero xy term has an inf - inf
+# residual, so a NaN distance, at one of them
+FAR_POINTS = np.array([[1e200, 1e200], [1e200, -1e200]])
+
+
+@st.composite
+def ransac_cases(draw):
+    """Points, trial count, threshold and seed of one consensus fit.
+
+    Points near a random model with uniform scatter mixed in (many trials
+    fit a non-ellipse and are rejected); some cases collapse a few points
+    onto one (more rejected trials) or all of them (no valid model), move
+    a few far out (residuals that overflow to inf or NaN) or, in 2-D, end
+    with ``FAR_POINTS`` (NaN medians).
+    """
+    dim = draw(st.sampled_from([2, 2, 3]))
+    low = 5 if dim == 2 else 9
+    n = draw(st.sampled_from(range(low, 71)))
+    pts = near_model_stack(draw(st.integers(0, 2 ** 32 - 1)), 1, n, dim)[0]
+    kind = draw(st.sampled_from(["near"] * 4 + ["collapsed", "one point",
+                                                "far", "NaN"]))
+    if kind == "collapsed":
+        pts[:draw(st.integers(1, 3))] = pts[-1]
+    elif kind == "one point":
+        pts[:] = pts[-1]
+    elif kind == "far":
+        pts[:draw(st.integers(1, 3))] *= draw(
+            st.sampled_from([1e100, 1e160, 1e300]))
+    elif kind == "NaN" and dim == 2:
+        pts[-2:] = FAR_POINTS
+    threshold = draw(st.sampled_from([None, None, None, 1e-6, 0.05, 1.0]))
+    return dict(points=pts, iterations=draw(st.integers(1, 700)),
+                inlier_threshold=threshold,
+                rng_seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestRansacMatchesReference:
+    """One fit batch, distance blocks of about 8k entries and only the
+    medians that can lower the threshold: the outputs and refusals stay
+    those of the per-block, every-median implementation, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=ransac_cases(), entries=st.sampled_from([1, 150, None]))
+    def test_matches_reference(self, case, entries):
+        # one trial per block keeps the running best median strictly
+        # sequential, so the pruning skips the most rows
+        with mock.patch.object(modelfit, "_BLOCK_ENTRIES",
+                               entries or modelfit._BLOCK_ENTRIES):
+            outcome = ransac_outcome(vanilla_ransac, **case)
+        assert outcome == ransac_outcome(reference_ransac.vanilla_ransac,
+                                         **case)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 189, 190])
+    @pytest.mark.parametrize("iterations", [1, 43, 44, 1000])
+    def test_point_and_trial_counts(self, n, iterations):
+        # 190 points: 43 trials per block, so 44 and 1000 end short
+        cfg = FREEZE_SCENARIOS["ransac2d"]
+        pts = make_dataset(cfg).points[-n:]
+        for threshold in (None, 0.3):
+            case = dict(points=pts, iterations=iterations,
+                        inlier_threshold=threshold, rng_seed=n)
+            assert ransac_outcome(vanilla_ransac, **case) == \
+                ransac_outcome(reference_ransac.vanilla_ransac, **case)
+
+    def test_every_median_nan(self, rng):
+        pts = np.vstack([ellipse_samples(random_ellipse(rng), 40,
+                                         jitter=0.01, rng=rng), FAR_POINTS])
+        samples = modelfit._minimal_samples(len(pts), 5, 3, 200)
+        values, ok = _fit_direct_batch(pts[samples])
+        with np.errstate(all="ignore"):
+            medians = np.median(np.abs(signed_residuals(pts, values[ok])),
+                                axis=1)
+        assert ok.any() and np.isnan(medians).all()
+        # the threshold is NaN, so no point is an inlier: both refuse the
+        # labels; a given threshold still counts
+        for threshold in (None, 0.1):
+            case = dict(points=pts, iterations=200,
+                        inlier_threshold=threshold, rng_seed=3)
+            outcome = ransac_outcome(vanilla_ransac, **case)
+            assert outcome == ransac_outcome(reference_ransac.vanilla_ransac,
+                                             **case)
+            assert (outcome[0] is ValueError) == (threshold is None)
 
 
 # SHA-256 of (outlier flags, stage tags, model coefficient bytes), recorded
