@@ -9,6 +9,7 @@ ellipse/ellipsoid interior test live here; the fitters use both.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -466,13 +467,19 @@ def _ellipsoid_halfwidths(e: EllipsoidParams) -> np.ndarray:
 # 2-D grid cells within this many rows of a computed end of a column's
 # interval are tested with ellipse_contains; the others are counted
 _BAND_ROWS = 2
-# 3-D Monte Carlo points drawn and tested at a time.  On a 2-core x86-64
-# VM, 8192 rows ran 1-6% (median 4%) more ellipsoid3d datasets/s than 4096,
-# with half the numpy calls per point, and tied in a fresh process.  Their
+# 3-D Monte Carlo points drawn at a time, and points of uncertified cells
+# tested at a time.  On a 2-core x86-64 VM, 8192 rows ran 1-6% (median 4%)
+# more ellipsoid3d datasets/s than 4096 when every point was tested, with
+# half the numpy calls per point, and tied in a fresh process.  Their
 # 192 KiB arrays pass glibc's 128 KiB mmap threshold only until the first
 # is freed, which raises it; from 16384 rows on, every call page-faulted
 # its arrays afresh (~500 minor faults)
 _MC_CHUNK = 1 << 13
+# cells per axis of the unit cube the 3-D draws u come from: a point's cell
+# is floor(u * _MC_GRID) per axis, exact for a power of two, and its id
+# (j0 * _MC_GRID + j1) * _MC_GRID + j2 fits a uint16
+_MC_GRID = 32
+_MC_CELL_WEIGHTS = np.array([_MC_GRID * _MC_GRID, _MC_GRID, 1.0])
 
 
 def _column_intervals(e: EllipseParams, xs: np.ndarray, y0: float,
@@ -551,6 +558,85 @@ def _grid_counts(fit: EllipseParams, truth: EllipseParams,
     return n_fit + n_truth - 2 * n_both, n_truth
 
 
+class _CellTable:
+    """The cell id of every draw of one seeded Monte Carlo stream, and the
+    number of draws per cell; ``counts`` is None until ``ids`` is filled."""
+
+    __slots__ = ("ids", "counts")
+
+    def __init__(self, samples: int):
+        self.ids = np.empty(samples, dtype=np.uint16)
+        self.counts = None
+
+
+@functools.lru_cache(maxsize=1)
+def _cell_table(samples: int, stream: str) -> _CellTable:
+    """The cell table of the first ``samples`` draws of a stream.
+
+    ``stream`` is the repr of the generator's starting state, which fixes
+    the draws for an int seed and for any other seed numpy takes (None, a
+    sequence, an advanced Generator).  A draw's cell depends on its u
+    alone, not on the models, so one table serves every count with the
+    same (samples, stream).  It comes back empty; the first count fills it
+    during its own draw and makes it read-only.  One entry is kept: 2
+    bytes a sample, 2 MiB at 1e6.
+    """
+    return _CellTable(samples)
+
+
+def _cell_edges(lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """(3, _MC_GRID + 1) bounds of the cells' point boxes.
+
+    ``lo + span * u`` rounds monotonically in u, so on axis k the points of
+    cell j lie between edges[k, j] and edges[k, j + 1], the same expression
+    at u = j / _MC_GRID and (j + 1) / _MC_GRID.
+    """
+    return lo[:, None] + span[:, None] * (np.arange(_MC_GRID + 1) / _MC_GRID)
+
+
+def _certified_cells(e: EllipsoidParams, edges: np.ndarray):
+    """Flat masks over the cell ids: the cells whose every point
+    ellipsoid_contains puts inside ``e``, and those it puts outside.
+
+    With t = R'(x - c) / a in the body frame, over a box with centre p and
+    half-widths w each |t_i(x)| lies within |t_i(p)| -+ r_i, r_i = sum_k
+    w_k |R_ki| / a_i; so t't lies between sum_i max(|t_i(p)| - r_i, 0)^2
+    and sum_i (|t_i(p)| + r_i)^2.  A cell is certified when its bound
+    clears 1 by the margin 256 u (1 + V'V), u = 2^-53, with V_i = sum_k
+    (X_k + |c_k|) |R_ki| / a_i and X_k the largest |edge| on axis k.  V_i
+    bounds |t_i|, r_i and each partial sum of them anywhere in the box, so
+    each rounding moves t't by at most a few u V'V: ellipsoid_contains's
+    t't is within 14 u V'V of its exact value, and the rounding of the
+    centres, the half-widths and these bounds adds at most 69 u V'V + 5 u
+    (upper) or 39 u V'V + 3 u (lower).  Where V'V overflows, or a bound is
+    NaN, no cell is certified.
+    """
+    centre = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    half = 0.5 * np.diff(edges, axis=1).max(axis=1)
+    scaled = e.orientation / e.semi_axes
+    extent = np.abs(edges[:, [0, -1]]).max(axis=1) + np.abs(e.center)
+    upper = np.zeros(_MC_GRID ** 3)
+    lower = np.zeros(_MC_GRID ** 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # part[k, i, j]: axis k's share of t_i at the centres of its cells j
+        part = (centre - e.center[:, None])[:, None, :] * scaled[:, :, None]
+        reach = half @ np.abs(scaled)
+        bound = extent @ np.abs(scaled)
+        margin = 256.0 * 2.0 ** -53 * (1.0 + bound @ bound)
+        # one body axis at a time: three G^3 arrays at once, not nine
+        for i in range(3):
+            t = np.abs(part[0, i][:, None, None] + part[1, i][:, None]
+                       + part[2, i]).reshape(-1)
+            edge = t + reach[i]
+            edge *= edge
+            upper += edge
+            np.subtract(t, reach[i], out=edge)
+            np.maximum(edge, 0.0, out=edge)
+            edge *= edge
+            lower += edge
+    return upper < 1.0 - margin, lower > 1.0 + margin
+
+
 def _monte_carlo_counts(fit: EllipsoidParams, truth: EllipsoidParams,
                         samples: int, seed: int) -> tuple[int, int]:
     """Of ``samples`` seeded uniform points in the union bounding box, those
@@ -558,28 +644,74 @@ def _monte_carlo_counts(fit: EllipsoidParams, truth: EllipsoidParams,
 
     The points are exactly those of one ``rng.uniform(lo, hi, size=(samples,
     3))``, which numpy computes element by element, in C order, as
-    ``lo + (hi - lo) * u`` from one ``rng.random`` draw ``u``.
+    ``lo + (hi - lo) * u`` from one ``rng.random`` draw ``u``; the counts
+    are those of testing all of them with ellipsoid_contains.  Each point
+    belongs to the cell of its u (:func:`_cell_table`).  A cell that both
+    models certify (:func:`_certified_cells`) adds its draw count with its
+    certified inside/outside flags; only the points of the other cells are
+    tested, gathered from the chunked draw in draw order into full chunks.
     """
     lo, hi = _union_box(fit, truth, _ellipsoid_halfwidths)
     span = hi - lo
     if not np.isfinite(span).all():
         raise OverflowError("Range exceeds valid bounds")
     rng = np.random.default_rng(seed)
+    edges = _cell_edges(lo, span)
+    fit_in, fit_out = _certified_cells(fit, edges)
+    truth_in, truth_out = _certified_cells(truth, edges)
+    known = (fit_in | fit_out) & (truth_in | truth_out)
+    tested = ~known
+    table = _cell_table(samples, repr(rng.bit_generator.state))
+    filled = table.counts is not None
     # the bounds tiled to a chunk's flat length: no ufunc loops over rows of 3
     lo_flat, span_flat = np.tile(lo, _MC_CHUNK), np.tile(span, _MC_CHUNK)
     flat = np.empty(3 * _MC_CHUNK)
-    n_diff = n_truth = 0
+    batch = np.empty((_MC_CHUNK, 3))
+    n_diff = n_truth = held = 0
+
+    def test_batch():
+        pts = batch[:held]
+        u = pts.reshape(-1)
+        u *= span_flat[:3 * held]
+        u += lo_flat[:3 * held]
+        in_fit = ellipsoid_contains(fit, pts)
+        in_truth = ellipsoid_contains(truth, pts)
+        return (int(np.count_nonzero(in_fit ^ in_truth)),
+                int(np.count_nonzero(in_truth)))
+
     # chunked draws continue the one stream
     for start in range(0, samples, _MC_CHUNK):
         n = min(_MC_CHUNK, samples - start)
-        u = rng.random(out=flat[:3 * n])
-        u *= span_flat[:3 * n]
-        u += lo_flat[:3 * n]
-        pts = u.reshape(n, 3)
-        in_fit = ellipsoid_contains(fit, pts)
-        in_truth = ellipsoid_contains(truth, pts)
-        n_diff += int(np.count_nonzero(in_fit ^ in_truth))
-        n_truth += int(np.count_nonzero(in_truth))
+        u = rng.random(out=flat[:3 * n]).reshape(n, 3)
+        ids = table.ids[start:start + n]
+        if not filled:
+            # u * _MC_GRID and its floor are exact, and so is the dot
+            # product of these small integers
+            ids[...] = np.floor(u * _MC_GRID) @ _MC_CELL_WEIGHTS
+        # take indexes a uint16 array at half the cost of tested[ids]
+        rows = np.flatnonzero(np.take(tested, ids))
+        while rows.size:
+            take = rows[:_MC_CHUNK - held]
+            np.take(u, take, axis=0, out=batch[held:held + take.size])
+            held += take.size
+            rows = rows[take.size:]
+            if held == _MC_CHUNK:
+                diff, inside = test_batch()
+                n_diff, n_truth, held = n_diff + diff, n_truth + inside, 0
+    if held:
+        diff, inside = test_batch()
+        n_diff, n_truth = n_diff + diff, n_truth + inside
+    if not filled:
+        counts = np.zeros(_MC_GRID ** 3, dtype=np.int64)
+        # in blocks: bincount widens its whole input to intp
+        for start in range(0, samples, 16 * _MC_CHUNK):
+            counts += np.bincount(table.ids[start:start + 16 * _MC_CHUNK],
+                                  minlength=_MC_GRID ** 3)
+        table.ids.flags.writeable = False
+        counts.flags.writeable = False
+        table.counts = counts
+    n_diff += int(table.counts @ (known & (fit_in ^ truth_in)))
+    n_truth += int(table.counts @ (known & truth_in))
     return n_diff, n_truth
 
 
@@ -592,9 +724,13 @@ def nonoverlap_ratio(fit, truth, resolution: int = 512,
     ellipse form an interval of rows, counted by arithmetic, and only the
     cells within a few rows of an interval end are tested one by one.
     3-D counts seeded uniform Monte Carlo points in the union bounding box,
-    drawn and tested in chunks; the points, and whether each is inside,
-    are exactly those of one full-size ``rng.uniform`` draw tested at once.
-    The values are those of testing every cell (every point) at once.
+    exactly those of one full-size ``rng.uniform`` draw, drawn in chunks.
+    The unit cube the draws come from is cut into 32^3 cells, each a box
+    of points; a cell that both models certify inside or outside, with a
+    margin for rounding, is counted from a cached per-cell count of the
+    draws, and only the points of the other cells (about one in seven for
+    a close fit) are tested.  The values are those of testing every cell
+    (every point) at once.
     Identical models give exactly 0, disjoint models (area_fit +
     area_truth) / area_truth.
     """

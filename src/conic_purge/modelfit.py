@@ -462,7 +462,9 @@ def vanilla_ransac(points: np.ndarray, iterations: int = 1000,
     (n - 1) // 2 distances at or below it has a larger lower-middle order
     statistic, so a larger (or NaN) median.  Rejected trials and an
     explicit threshold take no median.  None of this changes the samples,
-    the threshold, the counts or the tie-breaks.
+    the threshold, the counts or the tie-breaks.  Raises NoValidModel when
+    no valid trial has a point within the threshold: every median NaN, or
+    a given threshold below every distance.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -502,6 +504,12 @@ def vanilla_ransac(points: np.ndarray, iterations: int = 1000,
         tau = max(tau_scale * MAD_TO_SIGMA * best_med, _TAU_FLOOR)
     counts = np.where(ok, np.count_nonzero(distances <= tau, axis=1), -1)
     best = int(np.argmax(counts))
+    if counts[best] == 0:
+        if math.isnan(tau):
+            raise NoValidModel("every trial's median distance is NaN, so no "
+                               "point lies within the inlier threshold")
+        raise NoValidModel(f"no point lies within the inlier threshold "
+                           f"{tau:g} of any trial's model")
     best_mask = distances[best] <= tau
     best_model = _model_type(pts)(values[best])
     if counts[best] >= min_points:

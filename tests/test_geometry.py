@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -287,10 +288,31 @@ def _ellipse_pair(rng, kind: str, resolution: int):
                               small.b, theta)
 
 
+# (a, b, c, d) with a^2 + b^2 + c^2 = d^2: a sphere of radius d s whose
+# centre is (a, b, c) s off a point passes through it; with the centre on
+# the same side of the point in every axis, the point is the farthest or
+# the nearest corner of a cell that has it as a corner
+_QUADRUPLES = [(1, 2, 2, 3), (2, 3, 6, 7), (1, 4, 8, 9), (4, 4, 7, 9),
+               (2, 6, 9, 11), (6, 6, 7, 11), (3, 4, 12, 13), (2, 5, 14, 15)]
+
+
 def _ellipsoid_pair(rng, kind: str):
     """A (fit, truth) pair of ellipsoids, ``kind`` placing the fit relative
     to the truth; "far" pairs are small and up to 1e3 off the origin, "thin"
-    ones have an axis ratio of 1e-3."""
+    ones have an axis ratio of 1e-3, and a "corner" truth is a sphere whose
+    surface passes within a few ulp of a corner of the Monte Carlo cells."""
+    if kind == "corner":
+        # a radius-8 sphere at the origin makes the union box [-8, 8]^3,
+        # whose cell edges are exact; the truth passes through a cell
+        # corner up to the rounding of its centre and radius
+        fit = EllipsoidParams(np.zeros(3), np.full(3, 8.0), np.eye(3))
+        *legs, hyp = _QUADRUPLES[rng.integers(len(_QUADRUPLES))]
+        scale = rng.uniform(0.05, 3.0 / hyp)
+        corner = rng.integers(-2, 3, 3) * 0.5
+        centre = corner + (rng.choice([-1.0, 1.0]) * scale
+                           * rng.permutation(legs))
+        rot = np.eye(3) if rng.random() < 0.8 else random_rotation(rng)
+        return fit, EllipsoidParams(centre, np.full(3, hyp * scale), rot)
     if kind == "far":  # a large |lo| against a small span
         axes = np.sort(10.0 ** rng.uniform(-2.0, 0.0, 3))[::-1]
         truth = EllipsoidParams(rng.uniform(-1e3, 1e3, 3), axes,
@@ -327,7 +349,7 @@ def _ellipsoid_pair(rng, kind: str):
 
 
 _ELLIPSOID_KINDS = ["identical", "near", "nested", "disjoint", "random",
-                    "far", "thin"]
+                    "far", "thin", "corner"]
 
 
 def _ulp_shell(rng, e: EllipsoidParams, n: int) -> np.ndarray:
@@ -431,16 +453,41 @@ class TestEllipsoidContainsMatchesReference:
                 func(e, np.zeros(shape))
 
 
+def _reference_box(fit, truth):
+    """The union bounding box, spelled as the reference scorer spells it."""
+    hws = [ref._ellipsoid_halfwidths(m) for m in (fit, truth)]
+    return (np.minimum(fit.center - hws[0], truth.center - hws[1]),
+            np.maximum(fit.center + hws[0], truth.center + hws[1]))
+
+
+def _draw_cells(seed, samples: int) -> np.ndarray:
+    """The cell id of each row of the stream's (samples, 3) draw u: floor(u
+    G) per axis, read as the digits of a base-G number."""
+    grid = geometry._MC_GRID
+    u = np.random.default_rng(seed).random((samples, 3))
+    j = np.floor(u * grid).astype(np.int64)
+    return (j[:, 0] * grid + j[:, 1]) * grid + j[:, 2]
+
+
+def _certified(fit, truth, lo, hi):
+    """Each model's (inside, outside) cell masks over the box lo..hi."""
+    edges = geometry._cell_edges(lo, hi - lo)
+    return [geometry._certified_cells(m, edges) for m in (fit, truth)]
+
+
 class TestMonteCarloPoints:
-    """The chunked Monte Carlo count tests exactly the points of one
-    ``rng.uniform(lo, hi, size=(samples, 3))`` draw, in order, against both
-    models."""
+    """The cell-certified Monte Carlo count tests exactly the points of one
+    ``rng.uniform(lo, hi, size=(samples, 3))`` draw whose cells not both
+    models certify, in draw order and in full chunks, against both models.
+    Every other point's certified flags are what ellipsoid_contains says,
+    and the counts are those of testing every point."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            kind=st.sampled_from(_ELLIPSOID_KINDS),
            samples=st.sampled_from([1, _MC_CHUNK - 1, _MC_CHUNK,
-                                    2 * _MC_CHUNK + 1, 3 * _MC_CHUNK + 123]))
+                                    2 * _MC_CHUNK + 1, 3 * _MC_CHUNK + 123,
+                                    20 * _MC_CHUNK + 5]))
     def test_points_are_one_draw(self, seed, kind, samples):
         fit, truth = _ellipsoid_pair(np.random.default_rng(seed), kind)
         tested = []
@@ -449,22 +496,201 @@ class TestMonteCarloPoints:
             tested.append((e, pts.copy()))
             return ellipsoid_contains(e, pts)
 
+        geometry._cell_table.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "ellipsoid_contains", record)
             counts = _monte_carlo_counts(fit, truth, samples, seed)
-        # the union bounding box, spelled as the reference scorer spells it
-        hws = [ref._ellipsoid_halfwidths(m) for m in (fit, truth)]
-        lo = np.minimum(fit.center - hws[0], truth.center - hws[1])
-        hi = np.maximum(fit.center + hws[0], truth.center + hws[1])
+        lo, hi = _reference_box(fit, truth)
         pts = np.random.default_rng(seed).uniform(lo, hi, size=(samples, 3))
+        cells = _draw_cells(seed, samples)
+        (fit_in, fit_out), (truth_in, truth_out) = _certified(fit, truth,
+                                                              lo, hi)
+        known = ((fit_in | fit_out) & (truth_in | truth_out))[cells]
         assert all(e is fit for e, _ in tested[::2])
         assert all(e is truth for e, _ in tested[1::2])
         for chunks in (tested[::2], tested[1::2]):
-            assert np.array_equal(np.concatenate([p for _, p in chunks]), pts)
+            got = [p for _, p in chunks]
+            assert all(len(p) == _MC_CHUNK for p in got[:-1])
+            assert np.array_equal(np.concatenate(got or [np.empty((0, 3))]),
+                                  pts[~known])
         in_fit = ref.ellipsoid_contains(fit, pts)
         in_truth = ref.ellipsoid_contains(truth, pts)
+        assert np.array_equal(in_fit[known], fit_in[cells][known])
+        assert np.array_equal(in_truth[known], truth_in[cells][known])
         assert counts == (np.count_nonzero(in_fit ^ in_truth),
                           np.count_nonzero(in_truth))
+
+    def test_most_points_are_counted_by_cell(self):
+        # a fit near the benchmark's 3-D truth: the points near either
+        # surface are tested, about one in seven
+        truth = EllipsoidParams(np.zeros(3), np.array([5.0, 4.0, 3.0]),
+                                np.eye(3))
+        fit = EllipsoidParams(np.array([0.1, -0.1, 0.05]),
+                              np.array([5.1, 3.9, 3.05]), np.eye(3))
+        (fit_in, fit_out), (truth_in, truth_out) = _certified(
+            fit, truth, *_reference_box(fit, truth))
+        known = (fit_in | fit_out) & (truth_in | truth_out)
+        share = np.count_nonzero(~known[_draw_cells(0, 100_000)]) / 100_000
+        assert 0.0 < share < 0.2
+
+
+def _cell_corners(lo, span) -> np.ndarray:
+    """(8, G^3, 3) extreme points of every cell, in cell-id order: per axis
+    the draw u = j / G and the double just below (j + 1) / G, mapped as the
+    draw maps them."""
+    grid = geometry._MC_GRID
+    j = np.arange(grid)
+    u = np.stack([j / grid, np.nextafter((j + 1) / grid, 0.0)])
+    x = lo[:, None, None] + span[:, None, None] * u  # (axis, end, cell)
+    corners = []
+    for ends in np.ndindex(2, 2, 2):
+        axes = [x[k, ends[k]] for k in range(3)]
+        corners.append(np.stack(np.meshgrid(*axes, indexing="ij"),
+                                axis=-1).reshape(-1, 3))
+    return np.stack(corners)
+
+
+class TestCellCertification:
+    """A cell certified inside (outside) a model has every extreme point
+    inside (outside) by ellipsoid_contains: on spheres whose surface passes
+    within a few ulp of a cell corner, 1e-3 thin axes, far-off centres and
+    the other pair kinds."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["corner", "corner", "corner", "thin", "far",
+                                 "near", "nested", "random"]))
+    def test_extreme_points_agree(self, seed, kind):
+        fit, truth = _ellipsoid_pair(np.random.default_rng(seed), kind)
+        lo, hi = _reference_box(fit, truth)
+        corners = _cell_corners(lo, hi - lo).reshape(-1, 3)
+        for model, (inside, outside) in zip(
+                (fit, truth), _certified(fit, truth, lo, hi)):
+            flags = ref.ellipsoid_contains(model, corners).reshape(8, -1)
+            assert flags[:, inside].all()
+            assert not flags[:, outside].any()
+            assert not (inside & outside).any()
+
+    @pytest.mark.parametrize("quadruple", _QUADRUPLES)
+    def test_spheres_through_a_corner(self, quadruple):
+        # the corner is the farthest (nearest) point of the cell it is the
+        # lowest corner of, and on the surface up to a few ulp
+        lo, span = np.full(3, -8.0), np.full(3, 16.0)
+        edges = geometry._cell_edges(lo, span)
+        grid = geometry._MC_GRID
+        mid = grid // 2
+        cell = (mid * grid + mid) * grid + mid
+        corner = edges[:, mid]
+        extremes = _cell_corners(lo, span)[:, cell]
+        *legs, hyp = quadruple
+        for scale in (0.1, 0.3, 0.37, 0.5, 0.61, 0.7):
+            for legs_order in itertools.permutations(legs):
+                for side in (-1.0, 1.0):
+                    sphere = EllipsoidParams(
+                        corner + side * scale * np.array(legs_order),
+                        np.full(3, hyp * scale), np.eye(3))
+                    inside, outside = geometry._certified_cells(sphere, edges)
+                    flags = ref.ellipsoid_contains(sphere, extremes)
+                    assert flags.all() or not inside[cell]
+                    assert not flags.any() or not outside[cell]
+
+    def test_corner_on_the_surface(self):
+        # an axis-aligned unit sphere through a cell corner: the cells
+        # either side of the corner are not certified, as no margin
+        # would let them be, and the rest of the cells are
+        lo, span = np.full(3, -2.0), np.full(3, 4.0)
+        edges = geometry._cell_edges(lo, span)
+        corner = edges[[0, 1, 2], [8, 16, 16]]
+        sphere = EllipsoidParams(corner + np.array([1.0, 0.0, 0.0]),
+                                 np.ones(3), np.eye(3))
+        assert ellipsoid_contains(sphere, corner)[0]
+        inside, outside = geometry._certified_cells(sphere, edges)
+        flags = ref.ellipsoid_contains(
+            sphere, _cell_corners(lo, span).reshape(-1, 3)).reshape(8, -1)
+        assert flags[:, inside].all() and not flags[:, outside].any()
+        grid = geometry._MC_GRID
+        for cell in np.ndindex(2, 2, 2):
+            j = (7 + cell[0]) * grid * grid + (15 + cell[1]) * grid + 15 \
+                + cell[2]
+            assert not inside[j] and not outside[j]
+        assert np.count_nonzero(inside | outside) > 0.9 * grid ** 3
+
+    def test_overflowing_bound_certifies_nothing(self):
+        tiny = EllipsoidParams(np.zeros(3), np.full(3, 1e-300), np.eye(3))
+        edges = geometry._cell_edges(np.full(3, -1.0), np.full(3, 2.0))
+        inside, outside = geometry._certified_cells(tiny, edges)
+        assert not inside.any() and not outside.any()
+
+
+def _table(samples: int, seed: int):
+    """The cached cell table of ``seed``'s stream."""
+    state = np.random.default_rng(seed).bit_generator.state
+    return geometry._cell_table(samples, repr(state))
+
+
+class TestCellTable:
+    """The cell table of a (samples, seed) draw is filled by the first count
+    that needs it, read-only and shared after that, and one entry is kept;
+    cold and warm counts are the same."""
+
+    PAIR = _ellipsoid_pair(np.random.default_rng(11), "near")
+
+    @pytest.mark.parametrize("samples", [1_000_000, 1_012_345])
+    def test_cold_and_warm_counts_agree(self, samples):
+        geometry._cell_table.cache_clear()
+        cold = _monte_carlo_counts(*self.PAIR, samples, 3)
+        table = _table(samples, 3)
+        assert table.counts is not None
+        assert _monte_carlo_counts(*self.PAIR, samples, 3) == cold
+        assert _table(samples, 3) is table
+        assert nonoverlap_ratio(*self.PAIR, mc_samples=samples, seed=3) == \
+            ref.nonoverlap_ratio(*self.PAIR, mc_samples=samples, seed=3)
+
+    def test_table_is_the_draws_cells_and_read_only(self):
+        geometry._cell_table.cache_clear()
+        _monte_carlo_counts(*self.PAIR, 3 * _MC_CHUNK + 7, 4)
+        table = _table(3 * _MC_CHUNK + 7, 4)
+        cells = _draw_cells(4, 3 * _MC_CHUNK + 7)
+        assert table.ids.dtype == np.uint16
+        assert np.array_equal(table.ids, cells)
+        assert np.array_equal(table.counts, np.bincount(
+            cells, minlength=geometry._MC_GRID ** 3))
+        for array in (table.ids, table.counts):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_one_entry(self):
+        geometry._cell_table.cache_clear()
+        for samples, seed in [(1_000, 0), (1_000, 1), (2_000, 0), (1_000, 0)]:
+            _monte_carlo_counts(*self.PAIR, samples, seed)
+            assert geometry._cell_table.cache_info().currsize == 1
+        assert geometry._cell_table.cache_info().maxsize == 1
+
+    def test_generator_seeds(self):
+        # a Generator's draws go on from its state, and None draws afresh:
+        # the table follows the stream, not the seed argument
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(2):
+            assert nonoverlap_ratio(*self.PAIR, seed=ours) == \
+                ref.nonoverlap_ratio(*self.PAIR, seed=theirs)
+        geometry._cell_table.cache_clear()
+        nonoverlap_ratio(*self.PAIR, seed=None)
+        nonoverlap_ratio(*self.PAIR, seed=None)
+        assert geometry._cell_table.cache_info().hits == 0
+
+    def test_interrupted_fill_is_redone(self):
+        geometry._cell_table.cache_clear()
+
+        def fail(e, pts):
+            raise KeyboardInterrupt
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "ellipsoid_contains", fail)
+            with pytest.raises(KeyboardInterrupt):
+                _monte_carlo_counts(*self.PAIR, 1_000_000, 5)
+        assert _table(1_000_000, 5).counts is None
+        assert nonoverlap_ratio(*self.PAIR, seed=5) == \
+            ref.nonoverlap_ratio(*self.PAIR, seed=5)
 
 
 class TestNonoverlapMemory:
@@ -485,6 +711,8 @@ class TestNonoverlapMemory:
         assert self._peak_mib(fit, truth) <= 2.0
 
     def test_3d_peak(self):
+        # cold: the count fills a new cell table
+        geometry._cell_table.cache_clear()
         truth = EllipsoidParams(np.zeros(3), np.array([5.0, 4.0, 3.0]),
                                 np.eye(3))
         fit = EllipsoidParams(np.array([0.1, -0.1, 0.05]),

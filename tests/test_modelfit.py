@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from conic_purge import (ConicPurgeError, DegenerateConfiguration,
                          DetectionLabels, EllipseParams, EllipsoidParams,
-                         ExperimentConfig, NotAnEllipse, NotAnEllipsoid,
-                         RefineConfig, TooFewPoints, conic_from_ellipse,
+                         ExperimentConfig, NoValidModel, NotAnEllipse,
+                         NotAnEllipsoid, RefineConfig, TooFewPoints, conic_from_ellipse,
                          ellipse_from_conic, ellipse_from_eccentricity,
                          ellipsoid_from_quadric,
                          fit_ellipse_direct,
@@ -23,7 +23,7 @@ from conic_purge import modelfit
 from conic_purge.geometry import (ellipse_boundary_points,
                                   ellipsoid_boundary_points, signed_residuals)
 from conic_purge.modelfit import _fit_direct_batch
-from conic_purge.pipeline import sweep_trial_seed
+from conic_purge.pipeline import run_experiment, sweep_trial_seed
 from conic_purge.proximity import proximity_stage
 
 import reference_fits
@@ -577,12 +577,12 @@ class TestVanillaRansac:
         for threshold in (None, 0.5):
             case = dict(points=pts, iterations=137,
                         inlier_threshold=threshold, rng_seed=2)
-            expected = ransac_outcome(reference_ransac.vanilla_ransac, **case)
             # 100 points: one trial per block; blocks of 13 trials, the
             # last one short; all 137 trials in one block
             for entries in (1, 1300, 10 ** 9):
                 monkeypatch.setattr(modelfit, "_BLOCK_ENTRIES", entries)
-                assert ransac_outcome(vanilla_ransac, **case) == expected
+                assert matches_reference(
+                    ransac_outcome(vanilla_ransac, **case), case)
 
     @pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, math.inf,
                                            -math.inf])
@@ -626,6 +626,17 @@ def ransac_outcome(fn, points, **kwargs):
     return (result.labels.outlier.tobytes(), tuple(result.labels.stage),
             result.model.values.tobytes(), result.iterations,
             result.converged)
+
+
+def matches_reference(outcome, case) -> bool:
+    """Whether a consensus outcome is the reference's on ``case``.  Where no
+    point lies within the threshold, the reference ends in DetectionLabels'
+    ValueError and vanilla_ransac raises NoValidModel saying so."""
+    expected = ransac_outcome(reference_ransac.vanilla_ransac, **case)
+    if expected == (ValueError, "labels must keep at least one inlier"):
+        return (outcome[0] is NoValidModel
+                and "within the inlier threshold" in outcome[1])
+    return outcome == expected
 
 
 # two far points: every model with a nonzero xy term has an inf - inf
@@ -677,8 +688,7 @@ class TestRansacMatchesReference:
         with mock.patch.object(modelfit, "_BLOCK_ENTRIES",
                                entries or modelfit._BLOCK_ENTRIES):
             outcome = ransac_outcome(vanilla_ransac, **case)
-        assert outcome == ransac_outcome(reference_ransac.vanilla_ransac,
-                                         **case)
+        assert matches_reference(outcome, case)
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8, 189, 190])
     @pytest.mark.parametrize("iterations", [1, 43, 44, 1000])
@@ -689,8 +699,8 @@ class TestRansacMatchesReference:
         for threshold in (None, 0.3):
             case = dict(points=pts, iterations=iterations,
                         inlier_threshold=threshold, rng_seed=n)
-            assert ransac_outcome(vanilla_ransac, **case) == \
-                ransac_outcome(reference_ransac.vanilla_ransac, **case)
+            assert matches_reference(ransac_outcome(vanilla_ransac, **case),
+                                     case)
 
     def test_every_median_nan(self, rng):
         pts = np.vstack([ellipse_samples(random_ellipse(rng), 40,
@@ -701,15 +711,37 @@ class TestRansacMatchesReference:
             medians = np.median(np.abs(signed_residuals(pts, values[ok])),
                                 axis=1)
         assert ok.any() and np.isnan(medians).all()
-        # the threshold is NaN, so no point is an inlier: both refuse the
-        # labels; a given threshold still counts
+        # the threshold is NaN, so no point is an inlier: the reference
+        # refuses the labels, and vanilla_ransac raises NoValidModel; a
+        # given threshold still counts
         for threshold in (None, 0.1):
             case = dict(points=pts, iterations=200,
                         inlier_threshold=threshold, rng_seed=3)
             outcome = ransac_outcome(vanilla_ransac, **case)
-            assert outcome == ransac_outcome(reference_ransac.vanilla_ransac,
-                                             **case)
-            assert (outcome[0] is ValueError) == (threshold is None)
+            assert matches_reference(outcome, case)
+            assert (outcome[0] is NoValidModel) == (threshold is None)
+            if threshold is None:
+                assert "median distance is NaN" in outcome[1]
+
+    def test_threshold_below_every_distance(self):
+        # a minimal sample's own distances are often exactly 0; none of
+        # these 50 trials has one
+        rng = np.random.default_rng(9)
+        pts = ellipse_samples(random_ellipse(rng), 40, jitter=0.05, rng=rng)
+        case = dict(points=pts, iterations=50, inlier_threshold=1e-300,
+                    rng_seed=1)
+        outcome = ransac_outcome(vanilla_ransac, **case)
+        assert outcome == (NoValidModel, "no point lies within the inlier "
+                           "threshold 1e-300 of any trial's model")
+        assert matches_reference(outcome, case)
+
+    def test_no_inlier_is_a_recorded_failure(self, monkeypatch):
+        # a NaN scale makes the threshold NaN, as NaN medians do:
+        # run_experiment records the refusal as a failed fit
+        cfg = FREEZE_SCENARIOS["ransac2d"]
+        monkeypatch.setattr(modelfit, "MAD_TO_SIGMA", math.nan)
+        record = run_experiment(cfg, "ransac", 20)
+        assert record.model_json is None and record.nonoverlap == math.inf
 
 
 # SHA-256 of (outlier flags, stage tags, model coefficient bytes), recorded
