@@ -10,19 +10,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConicPurgeError
+from .errors import ConicPurgeError, typed_number
 from .modelfit import RefineConfig
-from .pipeline import (PIPELINES, _sweep_value, detect_points,
-                       model_params_from_coeffs, run_sweep_cell,
-                       sweep_configs)
+from .pipeline import (PIPELINES, RunRecord, detect_points,
+                       model_params_from_coeffs, run_experiment,
+                       sweep_configs, sweep_trial_seed)
 from .proximity import (DetectionLabels, EligibilityConfig,
                         eigenvector_flag_report, spectrum_of_points)
 from .synth import (ExperimentConfig, detection_metrics, make_dataset,
-                    outlier_flag, read_dataset_csv, write_dataset_csv)
+                    outlier_flag, read_dataset_csv, write_dataset_csv,
+                    write_text)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -44,12 +46,6 @@ class _CliError(Exception):
         self.code = code
 
 
-def _write_text(path, text: str) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -59,7 +55,7 @@ def write_labels_csv(path, labels: DetectionLabels) -> None:
     for i in range(len(labels)):
         tag = "outlier" if labels.outlier[i] else "inlier"
         lines.append(f"{i},{tag},{labels.stage[i]}")
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_labels_csv(path) -> DetectionLabels:
@@ -148,7 +144,7 @@ def cmd_detect(args) -> int:
             lines = ["index,eigenvalue"]
             lines += [f"{i},{float(lam)!r}"
                       for i, lam in enumerate(spectrum.eigenvalues)]
-            _write_text(args.dump_spectrum, "\n".join(lines) + "\n")
+            write_text(args.dump_spectrum, "\n".join(lines) + "\n")
         if args.dump_eligible or (ransac_k is None and args.stage != "model"):
             report = eigenvector_flag_report(
                 spectrum, eligibility, args.seed, bool(args.dump_eligible))
@@ -156,7 +152,7 @@ def cmd_detect(args) -> int:
             lines = ["eigenvalue,hf_measure,flagged_count"]
             lines += [f"{lam!r},{hf!r},{int(flags.sum())}"
                       for _i, lam, hf, _trusted, flags in report]
-            _write_text(args.dump_eligible, "\n".join(lines) + "\n")
+            write_text(args.dump_eligible, "\n".join(lines) + "\n")
 
     outcome = detect_points(points, args.stage, eligibility, refine_cfg,
                             seed=args.seed, init_labels=init_labels,
@@ -167,7 +163,7 @@ def cmd_detect(args) -> int:
     model_path = args.out_model or data_path.with_suffix(".model.json")
     write_labels_csv(labels_path, outcome.labels)
     params = model_params_from_coeffs(outcome.model)
-    _write_text(model_path, _json_text(params.to_json_dict()))
+    write_text(model_path, _json_text(params.to_json_dict()))
 
     summary = {
         "n_points": int(points.shape[0]),
@@ -195,24 +191,17 @@ def _p90_error(errs: np.ndarray) -> float:
     return float(np.percentile(errs, 90))
 
 
-def _aggregate_rows(rows: list[tuple]) -> list[str]:
-    cells: dict = {}
-    for param_index, value, pipeline, err, prec, rec in rows:
-        cells.setdefault((param_index, value, pipeline),
-                         []).append((err, prec, rec))
-    lines = []
-    for (param_index, value, pipeline), trials in sorted(
-            cells.items(), key=lambda kv: (kv[0][0], kv[0][2])):
-        errs = np.array([t[0] for t in trials])
-        precs = np.array([t[1] for t in trials])
-        recs = np.array([t[2] for t in trials])
-        lines.append(",".join([
-            repr(float(value)), pipeline,
-            repr(float(np.mean(errs))), repr(float(np.median(errs))),
-            repr(_p90_error(errs)),
-            repr(float(np.mean(precs))), repr(float(np.mean(recs))),
-        ]))
-    return lines
+def _curve_row(value: float, pipeline: str, runs: list[RunRecord]) -> str:
+    """The curves CSV row of one pipeline's trials at one grid value."""
+    errs = np.array([run.nonoverlap for run in runs])
+    precs = np.array([run.precision for run in runs])
+    recs = np.array([run.recall for run in runs])
+    return ",".join([
+        repr(float(value)), pipeline,
+        repr(float(np.mean(errs))), repr(float(np.median(errs))),
+        repr(_p90_error(errs)),
+        repr(float(np.mean(precs))), repr(float(np.mean(recs))),
+    ])
 
 
 def cmd_sweep(args) -> int:
@@ -222,9 +211,9 @@ def cmd_sweep(args) -> int:
         base = spec["base"]
         vary = spec["vary"]
         grid = list(spec["grid"])
-        pipelines = tuple(spec.get("pipelines", ["two_stage"]))
+        pipelines = spec.get("pipelines", ["two_stage"])
         trials, master_seed, ransac_k = (
-            _sweep_value(int, spec.get(key, default), key) for key, default
+            typed_number(int, spec.get(key, default), key) for key, default
             in (("trials", 20), ("master_seed", 0), ("ransac_k", 1000)))
     except KeyError as exc:
         raise _CliError(f"error: malformed sweep spec: missing key "
@@ -237,10 +226,17 @@ def cmd_sweep(args) -> int:
     except (TypeError, ValueError) as exc:
         raise _CliError(f"error: malformed sweep spec: base: {exc}",
                         EXIT_CONFIG) from None
-    for pipeline in pipelines:
+    if not isinstance(pipelines, list):
+        raise _CliError(f"error: malformed sweep spec: pipelines "
+                        f"{pipelines!r} is not a list of pipeline names",
+                        EXIT_CONFIG)
+    for i, pipeline in enumerate(pipelines):
         if pipeline not in PIPELINES:
             raise _CliError(
                 f"error: unknown pipeline {pipeline!r}", EXIT_CONFIG)
+        if pipeline in pipelines[:i]:
+            raise _CliError(
+                f"error: pipeline {pipeline!r} is repeated", EXIT_CONFIG)
     if trials < 1:
         raise _CliError("error: trials must be >= 1", EXIT_CONFIG)
     if master_seed < 0:
@@ -248,20 +244,23 @@ def cmd_sweep(args) -> int:
                         EXIT_CONFIG)
     if ransac_k < 1:
         raise _CliError("error: ransac_k must be >= 1", EXIT_CONFIG)
-    # build every cell's config before the first cell runs
+    # every grid value's config is built before the first trial runs
     try:
-        sweep_configs(base, vary, grid)
+        configs = sweep_configs(base, vary, grid)
     except ValueError as exc:
         raise _CliError(f"error: {args.spec}: {exc}", EXIT_CONFIG) from None
 
+    rows = []
+    for pi, cfg in enumerate(configs):
+        for pipeline in sorted(pipelines):
+            runs = [run_experiment(replace(cfg, seed=sweep_trial_seed(
+                        master_seed, pi, ti)), pipeline, ransac_k)
+                    for ti in range(trials)]
+            rows.append(_curve_row(getattr(cfg, vary), pipeline, runs))
     header = ("param_value,pipeline,mean_error,median_error,p90_error,"
               "mean_precision,mean_recall")
-    rows = [row for pi, value in enumerate(grid) for ti in range(trials)
-            for row in run_sweep_cell(base, vary, value, pi, ti, master_seed,
-                                      pipelines, ransac_k)]
-    _write_text(args.out, "\n".join([header] + _aggregate_rows(rows)) + "\n")
-    print(f"wrote {len(grid) * len(pipelines)} sweep rows to {args.out}",
-          file=sys.stderr)
+    write_text(args.out, "\n".join([header] + rows) + "\n")
+    print(f"wrote {len(rows)} sweep rows to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 

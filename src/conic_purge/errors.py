@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the number rule of
+every config field."""
 
 
 class ConicPurgeError(Exception):
@@ -45,3 +46,19 @@ class NoValidModel(ConicPurgeError):
 
 class LengthMismatch(ConicPurgeError):
     """Two per-point sequences that must align have different lengths."""
+
+
+def typed_number(cast, value, what: str):
+    """``cast(value)`` for ``what``, a field of type ``cast`` (int or float).
+
+    Raises ValueError, naming ``what``, for a value the field cannot take:
+    a fractional count too, so ``100.7`` is refused rather than cut to 100.
+    """
+    try:
+        typed = cast(value)
+        if cast is int and typed != value and typed != float(value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if cast is int else "a number"
+        raise ValueError(f"{what} {value!r} is not {kind}") from None
+    return typed

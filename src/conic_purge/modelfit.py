@@ -17,7 +17,7 @@ import numpy as np
 
 from ._draws import seeded_choices
 from .errors import (DegenerateConfiguration, NoValidModel, NotAnEllipse,
-                     NotAnEllipsoid, TooFewPoints)
+                     NotAnEllipsoid, TooFewPoints, typed_number)
 from .geometry import (ConicCoeffs, QuadricCoeffs, _coeffs_from_matrix,
                        _interior, _is_ellipse, _matrix_from_coeffs,
                        _normalize_coeff_rows, signed_residuals)
@@ -54,6 +54,11 @@ class RefineConfig:
     min_points: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iter",
+                           typed_number(int, self.max_iter, "max_iter"))
+        if self.min_points is not None:
+            object.__setattr__(self, "min_points",
+                               typed_number(int, self.min_points, "min_points"))
         if not 0.0 < self.tau_scale < math.inf:
             raise ValueError("tau_scale must be positive and finite")
         if self.max_iter < 1:
@@ -261,22 +266,20 @@ def _classification_loop(pts, start, fitter, min_points, cfg):
     to the iterate with the smallest median inlier residual.
     """
     model = fitter(pts[start])
-    inliers = reference = start
-    seen = {inliers.tobytes()}
+    inliers = start
     history = [(inliers, model)]
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         signed = signed_residuals(pts, model)
-        updated, _tau = _robust_inlier_mask(signed, signed[reference],
+        updated, _tau = _robust_inlier_mask(signed, signed[inliers],
                                             cfg.tau_scale)
         if np.array_equal(updated, inliers):
             converged = True
             break
         if np.count_nonzero(updated) < min_points:
             break
-        key = updated.tobytes()
-        if key in seen:
+        if any(np.array_equal(updated, mask) for mask, _ in history):
             inliers, model = min(
                 history, key=lambda it: _median_distance(pts, it[1], it[0]))
             break
@@ -285,11 +288,8 @@ def _classification_loop(pts, start, fitter, min_points, cfg):
         except (DegenerateConfiguration, NotAnEllipse, NotAnEllipsoid):
             break
         inliers, model = updated, model_next
-        reference = updated
-        seen.add(key)
         history.append((inliers, model))
         if len(history) > _CYCLE_WINDOW:
-            seen.discard(history[0][0].tobytes())
             history.pop(0)
     return model, inliers, iterations, converged
 

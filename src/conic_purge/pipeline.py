@@ -1,4 +1,4 @@
-"""End-to-end detection runs: stage composition, records, sweep trials."""
+"""End-to-end detection runs: stage composition, records, sweep configs."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConicPurgeError
+from .errors import ConicPurgeError, typed_number
 from .geometry import (ConicCoeffs, QuadricCoeffs, ellipse_from_conic,
                        ellipsoid_from_quadric, nonoverlap_ratio)
 from .modelfit import (FitResult, RefineConfig, fit_ellipse_direct,
@@ -22,7 +22,6 @@ __all__ = [
     "run_experiment",
     "sweep_trial_seed",
     "sweep_configs",
-    "run_sweep_cell",
     "PIPELINES",
 ]
 
@@ -173,29 +172,13 @@ def sweep_trial_seed(master_seed: int, param_index: int,
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _sweep_value(cast, value, what: str):
-    """``cast(value)`` for ``what``, a field of type ``cast`` (int or float).
-
-    Raises ValueError, naming ``what``, for a value the field cannot take:
-    a fractional count too, since a sweep row records ``float(value)``.
-    """
-    try:
-        typed = cast(value)
-        if cast is int and typed != float(value):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if cast is int else "a number"
-        raise ValueError(f"{what} {value!r} is not {kind}") from None
-    return typed
-
-
 def sweep_configs(base: ExperimentConfig, vary: str,
                   grid) -> list[ExperimentConfig]:
     """``base`` with its field ``vary`` set to each grid value in turn.
 
     Raises ValueError, naming ``vary`` or ``grid[i]``, for a field a sweep
-    cannot vary, a value its field cannot take (see :func:`_sweep_value`)
-    or a config it makes invalid.
+    cannot vary, a value its field cannot take (see
+    :func:`~conic_purge.errors.typed_number`) or a config it makes invalid.
     """
     cast = _SWEEP_CASTS.get(vary) if isinstance(vary, str) else None
     if cast is None:
@@ -205,7 +188,7 @@ def sweep_configs(base: ExperimentConfig, vary: str,
     for i, value in enumerate(grid):
         where = f"grid[{i}] {value!r}"
         try:
-            typed = _sweep_value(cast, value, f"grid[{i}]")
+            typed = typed_number(cast, value, f"grid[{i}]")
         except ValueError as exc:
             raise ValueError(f"{exc} for {vary}") from None
         try:
@@ -214,17 +197,3 @@ def sweep_configs(base: ExperimentConfig, vary: str,
             raise ValueError(f"{where} for {vary}: {exc}") from None
     return configs
 
-
-def run_sweep_cell(base: ExperimentConfig, vary: str, value,
-                   param_index: int, trial_index: int, master_seed: int,
-                   pipelines: tuple[str, ...], ransac_k: int) -> list[tuple]:
-    """One (grid point, trial) unit of a sweep; returns per-pipeline rows."""
-    (cfg,) = sweep_configs(base, vary, [value])
-    cfg = replace(cfg, seed=sweep_trial_seed(master_seed, param_index,
-                                             trial_index))
-    rows = []
-    for pipeline in pipelines:
-        rec = run_experiment(cfg, pipeline, ransac_k)
-        rows.append((param_index, float(value), pipeline, rec.nonoverlap,
-                     rec.precision, rec.recall))
-    return rows

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoEligibleVectors, TooFewPoints, ZeroVector
+from .errors import NoEligibleVectors, TooFewPoints, ZeroVector, typed_number
 from .spectral import (Spectrum, generalized_eigs, graph_laplacian,
                        heat_kernel_weights, pairwise_distances,
                        select_bandwidth)
@@ -70,6 +70,9 @@ class EligibilityConfig:
     binary_ratio: float = 30.0
 
     def __post_init__(self):
+        for name in ("max_iter", "bandwidth_rank", "repeats"):
+            object.__setattr__(
+                self, name, typed_number(int, getattr(self, name), name))
         if not 0.0 < self.eig_threshold < math.inf:
             raise ValueError("eig_threshold must be positive and finite")
         if not 0.0 < self.hf_threshold <= 1.0:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import LengthMismatch, typed_number
 from .geometry import (EllipseParams, EllipsoidParams,
                        ellipse_boundary_points, ellipsoid_boundary_points)
 from .modelfit import RefineConfig
@@ -28,6 +29,7 @@ __all__ = [
     "detection_metrics",
     "read_dataset_csv",
     "write_dataset_csv",
+    "write_text",
 ]
 
 
@@ -58,6 +60,11 @@ class ExperimentConfig:
     refine: RefineConfig = field(default_factory=RefineConfig)
 
     def __post_init__(self):
+        for name, cast in (("n_inliers", int), ("n_outliers", int),
+                           ("sigma0", float), ("sigma1", float),
+                           ("seed", int)):
+            object.__setattr__(
+                self, name, typed_number(cast, getattr(self, name), name))
         if self.n_inliers < 12:
             raise ValueError("need at least 12 inliers")
         if self.n_outliers < 0:
@@ -91,8 +98,9 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
         """The config of a scenario JSON object; a missing required key,
-        or a model that is not an object, raises ValueError naming the key
-        and the object it belongs to."""
+        a model, ``eligibility`` or ``refine`` that is not an object, or an
+        unknown key of the last two, raises ValueError naming the key and
+        the object it belongs to."""
         if not isinstance(obj, dict):
             raise ValueError("expected a JSON object")
         if "model" not in obj:
@@ -115,14 +123,14 @@ class ExperimentConfig:
             raise ValueError(f"model: missing key {exc.args[0]!r}") from None
         return cls(
             model=model,
-            n_inliers=int(obj.get("n_inliers", 100)),
-            n_outliers=int(obj.get("n_outliers", 50)),
-            sigma0=float(obj.get("sigma0", 0.01)),
-            sigma1=float(obj.get("sigma1", 2.0)),
-            seed=int(obj.get("seed", 0)),
+            n_inliers=obj.get("n_inliers", 100),
+            n_outliers=obj.get("n_outliers", 50),
+            sigma0=obj.get("sigma0", 0.01),
+            sigma1=obj.get("sigma1", 2.0),
+            seed=obj.get("seed", 0),
             outlier_mode=str(obj.get("outlier_mode", "gaussian")),
-            eligibility=EligibilityConfig(**obj.get("eligibility", {})),
-            refine=RefineConfig(**obj.get("refine", {})),
+            eligibility=_knobs(EligibilityConfig, obj, "eligibility"),
+            refine=_knobs(RefineConfig, obj, "refine"),
         )
 
     @classmethod
@@ -133,6 +141,23 @@ class ExperimentConfig:
             return cls.from_json_dict(obj)
         except ValueError as exc:
             raise ValueError(f"scenario config: {exc}") from None
+
+
+def _knobs(config_type, obj: dict, name: str):
+    """``config_type`` built from the optional object ``obj[name]``; a
+    value that is not an object, an unknown key or a refused value raises
+    ValueError naming ``name``."""
+    knobs = obj.get(name, {})
+    if not isinstance(knobs, dict):
+        raise ValueError(f"{name}: expected a JSON object")
+    known = {f.name for f in fields(config_type)}
+    for key in knobs:
+        if key not in known:
+            raise ValueError(f"{name}: unknown key {key!r}")
+    try:
+        return config_type(**knobs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -232,8 +257,15 @@ def write_dataset_csv(path, points: np.ndarray,
         if labels is not None:
             cells.append("outlier" if labels.outlier[i] else "inlier")
         lines.append(",".join(cells))
+    write_text(path, "\n".join(lines) + "\n")
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with LF line ends, creating its
+    parent directories."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def outlier_flag(label: str, where: str) -> bool:

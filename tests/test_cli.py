@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -126,6 +127,56 @@ class TestGenerate:
         assert f"error: scenario config: {message}\n" in \
             capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("change, message", [
+        ({"eligibility": {"bogus": 1}}, "eligibility: unknown key 'bogus'"),
+        ({"refine": {"tau": 3.0}}, "refine: unknown key 'tau'"),
+        ({"eligibility": 5}, "eligibility: expected a JSON object"),
+        ({"refine": [1]}, "refine: expected a JSON object"),
+        ({"eligibility": {"gamma": None}}, "eligibility: "),
+        ({"n_inliers": 100.7}, "n_inliers 100.7 is not an integer"),
+        ({"n_outliers": 3.9}, "n_outliers 3.9 is not an integer"),
+        ({"seed": 3.9}, "seed 3.9 is not an integer"),
+        ({"sigma1": None}, "sigma1 None is not a number"),
+    ] + [({obj: {key: 2.5}}, f"{obj}: {key} 2.5 is not an integer")
+         for obj, key in [("eligibility", "max_iter"),
+                          ("eligibility", "bandwidth_rank"),
+                          ("eligibility", "repeats"), ("refine", "max_iter"),
+                          ("refine", "min_points")]],
+        ids=["eligibility-key", "refine-key", "eligibility-value",
+             "refine-value", "eligibility-null", "n_inliers", "n_outliers",
+             "seed", "sigma1", "eligibility-max_iter", "bandwidth_rank",
+             "repeats", "refine-max_iter", "min_points"])
+    def test_bad_field_names_it_exit_1(self, tmp_path, capsys, monkeypatch,
+                                       change, message):
+        # the same refusal in a scenario config and in a sweep's base,
+        # before any dataset is made or any trial runs
+        from conic_purge import cli
+        monkeypatch.setattr(cli, "make_dataset", None)
+        monkeypatch.setattr(cli, "run_experiment", None)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(TYPICAL_CONFIG, **change)))
+        out = tmp_path / "d.csv"
+        assert cli.main(["generate", "--config", str(cfg),
+                         "--out", str(out)]) == 1
+        assert f"error: scenario config: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"base": dict(TYPICAL_CONFIG, **change),
+                                    "vary": "sigma1", "grid": [2.0]}))
+        assert cli.main(["sweep", "--spec", str(spec),
+                         "--out", str(out)]) == 1
+        assert f"error: malformed sweep spec: base: {message}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_in_new_directory(self, tmp_path, config_path):
+        flat, nested = tmp_path / "d.csv", tmp_path / "new" / "dir" / "d.csv"
+        for out in (flat, nested):
+            assert run_cli("generate", "--config", str(config_path),
+                           "--out", str(out)).returncode == 0
+        assert nested.read_bytes() == flat.read_bytes()
 
 
 class TestDetect:
@@ -472,6 +523,13 @@ class TestDetect:
         assert outs[0] == outs[1]
 
 
+def trial_runs(errs, score):
+    """Stand-ins for one cell's run records: these errors, and ``score`` as
+    every trial's precision and recall."""
+    return [types.SimpleNamespace(nonoverlap=err, precision=score,
+                                  recall=score) for err in errs]
+
+
 class TestSweep:
     def sweep_spec(self, trials=2, grid=(10, 20)):
         return {
@@ -497,6 +555,51 @@ class TestSweep:
             cells = line.split(",")
             assert cells[1] in ("two_stage", "no_elimination")
             float(cells[0]), float(cells[2]), float(cells[6])
+        # by grid index, then pipeline name; stderr counts the rows written
+        assert [ln.split(",")[:2] for ln in lines[1:]] == [
+            ["10.0", "no_elimination"], ["10.0", "two_stage"],
+            ["20.0", "no_elimination"], ["20.0", "two_stage"]]
+        assert f"wrote 4 sweep rows to {out}" in proc.stderr
+
+    @pytest.mark.parametrize("pipelines, message", [
+        (["no_elimination", "no_elimination"],
+         "error: pipeline 'no_elimination' is repeated"),
+        (["ransac", "two_stage", "ransac"],
+         "error: pipeline 'ransac' is repeated"),
+        ("ransac", "error: malformed sweep spec: pipelines 'ransac' is not "
+                   "a list of pipeline names"),
+    ], ids=["twice", "apart", "string"])
+    def test_pipelines_not_distinct_names_exit_1(self, tmp_path, capsys,
+                                                 monkeypatch, pipelines,
+                                                 message):
+        # refused before any trial runs, naming the entry
+        from conic_purge import cli
+        monkeypatch.setattr(cli, "run_experiment", None)
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps(dict(self.sweep_spec(),
+                                        pipelines=pipelines)))
+        out = tmp_path / "c.csv"
+        assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        assert f"{message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_configs_built_once(self, tmp_path, monkeypatch):
+        from conic_purge import cli, pipeline
+        build, calls = pipeline.sweep_configs, []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        for module in (cli, pipeline):
+            monkeypatch.setattr(module, "sweep_configs", counted)
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps(dict(self.sweep_spec(trials=3),
+                                        pipelines=["no_elimination"])))
+        out = tmp_path / "c.csv"
+        assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert len(out.read_text().splitlines()) == 1 + 2
 
     def test_elimination_beats_none(self, tmp_path):
         spec = tmp_path / "sweep.json"
@@ -550,7 +653,7 @@ class TestSweep:
                                      fields, message):
         # refused before any cell runs, naming the spec file and the field
         from conic_purge import cli
-        monkeypatch.setattr(cli, "run_sweep_cell", None)
+        monkeypatch.setattr(cli, "run_experiment", None)
         spec = tmp_path / "sweep.json"
         spec.write_text(json.dumps(dict(self.sweep_spec(), **fields)))
         out = tmp_path / "c.csv"
@@ -569,7 +672,7 @@ class TestSweep:
                                      key, value, message):
         # refused before any cell runs, like a fractional grid count
         from conic_purge import cli
-        monkeypatch.setattr(cli, "run_sweep_cell", None)
+        monkeypatch.setattr(cli, "run_experiment", None)
         spec = tmp_path / "sweep.json"
         spec.write_text(json.dumps(dict(self.sweep_spec(), **{key: value})))
         out = tmp_path / "c.csv"
@@ -596,7 +699,7 @@ class TestSweep:
                                            monkeypatch, change, message):
         # refused before any cell runs, naming the key and its object
         from conic_purge import cli
-        monkeypatch.setattr(cli, "run_sweep_cell", None)
+        monkeypatch.setattr(cli, "run_experiment", None)
         fields = json.loads(json.dumps(self.sweep_spec()))  # a deep copy
         change(fields)
         spec = tmp_path / "sweep.json"
@@ -627,22 +730,22 @@ class TestSweep:
         (4, 4, "inf"),
     ])
     def test_failed_trials_in_p90(self, trials, failed, p90):
-        from conic_purge.cli import _aggregate_rows
+        from conic_purge.cli import _curve_row
         good = trials - failed
         errs = [(i + 1) / good for i in range(good)] + [math.inf] * failed
-        rows = [(0, 30.0, "two_stage", err, 1.0, 1.0)
-                for err in np.random.default_rng(trials).permutation(errs)]
+        runs = trial_runs(np.random.default_rng(trials).permutation(errs),
+                          1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (line,) = _aggregate_rows(rows)
+            line = _curve_row(30.0, "two_stage", runs)
         assert line.split(",")[4] == p90
 
     def test_finite_p90_is_numpys(self):
-        from conic_purge.cli import _aggregate_rows
+        from conic_purge.cli import _curve_row
         errs = np.random.default_rng(3).exponential(size=(5, 13))
-        rows = [(i, float(i), "ransac", err, 0.5, 0.5)
-                for i in range(5) for err in errs[i, :i + 9]]
-        for i, line in enumerate(_aggregate_rows(rows)):
+        for i in range(5):
+            line = _curve_row(float(i), "ransac",
+                              trial_runs(errs[i, :i + 9], 0.5))
             assert line.split(",")[4] == \
                 repr(float(np.percentile(errs[i, :i + 9], 90)))
 

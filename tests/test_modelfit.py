@@ -358,6 +358,13 @@ class TestRefine:
         with pytest.raises(ValueError, match="tau_scale"):
             RefineConfig(tau_scale=tau_scale)
 
+    @pytest.mark.parametrize("knob", ["max_iter", "min_points"])
+    def test_whole_number_knobs(self, knob):
+        typed = getattr(RefineConfig(**{knob: 9.0}), knob)
+        assert typed == 9 and type(typed) is int
+        with pytest.raises(ValueError, match=f"{knob} 2.5 is not an integer"):
+            RefineConfig(**{knob: 2.5})
+
     def test_min_points_floor(self, rng):
         pts = rng.normal(size=(20, 2))
         labels = DetectionLabels(np.r_[np.zeros(4, bool), np.ones(16, bool)],

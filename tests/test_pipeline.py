@@ -8,7 +8,7 @@ from conic_purge import (ConicCoeffs, ExperimentConfig, QuadricCoeffs,
                          detect_points, ellipse_from_eccentricity,
                          make_dataset, run_experiment)
 from conic_purge.pipeline import (PIPELINES, DetectionOutcome, RunRecord,
-                                  run_sweep_cell, sweep_trial_seed)
+                                  sweep_configs, sweep_trial_seed)
 
 
 TYPICAL = ExperimentConfig(model=ellipse_from_eccentricity(5.0, 0.95),
@@ -73,13 +73,18 @@ class TestSweepCells:
         assert sweep_trial_seed(1, 2, 3) != sweep_trial_seed(1, 3, 3)
 
     def test_cell_rows(self):
-        rows = run_sweep_cell(TYPICAL, "n_outliers", 20, 0, 0, 9,
-                              ("two_stage", "no_elimination"), 100)
-        assert len(rows) == 2
-        for _pi, value, pipeline, err, prec, rec in rows:
-            assert value == 20.0 and pipeline in PIPELINES
-            assert err >= 0.0 and 0.0 <= prec <= 1.0 and 0.0 <= rec <= 1.0
+        # one (grid value, trial) cell of a sweep, as the sweep loop runs it
+        (cfg,) = sweep_configs(TYPICAL, "n_outliers", [20])
+        cfg = dataclasses.replace(cfg, seed=sweep_trial_seed(9, 0, 0))
+        runs = [run_experiment(cfg, pipeline, 100)
+                for pipeline in ("two_stage", "no_elimination")]
+        assert len(runs) == 2
+        for run in runs:
+            assert float(run.config.n_outliers) == 20.0
+            assert run.pipeline in PIPELINES
+            assert run.nonoverlap >= 0.0
+            assert 0.0 <= run.precision <= 1.0 and 0.0 <= run.recall <= 1.0
 
     def test_bad_vary_field(self):
         with pytest.raises(ValueError):
-            run_sweep_cell(TYPICAL, "seed", 1, 0, 0, 9, ("two_stage",), 10)
+            sweep_configs(TYPICAL, "seed", [1])

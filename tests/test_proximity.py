@@ -73,6 +73,14 @@ class TestEligibilityConfig:
         with pytest.raises(ValueError, match=knob):
             EligibilityConfig(**{knob: value})
 
+    @pytest.mark.parametrize("knob", ["max_iter", "bandwidth_rank",
+                                      "repeats"])
+    def test_whole_number_knobs(self, knob):
+        typed = getattr(EligibilityConfig(**{knob: 2.0}), knob)
+        assert typed == 2 and type(typed) is int
+        with pytest.raises(ValueError, match=f"{knob} 2.5 is not an integer"):
+            EligibilityConfig(**{knob: 2.5})
+
 
 class TestSelectEligible:
     def test_constant_vector_eligible(self):
