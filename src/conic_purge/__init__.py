@@ -18,7 +18,7 @@ from .geometry import (ConicCoeffs, EllipseParams, EllipsoidParams,
                        quadric_from_ellipsoid, sampson_distance)
 from .modelfit import (FitResult, RefineConfig, fit_ellipse_direct,
                        fit_ellipsoid_direct, ransac_success_prob, refine,
-                       vanilla_ransac)
+                       rescue_start, vanilla_ransac)
 from .pipeline import DetectionOutcome, RunRecord, detect_points, run_experiment
 from .proximity import (DetectionLabels, EligibilityConfig, detect_1d,
                         high_frequency_measure, proximity_stage,
@@ -40,7 +40,7 @@ __all__ = [
     "conic_from_ellipse", "ellipse_from_conic", "ellipsoid_from_quadric",
     "quadric_from_ellipsoid", "nonoverlap_ratio", "sampson_distance",
     "FitResult", "RefineConfig", "fit_ellipse_direct", "fit_ellipsoid_direct",
-    "ransac_success_prob", "refine", "vanilla_ransac",
+    "ransac_success_prob", "refine", "rescue_start", "vanilla_ransac",
     "DetectionOutcome", "RunRecord", "detect_points", "run_experiment",
     "DetectionLabels", "EligibilityConfig", "detect_1d",
     "high_frequency_measure", "proximity_stage", "select_eligible",

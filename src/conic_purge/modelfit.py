@@ -29,6 +29,7 @@ __all__ = [
     "fit_ellipse_direct",
     "fit_ellipsoid_direct",
     "refine",
+    "rescue_start",
     "vanilla_ransac",
     "ransac_success_prob",
     "MIN_POINTS_ELLIPSE",
@@ -398,20 +399,51 @@ def _multistart_concentrate(pts, min_points, half):
     return start
 
 
+_UNSET = object()  # refine's ``rescue`` when the caller has none
+
+
+def _trim_size(pts: np.ndarray, min_points: int) -> int:
+    """Points in a trimmed half-set: at least half of them, and a sample."""
+    return max(min_points, (pts.shape[0] + 1) // 2)
+
+
+def rescue_start(points: np.ndarray,
+                 cfg: RefineConfig | None = None) -> np.ndarray | None:
+    """Start mask of :func:`refine`'s rescue trajectory on ``points``.
+
+    The best trimmed half-set of :func:`_multistart_concentrate`, or None
+    when there is none.  It depends on the points and ``cfg.min_points``
+    only, never on a labeling, so a caller may compute it beside other
+    work and hand it to ``refine(..., rescue=...)``.  Raises ValueError,
+    as refine does, for points that are not finite (n, 2) or (n, 3) rows
+    and for a ``min_points`` below the fit's minimum.
+    """
+    cfg = cfg or RefineConfig()
+    pts = np.asarray(points, dtype=float)
+    _fitter, min_points = _dim_tools(pts, cfg.min_points)
+    return _multistart_concentrate(pts, min_points,
+                                   _trim_size(pts, min_points))
+
+
 def refine(points: np.ndarray, initial: DetectionLabels,
-           cfg: RefineConfig | None = None) -> FitResult:
+           cfg: RefineConfig | None = None, *,
+           rescue=_UNSET) -> FitResult:
     """Iterative model-consistency reclassification from an initial labeling.
 
     Two trajectories run the same classify/refit loop to a fixpoint, each
     from the one-sample fit of its start mask.  The plain one starts from
     the initial inliers.  The rescue guards against fits captured by
     structured contamination: it starts from the half-set that seeded
-    random minimal-sample fits concentrate on (see
-    :func:`_multistart_concentrate`).  The result whose model has the
-    smallest trimmed residual sum wins, the plain trajectory breaking
-    ties, which keeps re-running refine on its own output a no-op.  When
-    the start fit of one trajectory fails, the other's result stands
-    alone; the plain trajectory's error is raised only when both fail.
+    random minimal-sample fits concentrate on (see :func:`rescue_start`).
+    The result whose model has the smallest trimmed residual sum wins, the
+    plain trajectory breaking ties, which keeps re-running refine on its
+    own output a no-op.  When the start fit of one trajectory fails, the
+    other's result stands alone; the plain trajectory's error is raised
+    only when both fail.
+
+    The keyword-only ``rescue`` is ``rescue_start(points, cfg)`` when the
+    caller already has it (None included); refine computes it otherwise,
+    after its own checks.  The result is the same bits either way.
     """
     cfg = cfg or RefineConfig()
     pts = np.asarray(points, dtype=float)
@@ -419,13 +451,14 @@ def refine(points: np.ndarray, initial: DetectionLabels,
     if np.count_nonzero(initial.inlier) < min_points:
         raise TooFewPoints(
             f"refinement needs at least {min_points} initial inliers")
-    half = max(min_points, (pts.shape[0] + 1) // 2)
+    half = _trim_size(pts, min_points)
 
     # the rescue route must not depend on the starting labels, otherwise
     # re-running refine on its own output could surface new candidates
-    starts = [initial.inlier, _multistart_concentrate(pts, min_points, half)]
+    if rescue is _UNSET:
+        rescue = _multistart_concentrate(pts, min_points, half)
     outcomes, errors = [], []
-    for start in starts:
+    for start in (initial.inlier, rescue):
         if start is None:
             continue
         try:

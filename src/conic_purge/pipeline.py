@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import contextvars
+import threading
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import proximity
 from .errors import ConicPurgeError, typed_number
 from .geometry import (ConicCoeffs, QuadricCoeffs, ellipse_from_conic,
                        ellipsoid_from_quadric, nonoverlap_ratio)
-from .modelfit import (FitResult, RefineConfig, fit_ellipse_direct,
-                       fit_ellipsoid_direct, refine, vanilla_ransac)
+from .modelfit import (FitResult, RefineConfig, _dim_tools,
+                       fit_ellipse_direct, fit_ellipsoid_direct, refine,
+                       rescue_start, vanilla_ransac)
 from .proximity import DetectionLabels, EligibilityConfig, proximity_stage
+from .spectral import MAX_POINTS
 from .synth import ExperimentConfig, detection_metrics, make_dataset
 
 __all__ = [
@@ -70,6 +75,55 @@ def model_params_from_coeffs(model):
     return ellipsoid_from_quadric(model)
 
 
+def _overlaps(pts: np.ndarray, refine_cfg: RefineConfig) -> bool:
+    """Whether ``pts`` pass the checks the proximity stage makes before its
+    graph work, and refine's checks of the points and of ``min_points``.
+    Other points take the serial path, which raises what it always did."""
+    if pts.ndim != 2 or not 12 <= pts.shape[0] <= MAX_POINTS:
+        return False
+    try:
+        _dim_tools(pts, refine_cfg.min_points)
+    except ValueError:
+        return False
+    return True
+
+
+def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
+                            refine_cfg: RefineConfig):
+    """``spectrum_of_points`` on a worker thread while this thread computes
+    ``rescue_start``; returns the spectrum and refine's keywords.
+
+    The eigensolve releases the GIL and the rescue is Python-heavy, so
+    this split, not the reverse, keeps both cores busy.  The worker runs
+    in a copy of the caller's context (its ``np.errstate`` included) and
+    is joined before anything is returned or raised.  The worker's error
+    wins, since the spectral stage comes first serially.  A rescue that
+    raised is left to refine, which computes it again and raises in its
+    own order.
+    """
+    solved = {}
+
+    def solve():
+        try:
+            solved["spectrum"] = proximity.spectrum_of_points(pts,
+                                                              eligibility)
+        except BaseException as exc:  # handed to the caller, re-raised there
+            solved["error"] = exc
+
+    worker = threading.Thread(target=contextvars.copy_context().run,
+                              args=(solve,))
+    worker.start()
+    try:
+        given = {"rescue": rescue_start(pts, refine_cfg)}
+    except Exception:
+        given = {}
+    finally:
+        worker.join()
+    if "error" in solved:
+        raise solved.pop("error")
+    return solved["spectrum"], given
+
+
 def detect_points(points: np.ndarray, stage: str = "both",
                   eligibility: EligibilityConfig | None = None,
                   refine_cfg: RefineConfig | None = None,
@@ -84,6 +138,14 @@ def detect_points(points: np.ndarray, stage: str = "both",
     points when omitted); "both" chains the two.  ``ransac_k`` switches to
     the consensus-sampling baseline instead.  ``report`` is the proximity
     stage's ``eigenvector_flag_report`` when the caller already has it.
+
+    Stage "both" without a ``report`` solves the spectrum on a worker
+    thread while the caller computes refine's rescue start
+    (:func:`~conic_purge.modelfit.rescue_start`), which needs no labels;
+    the outcome and any error are those of running the two stages one
+    after the other.  ``timings_ms["proximity_ms"]`` then covers the
+    rescue start too, and ``"model_ms"`` the rest of refine.  The thread
+    is joined before this returns or raises.
     """
     pts = np.asarray(points, dtype=float)
     eligibility = eligibility or EligibilityConfig()
@@ -98,8 +160,14 @@ def detect_points(points: np.ndarray, stage: str = "both",
         return DetectionOutcome(fit.labels, None, fit.model, fit, timings)
 
     prox_labels = None
+    given = {}  # refine's rescue start, when computed beside the spectrum
     if stage in ("proximity", "both"):
         start = time.perf_counter()
+        if stage == "both" and report is None and _overlaps(pts, refine_cfg):
+            spectrum, given = _spectrum_beside_rescue(pts, eligibility,
+                                                      refine_cfg)
+            report = proximity.eigenvector_flag_report(spectrum, eligibility,
+                                                       seed)
         prox_labels = proximity_stage(pts, eligibility, seed, report)
         timings["proximity_ms"] = 1e3 * (time.perf_counter() - start)
         if stage == "proximity":
@@ -114,7 +182,7 @@ def detect_points(points: np.ndarray, stage: str = "both",
         raise ValueError(f"unknown stage {stage!r}")
 
     start = time.perf_counter()
-    fit = refine(pts, initial, refine_cfg)
+    fit = refine(pts, initial, refine_cfg, **given)
     timings["model_ms"] = 1e3 * (time.perf_counter() - start)
     return DetectionOutcome(fit.labels, prox_labels, fit.model, fit, timings)
 

@@ -143,11 +143,30 @@ class TestGenerate:
          for obj, key in [("eligibility", "max_iter"),
                           ("eligibility", "bandwidth_rank"),
                           ("eligibility", "repeats"), ("refine", "max_iter"),
-                          ("refine", "min_points")]],
+                          ("refine", "min_points")]] + [
+        ({"model": {"semi_major": None, "eccentricity": 0.5}},
+         "model: semi_major None is not a number"),
+        ({"model": dict(TYPICAL_CONFIG["model"], eccentricity="e")},
+         "model: eccentricity 'e' is not a number"),
+        ({"model": dict(TYPICAL_CONFIG["model"], center=5)},
+         "model: center 5 is not a list of 2 numbers"),
+        ({"model": dict(TYPICAL_CONFIG["model"], rotation=[0.0])},
+         "model: rotation [0.0] is not a number"),
+        ({"model": {"center": [0, 0], "semi_axes": [3, None]}},
+         "model: semi_axes [3, None] is not a list of 2 numbers"),
+        ({"model": {"type": "ellipsoid", "center": 5,
+                    "semi_axes": [3, 2, 1]}},
+         "model: center 5 is not a list of 3 numbers"),
+        ({"model": {"type": "ellipsoid", "center": [0, 0, 0],
+                    "semi_axes": [3, 2, 1], "orientation": [1, 0]}},
+         "model: orientation [1, 0] is not a 3x3 matrix"),
+    ],
         ids=["eligibility-key", "refine-key", "eligibility-value",
              "refine-value", "eligibility-null", "n_inliers", "n_outliers",
              "seed", "sigma1", "eligibility-max_iter", "bandwidth_rank",
-             "repeats", "refine-max_iter", "min_points"])
+             "repeats", "refine-max_iter", "min_points", "semi_major-null",
+             "eccentricity-text", "center-number", "rotation-list",
+             "semi_axes-null", "ellipsoid-center", "orientation"])
     def test_bad_field_names_it_exit_1(self, tmp_path, capsys, monkeypatch,
                                        change, message):
         # the same refusal in a scenario config and in a sweep's base,

@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -959,6 +961,54 @@ class TestRescueSamples:
         assert modelfit._rescue_samples.cache_info().hits == 0
         assert modelfit._rescue_samples.cache_info().currsize == \
             modelfit._rescue_samples.cache_info().maxsize
+
+
+class TestRescueStart:
+    """A rescue start handed to refine gives the bits of the one refine
+    computes itself."""
+
+    CASES = {**REFINE_CASES,
+             **{f"freeze-{name}": cfg
+                for name, cfg in FREEZE_SCENARIOS.items()}}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_given_rescue_is_computed_rescue(self, case):
+        cfg = self.CASES[case]
+        data = make_dataset(cfg)
+        rescue = modelfit.rescue_start(data.points, cfg.refine)
+        given = functools.partial(refine, rescue=rescue)
+        everything = DetectionLabels(np.zeros(len(data.points), dtype=bool),
+                                     "model")
+        for initial in (planted_labels(data, cfg.seed), everything):
+            assert refine_outcome(given, data.points, initial, cfg.refine) \
+                == refine_outcome(refine, data.points, initial, cfg.refine)
+
+    def test_none_is_no_rescue(self, monkeypatch):
+        data = make_dataset(REFINE_CASES["c5-m90"])
+        initial = planted_labels(data, 1)
+        given = refine_outcome(functools.partial(refine, rescue=None),
+                               data.points, initial, None)
+        monkeypatch.setattr(modelfit, "_multistart_concentrate",
+                            lambda *args: None)
+        assert given == refine_outcome(refine, data.points, initial, None)
+
+    def test_a_given_rescue_is_not_recomputed(self, monkeypatch):
+        data = make_dataset(REFINE_CASES["c3-typical"])
+        rescue = modelfit.rescue_start(data.points)
+        monkeypatch.setattr(modelfit, "_multistart_concentrate", None)
+        refine(data.points, planted_labels(data, 3), rescue=rescue)
+
+    @pytest.mark.parametrize("points, cfg", [
+        (np.ones((20, 4)), None),
+        (np.full((20, 2), np.nan), None),
+        (np.ones((20, 3)), RefineConfig(min_points=8)),
+    ], ids=["4-columns", "non-finite", "min_points"])
+    def test_refuses_what_refine_refuses(self, points, cfg):
+        initial = DetectionLabels(np.zeros(len(points), dtype=bool), "model")
+        with pytest.raises(ValueError) as refused:
+            refine(points, initial, cfg)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            modelfit.rescue_start(points, cfg)
 
 
 class TestRansacSuccessProb:

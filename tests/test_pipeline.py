@@ -1,14 +1,26 @@
 import dataclasses
+import sys
+import threading
 import typing
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conic_purge import (ConicCoeffs, ExperimentConfig, QuadricCoeffs,
-                         detect_points, ellipse_from_eccentricity,
-                         make_dataset, run_experiment)
+from conic_purge import (ConicCoeffs, ConicPurgeError, ConvergenceFailure,
+                         DegenerateBandwidth, EllipsoidParams,
+                         ExperimentConfig, QuadricCoeffs, RefineConfig,
+                         TooFewPoints, detect_points,
+                         ellipse_from_eccentricity, make_dataset, refine,
+                         run_experiment)
+from conic_purge import modelfit, proximity
 from conic_purge.pipeline import (PIPELINES, DetectionOutcome, RunRecord,
                                   sweep_configs, sweep_trial_seed)
+from conic_purge.proximity import proximity_stage
+
+from conftest import FREEZE_SCENARIOS
 
 
 TYPICAL = ExperimentConfig(model=ellipse_from_eccentricity(5.0, 0.95),
@@ -36,6 +48,237 @@ class TestDetectPoints:
         out = detect_points(data.points, seed=1, ransac_k=100)
         assert out.proximity_labels is None
         assert out.fit.iterations == 100
+
+
+def quiet(fn, *args, **kwargs):
+    """``fn``'s value with the proximity stage's decision warnings muted."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "flag budget|no eligible",
+                                RuntimeWarning)
+        return fn(*args, **kwargs)
+
+
+def outcome_bits(labels, fit):
+    return (labels.outlier.tobytes(), tuple(labels.stage),
+            fit.model.values.tobytes(), fit.iterations, fit.converged)
+
+
+def serial_outcome(pts, eligibility=None, refine_cfg=None, seed=0):
+    """The two stages one after the other, or the type and message of what
+    they raised."""
+    try:
+        prox = quiet(proximity_stage, pts, eligibility, seed)
+        fit = refine(pts, prox, refine_cfg)
+    except (ConicPurgeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return outcome_bits(prox, fit), outcome_bits(fit.labels, fit)
+
+
+def overlapped_outcome(pts, eligibility=None, refine_cfg=None, seed=0):
+    try:
+        out = quiet(detect_points, pts, "both", eligibility, refine_cfg,
+                    seed=seed)
+    except (ConicPurgeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (outcome_bits(out.proximity_labels, out.fit),
+            outcome_bits(out.labels, out.fit))
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """The threads started while the test runs; on exit none is left."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    before = threading.active_count()
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    yield started
+    assert threading.active_count() == before
+    assert not any(t.is_alive() for t in started)
+
+
+@pytest.fixture
+def solved_on(monkeypatch):
+    """The thread on which each ``spectrum_of_points`` call ran, with its
+    ``np.geterr()``."""
+    ran = []
+    original = proximity.spectrum_of_points
+
+    def recorded(*args, **kwargs):
+        ran.append((threading.current_thread(), np.geterr()))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(proximity, "spectrum_of_points", recorded)
+    return ran
+
+
+@st.composite
+def scenarios(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    n_inliers = draw(st.integers(12, 300))
+    n_outliers = draw(st.integers(0, min(n_inliers, 400 - n_inliers)))
+    sigma0 = draw(st.sampled_from([0.0, 0.01, 0.1]))
+    sigma1 = draw(st.sampled_from([0.1, 1.0, 5.0]))
+    if dim == 2:
+        model = ellipse_from_eccentricity(
+            draw(st.floats(1.0, 10.0)), draw(st.floats(0.0, 0.95)))
+    else:
+        axes = np.array(sorted(draw(st.lists(st.floats(1.0, 8.0),
+                                             min_size=3, max_size=3)),
+                               reverse=True))
+        model = EllipsoidParams(np.zeros(3), axes, np.eye(3))
+    return ExperimentConfig(model=model, n_inliers=n_inliers,
+                            n_outliers=n_outliers, sigma0=sigma0,
+                            sigma1=sigma1, seed=draw(st.integers(0, 2**32)))
+
+
+class TestOverlap:
+    """Stage "both" solves the spectrum on a worker thread beside refine's
+    rescue start; its outcome and errors are those of the two stages run
+    one after the other, and no thread outlives the call."""
+
+    @pytest.mark.parametrize("scenario", sorted(FREEZE_SCENARIOS))
+    def test_matches_serial(self, scenario, threads, solved_on):
+        cfg = FREEZE_SCENARIOS[scenario]
+        pts = make_dataset(cfg).points
+        assert overlapped_outcome(pts, cfg.eligibility, cfg.refine,
+                                  cfg.seed) == \
+            serial_outcome(pts, cfg.eligibility, cfg.refine, cfg.seed)
+        assert len(threads) == 1
+        assert solved_on[0][0] is threads[0]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(cfg=scenarios())
+    def test_matches_serial_on_generated_scenarios(self, cfg):
+        pts = make_dataset(cfg).points
+        before = threading.active_count()
+        assert overlapped_outcome(pts, seed=cfg.seed) == \
+            serial_outcome(pts, seed=cfg.seed)
+        assert threading.active_count() == before
+
+    def test_concurrent_calls(self, threads):
+        # more callers than cores, switching often: each call still gets
+        # its own spectrum and rescue start
+        cases = [FREEZE_SCENARIOS[name] for name in ("typical2d", "ransac2d")]
+        data = [make_dataset(cfg).points for cfg in cases]
+        expected = [serial_outcome(pts, seed=cfg.seed)
+                    for pts, cfg in zip(data, cases)]
+        results = {}
+
+        def call(i):
+            out = detect_points(data[i % 2], "both", seed=cases[i % 2].seed)
+            results[i] = (outcome_bits(out.proximity_labels, out.fit),
+                          outcome_bits(out.labels, out.fit))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "flag budget|no eligible",
+                                        RuntimeWarning)
+                callers = [threading.Thread(target=call, args=(i,))
+                           for i in range(6)]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == {i: expected[i % 2] for i in range(6)}
+        assert len(threads) == 12
+
+    def test_spectral_error_wins(self, monkeypatch, threads, solved_on):
+        def fail(lp):
+            raise ConvergenceFailure("planted")
+
+        def rescue_fails(*args):
+            raise RuntimeError("planted rescue")
+
+        pts = make_dataset(FREEZE_SCENARIOS["typical2d"]).points
+        monkeypatch.setattr(proximity, "generalized_eigs", fail)
+        with pytest.raises(ConvergenceFailure, match="planted"):
+            detect_points(pts, "both")
+        assert solved_on[0][0] is threads[0]
+        # the spectral stage comes first, so its error beats the rescue's
+        monkeypatch.setattr(modelfit, "_multistart_concentrate", rescue_fails)
+        with pytest.raises(ConvergenceFailure, match="planted"):
+            detect_points(pts, "both")
+        assert len(threads) == 2
+
+    def test_duplicate_points(self, threads):
+        pts = np.repeat(np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 3.0]]), 10,
+                        axis=0)
+        overlapped = overlapped_outcome(pts)
+        assert overlapped == serial_outcome(pts)
+        assert overlapped[0] is DegenerateBandwidth
+        assert len(threads) == 1
+
+    def test_rescue_error(self, monkeypatch, threads):
+        def rescue_fails(*args):
+            raise RuntimeError("planted rescue")
+
+        pts = make_dataset(FREEZE_SCENARIOS["ellipsoid3d"]).points
+        monkeypatch.setattr(modelfit, "_multistart_concentrate", rescue_fails)
+        with pytest.raises(RuntimeError, match="planted rescue"):
+            quiet(detect_points, pts, "both")
+        assert len(threads) == 1
+
+    @pytest.mark.parametrize("points, refine_cfg", [
+        (np.ones((11, 2)), None),
+        (np.where(np.arange(40)[:, None] == 7, np.nan, 1.0)
+         * np.ones((40, 2)), None),
+        (np.ones(40), None),
+        (make_dataset(FREEZE_SCENARIOS["typical2d"]).points[:, :1], None),
+        (np.hstack([make_dataset(FREEZE_SCENARIOS["ellipsoid3d"]).points,
+                    np.ones((350, 1))]), None),
+        (make_dataset(FREEZE_SCENARIOS["typical2d"]).points,
+         RefineConfig(min_points=4)),
+    ], ids=["K=11", "non-finite", "1-D", "1-column", "4-columns",
+            "min_points"])
+    def test_refused_input_starts_no_thread(self, points, refine_cfg,
+                                            threads):
+        serial = serial_outcome(points, refine_cfg=refine_cfg)
+        assert overlapped_outcome(points, refine_cfg=refine_cfg) == serial
+        assert serial[0] in (TooFewPoints, ValueError)
+        assert threads == []
+
+    def test_errstate_reaches_the_worker(self, threads, solved_on):
+        pts = make_dataset(FREEZE_SCENARIOS["typical2d"]).points
+        with np.errstate(over="ignore", divide="raise"):
+            detect_points(pts, "both")
+        (thread, state), = solved_on
+        assert thread is threads[0]
+        assert (state["over"], state["divide"]) == ("ignore", "raise")
+        # the heat kernel underflows: raised on the worker, as serially
+        with np.errstate(under="raise"):
+            with pytest.raises(FloatingPointError, match="underflow"):
+                proximity_stage(pts)
+            with pytest.raises(FloatingPointError, match="underflow"):
+                detect_points(pts, "both")
+        assert solved_on[-1][0] is threads[-1]
+
+    @pytest.mark.parametrize("stage", ["proximity", "model"])
+    def test_other_stages_run_serially(self, stage, threads):
+        pts = make_dataset(FREEZE_SCENARIOS["typical2d"]).points
+        quiet(detect_points, pts, stage)
+        assert threads == []
+
+    def test_given_report_runs_serially(self, threads):
+        cfg = FREEZE_SCENARIOS["typical2d"]
+        pts = make_dataset(cfg).points
+        report = proximity.eigenvector_flag_report(
+            proximity.spectrum_of_points(pts), proximity.EligibilityConfig(),
+            cfg.seed)
+        out = detect_points(pts, "both", seed=cfg.seed, report=report)
+        assert (outcome_bits(out.proximity_labels, out.fit),
+                outcome_bits(out.labels, out.fit)) == \
+            serial_outcome(pts, seed=cfg.seed)
+        assert threads == []
 
 
 @pytest.mark.parametrize("record", [DetectionOutcome, RunRecord])
