@@ -60,6 +60,27 @@ def _coeffs_from_matrix(mat: np.ndarray) -> np.ndarray:
     return factors * mat[..., rows, cols]
 
 
+def _json_value(obj: dict, key: str, convert, kind: str, *default):
+    """``convert(obj[key])``, or ``default[0]`` when the key is absent and a
+    default is given.  A key missing without a default, or a value that
+    ``convert`` refuses (one that is not ``kind``), raises ValueError
+    naming the key."""
+    if key not in obj:
+        if default:
+            return default[0]
+        raise ValueError(f"missing key {key!r}")
+    value = obj[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} {value!r} is not {kind}") from None
+
+
+def _float_pair(value) -> tuple[float, float]:
+    x, y = value
+    return float(x), float(y)
+
+
 def _is_ellipse(values: np.ndarray):
     """B^2 - 4AC < 0 for a (6,) conic or each row of an (S, 6) stack."""
     a, b, c = values[..., 0], values[..., 1], values[..., 2]
@@ -138,10 +159,13 @@ class EllipseParams:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "EllipseParams":
-        cx, cy = obj["center"]
-        a, b = obj["semi_axes"]
-        return cls(float(cx), float(cy), float(a), float(b),
-                   float(obj.get("rotation", 0.0)))
+        """The ellipse of a model JSON object; a missing key, or a value of
+        the wrong type, raises ValueError naming the key."""
+        pair = "a list of 2 numbers"
+        cx, cy = _json_value(obj, "center", _float_pair, pair)
+        a, b = _json_value(obj, "semi_axes", _float_pair, pair)
+        return cls(cx, cy, a, b,
+                   _json_value(obj, "rotation", float, "a number", 0.0))
 
 
 @dataclass(frozen=True)
@@ -208,10 +232,18 @@ class EllipsoidParams:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "EllipsoidParams":
-        rot = obj.get("orientation")
-        rot = np.eye(3) if rot is None else np.asarray(rot, dtype=float).reshape(3, 3)
-        return cls(np.asarray(obj["center"], dtype=float),
-                   np.asarray(obj["semi_axes"], dtype=float), rot)
+        """The ellipsoid of a model JSON object, with the identity for an
+        absent or null orientation; a missing key, or a value of the wrong
+        type or size, raises ValueError naming the key."""
+        def floats(key, shape, kind):
+            return _json_value(
+                obj, key, lambda v: np.asarray(v, dtype=float).reshape(shape),
+                kind)
+
+        rot = (np.eye(3) if obj.get("orientation") is None
+               else floats("orientation", (3, 3), "a 3x3 matrix"))
+        return cls(floats("center", 3, "a list of 3 numbers"),
+                   floats("semi_axes", 3, "a list of 3 numbers"), rot)
 
 
 @dataclass(frozen=True)

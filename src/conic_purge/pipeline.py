@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import contextvars
+import functools
+import os
 import threading
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -75,17 +78,50 @@ def model_params_from_coeffs(model):
     return ellipsoid_from_quadric(model)
 
 
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter of the OpenBLAS bundled with numpy's wheels,
+    or None when numpy bundles none (another BLAS, or a source build)."""
+    import ctypes
+    libs = (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")
+    for lib in sorted(libs):
+        dll = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            getter = getattr(dll, name, None)
+            if getter is not None:
+                getter.restype, getter.argtypes = ctypes.c_int, []
+                return getter
+    return None
+
+
+def _spare_core() -> bool:
+    """Whether the BLAS leaves one of this process's CPUs free for the
+    spectrum's worker: numpy's OpenBLAS runs on fewer threads than there
+    are usable CPUs.  On one CPU, or with OpenBLAS on as many threads as
+    CPUs (its default), the worker only competes with the caller, and the
+    overlap measured slower than the serial stages; with a BLAS whose
+    threads cannot be read the stages stay serial."""
+    getter = _openblas_threads()
+    if getter is None:
+        return False
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return getter() < cpus
+
+
 def _overlaps(pts: np.ndarray, refine_cfg: RefineConfig) -> bool:
-    """Whether ``pts`` pass the checks the proximity stage makes before its
-    graph work, and refine's checks of the points and of ``min_points``.
-    Other points take the serial path, which raises what it always did."""
-    if pts.ndim != 2 or not 12 <= pts.shape[0] <= MAX_POINTS:
+    """Whether the two stages should overlap on ``pts``: a core is spare,
+    and ``pts`` pass the checks the proximity stage makes before its graph
+    work and refine's checks of the points and of ``min_points``.  Other
+    points take the serial path, which raises what it always did."""
+    if pts.ndim != 2 or not proximity.MIN_POINTS <= pts.shape[0] <= MAX_POINTS:
         return False
     try:
         _dim_tools(pts, refine_cfg.min_points)
     except ValueError:
         return False
-    return True
+    return _spare_core()
 
 
 def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
@@ -141,11 +177,14 @@ def detect_points(points: np.ndarray, stage: str = "both",
 
     Stage "both" without a ``report`` solves the spectrum on a worker
     thread while the caller computes refine's rescue start
-    (:func:`~conic_purge.modelfit.rescue_start`), which needs no labels;
-    the outcome and any error are those of running the two stages one
-    after the other.  ``timings_ms["proximity_ms"]`` then covers the
-    rescue start too, and ``"model_ms"`` the rest of refine.  The thread
-    is joined before this returns or raises.
+    (:func:`~conic_purge.modelfit.rescue_start`), which needs no labels,
+    when numpy's OpenBLAS leaves one of the process's CPUs free (it runs
+    on fewer threads than there are usable CPUs); otherwise the stages
+    run one after the other.  Either way the outcome and any error are
+    those of the serial stages.  When they overlap,
+    ``timings_ms["proximity_ms"]`` covers the rescue start too, and
+    ``"model_ms"`` the rest of refine, and the thread is joined before
+    this returns or raises.
     """
     pts = np.asarray(points, dtype=float)
     eligibility = eligibility or EligibilityConfig()

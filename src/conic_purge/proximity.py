@@ -34,6 +34,8 @@ __all__ = [
     "proximity_stage",
 ]
 
+MIN_POINTS = 12  # fewest points the proximity stage accepts
+
 # spread below this (relative to the data magnitude) is considered flat
 _FLAT_RTOL = 1e-9
 
@@ -354,8 +356,9 @@ def proximity_stage(points: np.ndarray, cfg: EligibilityConfig | None = None,
     cfg = cfg or EligibilityConfig()
     pts = np.asarray(points, dtype=float)
     k = pts.shape[0]
-    if k < 12:
-        raise TooFewPoints("proximity stage needs at least 12 points")
+    if k < MIN_POINTS:
+        raise TooFewPoints(
+            f"proximity stage needs at least {MIN_POINTS} points")
     if report is None:
         report = eigenvector_flag_report(spectrum_of_points(pts, cfg), cfg,
                                          rng_seed)

@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import LengthMismatch, typed_number
-from .geometry import (EllipseParams, EllipsoidParams,
-                       ellipse_boundary_points, ellipsoid_boundary_points)
+from .geometry import (EllipseParams, EllipsoidParams, _float_pair,
+                       _json_value, ellipse_boundary_points,
+                       ellipsoid_boundary_points)
 from .modelfit import RefineConfig
 from .proximity import DetectionLabels, EligibilityConfig
 
@@ -101,7 +102,8 @@ class ExperimentConfig:
         a model value of the wrong type, a model, ``eligibility`` or
         ``refine`` that is not an object, or an unknown key of the last
         two, raises ValueError naming the key and the object it belongs
-        to."""
+        to; a model the geometry refuses raises its ValueError prefixed
+        with ``model``."""
         if not isinstance(obj, dict):
             raise ValueError("expected a JSON object")
         if "model" not in obj:
@@ -109,8 +111,25 @@ class ExperimentConfig:
         model_obj = obj["model"]
         if not isinstance(model_obj, dict):
             raise ValueError("model: expected a JSON object")
+        try:
+            if model_obj.get("type") == "ellipsoid":
+                model = EllipsoidParams.from_json_dict(model_obj)
+            elif "eccentricity" in model_obj:
+                def number(key, *default):
+                    return _json_value(model_obj, key, float, "a number",
+                                       *default)
+
+                model = ellipse_from_eccentricity(
+                    number("semi_major"), number("eccentricity"),
+                    _json_value(model_obj, "center", _float_pair,
+                                "a list of 2 numbers", (0.0, 0.0)),
+                    number("rotation", 0.0))
+            else:
+                model = EllipseParams.from_json_dict(model_obj)
+        except ValueError as exc:
+            raise ValueError(f"model: {exc}") from None
         return cls(
-            model=_model(model_obj),
+            model=model,
             n_inliers=obj.get("n_inliers", 100),
             n_outliers=obj.get("n_outliers", 50),
             sigma0=obj.get("sigma0", 0.01),
@@ -129,61 +148,6 @@ class ExperimentConfig:
             return cls.from_json_dict(obj)
         except ValueError as exc:
             raise ValueError(f"scenario config: {exc}") from None
-
-
-_REQUIRED = object()
-
-
-def _model_value(model_obj: dict, key: str, convert, kind: str,
-                 default=_REQUIRED):
-    """``convert(model_obj[key])``, or ``default`` when the key is absent;
-    ValueError naming ``model`` and the key when a required key is missing
-    or ``convert`` refuses the value, which is not ``kind``."""
-    if key not in model_obj:
-        if default is _REQUIRED:
-            raise ValueError(f"model: missing key {key!r}")
-        return default
-    value = model_obj[key]
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"model: {key} {value!r} is not {kind}") from None
-
-
-def _pair(value) -> tuple[float, float]:
-    x, y = value
-    return float(x), float(y)
-
-
-def _floats(shape):
-    return lambda value: np.asarray(value, dtype=float).reshape(shape)
-
-
-def _model(model_obj: dict) -> EllipseParams | EllipsoidParams:
-    """The model of a scenario: an ellipsoid (``"type": "ellipsoid"``), an
-    ellipse by semi-major length and eccentricity, or one by semi-axes."""
-    def number(key, default=_REQUIRED):
-        return _model_value(model_obj, key, float, "a number", default)
-
-    if model_obj.get("type") == "ellipsoid":
-        center = _model_value(model_obj, "center", _floats(3),
-                              "a list of 3 numbers")
-        axes = _model_value(model_obj, "semi_axes", _floats(3),
-                            "a list of 3 numbers")
-        rot = model_obj.get("orientation")
-        if rot is not None:
-            rot = _model_value(model_obj, "orientation", _floats((3, 3)),
-                               "a 3x3 matrix")
-        return EllipsoidParams(center, axes, np.eye(3) if rot is None else rot)
-    if "eccentricity" in model_obj:
-        return ellipse_from_eccentricity(
-            number("semi_major"), number("eccentricity"),
-            _model_value(model_obj, "center", _pair, "a list of 2 numbers",
-                         (0.0, 0.0)),
-            number("rotation", 0.0))
-    center = _model_value(model_obj, "center", _pair, "a list of 2 numbers")
-    axes = _model_value(model_obj, "semi_axes", _pair, "a list of 2 numbers")
-    return EllipseParams(*center, *axes, number("rotation", 0.0))
 
 
 def _knobs(config_type, obj: dict, name: str):

@@ -160,13 +160,18 @@ class TestGenerate:
         ({"model": {"type": "ellipsoid", "center": [0, 0, 0],
                     "semi_axes": [3, 2, 1], "orientation": [1, 0]}},
          "model: orientation [1, 0] is not a 3x3 matrix"),
+        ({"model": {"center": [0, 0], "semi_axes": [1, 2]}},
+         "model: require a >= b > 0, got a=1.0, b=2.0"),
+        ({"model": dict(TYPICAL_CONFIG["model"], eccentricity=1.5)},
+         "model: eccentricity must lie in [0, 1)"),
     ],
         ids=["eligibility-key", "refine-key", "eligibility-value",
              "refine-value", "eligibility-null", "n_inliers", "n_outliers",
              "seed", "sigma1", "eligibility-max_iter", "bandwidth_rank",
              "repeats", "refine-max_iter", "min_points", "semi_major-null",
              "eccentricity-text", "center-number", "rotation-list",
-             "semi_axes-null", "ellipsoid-center", "orientation"])
+             "semi_axes-null", "ellipsoid-center", "orientation",
+             "semi_axes-order", "eccentricity-range"])
     def test_bad_field_names_it_exit_1(self, tmp_path, capsys, monkeypatch,
                                        change, message):
         # the same refusal in a scenario config and in a sweep's base,

@@ -744,6 +744,28 @@ class TestParamInvariants:
         s = random_ellipsoid(rng)
         back3 = EllipsoidParams.from_json_dict(s.to_json_dict())
         assert np.allclose(back3.orientation, s.orientation)
+        # an absent or null orientation is the identity
+        for extra in ({}, {"orientation": None}):
+            plain = EllipsoidParams.from_json_dict(
+                {"center": [0, 0, 0], "semi_axes": [3, 2, 1], **extra})
+            assert np.array_equal(plain.orientation, np.eye(3))
+
+    @pytest.mark.parametrize("params, obj, message", [
+        (EllipseParams, {"semi_axes": [2, 1]}, "missing key 'center'"),
+        (EllipseParams, {"center": [0, 0], "semi_axes": [2, "b"]},
+         "semi_axes [2, 'b'] is not a list of 2 numbers"),
+        (EllipseParams, {"center": [0, 0], "semi_axes": [2, 1],
+                         "rotation": None}, "rotation None is not a number"),
+        (EllipsoidParams, {"center": [0, 0, 0]}, "missing key 'semi_axes'"),
+        (EllipsoidParams, {"center": [0, 0], "semi_axes": [3, 2, 1]},
+         "center [0, 0] is not a list of 3 numbers"),
+        (EllipsoidParams, {"center": [0, 0, 0], "semi_axes": [3, 2, 1],
+                           "orientation": [1, 0]},
+         "orientation [1, 0] is not a 3x3 matrix")])
+    def test_json_refusal_names_the_key(self, params, obj, message):
+        with pytest.raises(ValueError) as info:
+            params.from_json_dict(obj)
+        assert str(info.value) == message
 
 
 def _output(func, *args):

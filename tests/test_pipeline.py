@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import sys
 import threading
 import typing
@@ -15,7 +16,7 @@ from conic_purge import (ConicCoeffs, ConicPurgeError, ConvergenceFailure,
                          TooFewPoints, detect_points,
                          ellipse_from_eccentricity, make_dataset, refine,
                          run_experiment)
-from conic_purge import modelfit, proximity
+from conic_purge import modelfit, pipeline, proximity
 from conic_purge.pipeline import (PIPELINES, DetectionOutcome, RunRecord,
                                   sweep_configs, sweep_trial_seed)
 from conic_purge.proximity import proximity_stage
@@ -140,6 +141,12 @@ class TestOverlap:
     """Stage "both" solves the spectrum on a worker thread beside refine's
     rescue start; its outcome and errors are those of the two stages run
     one after the other, and no thread outlives the call."""
+
+    @pytest.fixture(autouse=True)
+    def spare_core(self, monkeypatch):
+        # the overlap runs only where the BLAS leaves a CPU free, which
+        # depends on the machine; these tests are about the overlap itself
+        monkeypatch.setattr(pipeline, "_spare_core", lambda: True)
 
     @pytest.mark.parametrize("scenario", sorted(FREEZE_SCENARIOS))
     def test_matches_serial(self, scenario, threads, solved_on):
@@ -268,6 +275,14 @@ class TestOverlap:
         quiet(detect_points, pts, stage)
         assert threads == []
 
+    def test_no_spare_core_runs_serially(self, monkeypatch, threads):
+        monkeypatch.setattr(pipeline, "_spare_core", lambda: False)
+        cfg = FREEZE_SCENARIOS["ellipsoid3d"]
+        pts = make_dataset(cfg).points
+        assert overlapped_outcome(pts, seed=cfg.seed) == \
+            serial_outcome(pts, seed=cfg.seed)
+        assert threads == []
+
     def test_given_report_runs_serially(self, threads):
         cfg = FREEZE_SCENARIOS["typical2d"]
         pts = make_dataset(cfg).points
@@ -279,6 +294,26 @@ class TestOverlap:
                 outcome_bits(out.labels, out.fit)) == \
             serial_outcome(pts, seed=cfg.seed)
         assert threads == []
+
+
+class TestSpareCore:
+    """The overlap needs a usable CPU that numpy's OpenBLAS leaves free."""
+
+    @pytest.mark.parametrize("blas, cpus, spare", [
+        (1, {0, 1}, True), (1, {0}, False), (2, {0, 1}, False),
+        (2, {0, 1, 2}, True), (None, {0, 1}, False)])
+    def test_blas_threads_against_cpus(self, monkeypatch, blas, cpus, spare):
+        monkeypatch.setattr(pipeline, "_openblas_threads",
+                            lambda: None if blas is None else lambda: blas)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        assert pipeline._spare_core() is spare
+
+    def test_reads_the_running_blas(self):
+        getter = pipeline._openblas_threads()
+        if getter is None:
+            pytest.skip("numpy bundles no OpenBLAS here")
+        assert getter() >= 1
 
 
 @pytest.mark.parametrize("record", [DetectionOutcome, RunRecord])
