@@ -20,7 +20,7 @@ from .modelfit import RefineConfig
 from .pipeline import (PIPELINES, RunRecord, detect_points,
                        model_params_from_coeffs, run_experiment,
                        sweep_configs, sweep_trial_seed)
-from .proximity import (DetectionLabels, EligibilityConfig,
+from .proximity import (MIN_POINTS, DetectionLabels, EligibilityConfig,
                         eigenvector_flag_report, spectrum_of_points)
 from .synth import (ExperimentConfig, detection_metrics, make_dataset,
                     outlier_flag, read_dataset_csv, write_dataset_csv,
@@ -109,17 +109,47 @@ def _eligibility_from_args(args) -> EligibilityConfig:
         gamma=args.gamma, bandwidth_rank=args.p, repeats=args.repeats)
 
 
+def _dump_writer(args):
+    """The writer of the requested ``--dump-*`` files, called with the
+    spectrum and the eligibility report, or None when no dump is asked."""
+    if not (args.dump_spectrum or args.dump_eligible):
+        return None
+
+    def dump(spectrum, report):
+        if args.dump_spectrum:
+            lines = ["index,eigenvalue"]
+            lines += [f"{i},{float(lam)!r}"
+                      for i, lam in enumerate(spectrum.eigenvalues)]
+            write_text(args.dump_spectrum, "\n".join(lines) + "\n")
+        if args.dump_eligible:
+            lines = ["eigenvalue,hf_measure,flagged_count"]
+            lines += [f"{lam!r},{hf!r},{int(flags.sum())}"
+                      for _i, lam, hf, _trusted, flags in report]
+            write_text(args.dump_eligible, "\n".join(lines) + "\n")
+    return dump
+
+
 def cmd_detect(args) -> int:
+    """``detect``: read and check every input, write the ``--dump-*`` files,
+    then run the stage and write the labels and the model.
+
+    The dumps come from the spectrum and eligibility report that the
+    proximity stage uses, made once by ``detect_points``, so stage "both"
+    solves the spectrum beside the rescue start as it does without dumps,
+    and a run that fails in the model stage still leaves them.  Stage
+    "model" and ``--baseline ransac`` use no spectrum; one is solved for
+    the dumps alone.
+    """
     if args.k < 1:
         raise _CliError(f"error: --k must be >= 1, got {args.k}", EXIT_CONFIG)
     if args.seed < 0:
         raise _CliError(f"error: --seed must be >= 0, got {args.seed}",
                         EXIT_CONFIG)
     points, truth = read_dataset_csv(args.data)
-    if points.shape[0] < 12:
+    if points.shape[0] < MIN_POINTS:
         raise _CliError(
-            f"error: dataset has {points.shape[0]} rows; need at least 12",
-            EXIT_CONFIG)
+            f"error: dataset has {points.shape[0]} rows; need at least "
+            f"{MIN_POINTS}", EXIT_CONFIG)
     eligibility = _eligibility_from_args(args)
     refine_cfg = RefineConfig(tau_scale=args.tau_scale)
     ransac_k = args.k if args.baseline == "ransac" else None
@@ -136,27 +166,19 @@ def cmd_detect(args) -> int:
             "error: initial labels do not match the dataset length",
             EXIT_CONFIG)
 
-    # one pass over the eligible eigenvectors serves the dumps and the stage
-    report = None
-    if args.dump_spectrum or args.dump_eligible:
+    dump = _dump_writer(args)
+    uses_spectrum = ransac_k is None and args.stage != "model"
+    if dump is not None and not uses_spectrum:
         spectrum = spectrum_of_points(points, eligibility)
-        if args.dump_spectrum:
-            lines = ["index,eigenvalue"]
-            lines += [f"{i},{float(lam)!r}"
-                      for i, lam in enumerate(spectrum.eigenvalues)]
-            write_text(args.dump_spectrum, "\n".join(lines) + "\n")
-        if args.dump_eligible or (ransac_k is None and args.stage != "model"):
-            report = eigenvector_flag_report(
-                spectrum, eligibility, args.seed, bool(args.dump_eligible))
-        if args.dump_eligible:
-            lines = ["eigenvalue,hf_measure,flagged_count"]
-            lines += [f"{lam!r},{hf!r},{int(flags.sum())}"
-                      for _i, lam, hf, _trusted, flags in report]
-            write_text(args.dump_eligible, "\n".join(lines) + "\n")
+        dump(spectrum, eigenvector_flag_report(spectrum, eligibility,
+                                               args.seed, True)
+             if args.dump_eligible else None)
 
     outcome = detect_points(points, args.stage, eligibility, refine_cfg,
                             seed=args.seed, init_labels=init_labels,
-                            ransac_k=ransac_k, report=report)
+                            ransac_k=ransac_k,
+                            on_report=dump if uses_spectrum else None,
+                            detect_all=bool(args.dump_eligible))
 
     data_path = Path(args.data)
     labels_path = args.out_labels or data_path.with_suffix(".labels.csv")

@@ -295,10 +295,29 @@ def _classification_loop(pts, start, fitter, min_points, cfg):
     return model, inliers, iterations, converged
 
 
+# residual entries per row block of the C-step stack: each float64
+# temporary of a block stays at or below 128 KiB, glibc's default mmap
+# threshold.  typical2d's 60 x 150 stack stays one block; vanilla_ransac's
+# 8k blocks would split it, and rescue_start there took 9.3 ms against
+# 7.9 (medians of 8 interleaved runs of 40 calls, OpenBLAS on one thread)
+_STACK_BLOCK_ENTRIES = 1 << 14
+
+
+def _row_blocks(rows: int, n: int) -> list[slice]:
+    """Slices of consecutive rows of an (rows, n) stack, each of at most
+    ``_STACK_BLOCK_ENTRIES`` entries (one row when a row holds more)."""
+    step = max(1, _STACK_BLOCK_ENTRIES // n)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 def _trimmed_objectives(pts, values, half: int) -> np.ndarray:
-    """Sum of the ``half`` smallest absolute residuals of each (S, m) row."""
-    dist = np.sort(np.abs(signed_residuals(pts, values)), axis=1)
-    return dist[:, :half].sum(axis=1)
+    """Sum of the ``half`` smallest absolute residuals of each (S, m) row,
+    computed a row block at a time."""
+    out = np.empty(values.shape[0])
+    for block in _row_blocks(values.shape[0], pts.shape[0]):
+        dist = np.sort(np.abs(signed_residuals(pts, values[block])), axis=1)
+        out[block] = dist[:, :half].sum(axis=1)
+    return out
 
 
 def _concentrate(pts, values, half: int, steps: int):
@@ -310,11 +329,21 @@ def _concentrate(pts, values, half: int, steps: int):
     its half-set.  A row stops when its half-set repeats, since the refit
     would give the same bits, and when the batch fit rejects its refit; it
     keeps its last model.  The rows do not interact: a row of a stack
-    equals that row run alone.  Returns the models and the (S, half)
-    indexes of each row's last fitted half-set, -1 in a row never refitted.
+    equals that row run alone, so the stack runs one row block
+    (:func:`_row_blocks`) after another, which bounds the working set.
+    Returns the models and the (S, half) indexes of each row's last fitted
+    half-set, -1 in a row never refitted.
     """
     values = values.copy()
     cores = np.full((values.shape[0], half), -1)
+    for block in _row_blocks(values.shape[0], pts.shape[0]):
+        _concentrate_rows(pts, values[block], cores[block], steps)
+    return values, cores
+
+
+def _concentrate_rows(pts, values, cores, steps: int) -> None:
+    """:func:`_concentrate` on one row block, in place on its views."""
+    half = cores.shape[1]
     active = np.arange(values.shape[0])
     for _ in range(steps):
         dist = np.abs(signed_residuals(pts, values[active]))
@@ -327,7 +356,6 @@ def _concentrate(pts, values, half: int, steps: int):
         refit, good = _fit_direct_batch(pts[tight])
         active, tight = active[good], tight[good]
         values[active], cores[active] = refit[good], tight
-    return values, cores
 
 
 _MULTISTART_SEED = 0x5EED

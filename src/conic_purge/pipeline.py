@@ -7,6 +7,7 @@ import functools
 import os
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from .modelfit import (FitResult, RefineConfig, _dim_tools,
                        fit_ellipse_direct, fit_ellipsoid_direct, refine,
                        rescue_start, vanilla_ransac)
 from .proximity import DetectionLabels, EligibilityConfig, proximity_stage
-from .spectral import MAX_POINTS
+from .spectral import MAX_POINTS, Spectrum
 from .synth import ExperimentConfig, detection_metrics, make_dataset
 
 __all__ = [
@@ -166,25 +167,33 @@ def detect_points(points: np.ndarray, stage: str = "both",
                   seed: int = 0,
                   init_labels: DetectionLabels | None = None,
                   ransac_k: int | None = None,
-                  report: list[tuple] | None = None) -> DetectionOutcome:
+                  on_report: Callable[[Spectrum, list[tuple]], None]
+                  | None = None,
+                  detect_all: bool = False) -> DetectionOutcome:
     """Run the requested stage(s) on raw points.
 
     stage "proximity" stops after the graph stage (the reported model is a
     direct fit of its inliers); "model" refines from ``init_labels`` (all
     points when omitted); "both" chains the two.  ``ransac_k`` switches to
-    the consensus-sampling baseline instead.  ``report`` is the proximity
-    stage's ``eigenvector_flag_report`` when the caller already has it.
+    the consensus-sampling baseline instead.
 
-    Stage "both" without a ``report`` solves the spectrum on a worker
-    thread while the caller computes refine's rescue start
+    ``on_report``, on stages "proximity" and "both", is called with the
+    proximity stage's spectrum and its ``eigenvector_flag_report`` once
+    both are made and before the stage reads its labels from them, so
+    before refine runs; ``detect_all`` has the report run the detector on
+    every eligible vector, not only the trusted ones.  The stage uses that
+    same spectrum and report, so it solves the spectrum once.
+
+    Stage "both" solves the spectrum on a worker thread while the caller
+    computes refine's rescue start
     (:func:`~conic_purge.modelfit.rescue_start`), which needs no labels,
     when numpy's OpenBLAS leaves one of the process's CPUs free (it runs
     on fewer threads than there are usable CPUs); otherwise the stages
-    run one after the other.  Either way the outcome and any error are
-    those of the serial stages.  When they overlap,
-    ``timings_ms["proximity_ms"]`` covers the rescue start too, and
-    ``"model_ms"`` the rest of refine, and the thread is joined before
-    this returns or raises.
+    run one after the other.  Either way the outcome, the spectrum and
+    report handed to ``on_report`` and any error are those of the serial
+    stages.  When they overlap, ``timings_ms["proximity_ms"]`` covers the
+    rescue start too, and ``"model_ms"`` the rest of refine, and the
+    thread is joined before this returns or raises.
     """
     pts = np.asarray(points, dtype=float)
     eligibility = eligibility or EligibilityConfig()
@@ -202,11 +211,17 @@ def detect_points(points: np.ndarray, stage: str = "both",
     given = {}  # refine's rescue start, when computed beside the spectrum
     if stage in ("proximity", "both"):
         start = time.perf_counter()
-        if stage == "both" and report is None and _overlaps(pts, refine_cfg):
+        spectrum = report = None
+        if stage == "both" and _overlaps(pts, refine_cfg):
             spectrum, given = _spectrum_beside_rescue(pts, eligibility,
                                                       refine_cfg)
-            report = proximity.eigenvector_flag_report(spectrum, eligibility,
-                                                       seed)
+        elif on_report is not None and pts.shape[0] >= proximity.MIN_POINTS:
+            spectrum = proximity.spectrum_of_points(pts, eligibility)
+        if spectrum is not None:
+            report = proximity.eigenvector_flag_report(
+                spectrum, eligibility, seed, detect_all)
+            if on_report is not None:
+                on_report(spectrum, report)
         prox_labels = proximity_stage(pts, eligibility, seed, report)
         timings["proximity_ms"] = 1e3 * (time.perf_counter() - start)
         if stage == "proximity":

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import types
 import warnings
 
@@ -13,7 +14,9 @@ import pytest
 from conic_purge import EllipseParams
 from conic_purge.geometry import ellipse_boundary_points
 from conic_purge.proximity import DetectionLabels
-from conic_purge.synth import read_dataset_csv, write_dataset_csv
+from conic_purge.synth import make_dataset, read_dataset_csv, write_dataset_csv
+
+from conftest import FREEZE_SCENARIOS, LARGE_SPECTRUM_SCENARIO
 
 
 def run_cli(*args, cwd=None):
@@ -45,6 +48,13 @@ def write_noiseless_ellipse(path, n=60):
     pts = ellipse_boundary_points(e, np.linspace(0, 2 * math.pi, n + 1)[:-1])
     write_dataset_csv(path, pts)
     return e
+
+
+def detect_argv(csv, seed, labels, model, spectrum, eligible):
+    """``detect`` stage "both" on ``csv`` with both dumps."""
+    return ["detect", "--data", str(csv), "--seed", str(seed),
+            "--out-labels", str(labels), "--out-model", str(model),
+            "--dump-spectrum", str(spectrum), "--dump-eligible", str(eligible)]
 
 
 class TestGenerate:
@@ -423,10 +433,11 @@ class TestDetect:
 
     def test_dumps_share_the_detection_spectrum(self, tmp_path, config_path,
                                                 monkeypatch):
-        # for every stage, baseline and dump combination, one spectrum and
-        # at most one detector run per eligible vector serve the dumps and
-        # the stage, and the dumps leave the outputs alone
-        from conic_purge import cli, proximity
+        # for every stage, baseline and dump combination, with the stages
+        # overlapped or not, one spectrum and at most one detector run per
+        # eligible vector serve the dumps and the stage, and the dumps
+        # leave the outputs alone
+        from conic_purge import cli, pipeline, proximity
         data = tmp_path / "data.csv"
         assert cli.main(["generate", "--config", str(config_path),
                          "--out", str(data)]) == 0
@@ -446,28 +457,109 @@ class TestDetect:
             or original_detect(values, *args, **kwargs))
         modes = [[], ["--stage", "proximity"], ["--stage", "model"],
                  ["--baseline", "ransac", "--k", "50"]]
-        for mode in modes:
-            outs = {}
-            for dumps in [(), ("spectrum",), ("eligible",),
-                          ("spectrum", "eligible")]:
-                solves.clear()
-                detected.clear()
-                labels, model = tmp_path / "labels.csv", tmp_path / "m.json"
-                assert cli.main(
-                    ["detect", "--data", str(data), "--seed", "11", *mode,
-                     "--out-labels", str(labels), "--out-model", str(model),
-                     *[arg for d in dumps
-                       for arg in (f"--dump-{d}", str(tmp_path / d))]]) == 0
-                outs[dumps] = labels.read_bytes(), model.read_bytes()
-                stage_runs = mode in modes[:2]
-                assert len(solves) == int(stage_runs or bool(dumps))
-                assert len(set(detected)) == len(detected)
-                if "eligible" in dumps:
-                    assert len(detected) == len(report) > 0
-                else:
-                    assert len(detected) == \
-                        stage_runs * sum(r[3] for r in report)
-            assert len(set(outs.values())) == 1
+        for spare in (True, False):
+            monkeypatch.setattr(pipeline, "_spare_core", lambda: spare)
+            for mode in modes:
+                outs = {}
+                for dumps in [(), ("spectrum",), ("eligible",),
+                              ("spectrum", "eligible")]:
+                    solves.clear()
+                    detected.clear()
+                    labels = tmp_path / "labels.csv"
+                    model = tmp_path / "m.json"
+                    assert cli.main(
+                        ["detect", "--data", str(data), "--seed", "11",
+                         *mode, "--out-labels", str(labels),
+                         "--out-model", str(model),
+                         *[arg for d in dumps
+                           for arg in (f"--dump-{d}", str(tmp_path / d))]]) \
+                        == 0
+                    outs[dumps] = labels.read_bytes(), model.read_bytes()
+                    stage_runs = mode in modes[:2]
+                    assert len(solves) == int(stage_runs or bool(dumps))
+                    assert len(set(detected)) == len(detected)
+                    if "eligible" in dumps:
+                        assert len(detected) == len(report) > 0
+                    else:
+                        assert len(detected) == \
+                            stage_runs * sum(r[3] for r in report)
+                assert len(set(outs.values())) == 1
+
+    @pytest.mark.parametrize("scenario", ["typical2d", "large"])
+    def test_overlapped_outputs_are_the_serial_bytes(self, tmp_path,
+                                                     monkeypatch, scenario):
+        # stage "both" with both dumps, the spectrum solved on a worker
+        # beside the rescue start or on the caller before it: the same
+        # labels, model and dumps, byte for byte, and no thread left over
+        from conic_purge import cli, pipeline, proximity
+        cfg = FREEZE_SCENARIOS.get(scenario, LARGE_SPECTRUM_SCENARIO)
+        data = make_dataset(cfg)
+        csv = tmp_path / "data.csv"
+        write_dataset_csv(csv, data.points, data.truth)
+        solved_on, started = [], []
+        original = proximity.generalized_eigs
+        monkeypatch.setattr(
+            proximity, "generalized_eigs", lambda lp: solved_on.append(
+                threading.current_thread()) or original(lp))
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        outputs = {}
+        for spare in (True, False):
+            monkeypatch.setattr(pipeline, "_spare_core", lambda: spare)
+            solved_on.clear()
+            started.clear()
+            before = threading.active_count()
+            paths = [tmp_path / f"{spare}-{name}" for name in
+                     ("labels.csv", "model.json", "spectrum.csv",
+                      "eligible.csv")]
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "flag budget|no eligible",
+                                        RuntimeWarning)
+                assert cli.main(detect_argv(csv, cfg.seed, *paths)) == 0
+            assert threading.active_count() == before
+            assert not any(t.is_alive() for t in started)
+            assert len(solved_on) == 1 and len(started) == int(spare)
+            assert solved_on[0] is (started[0] if spare
+                                    else threading.main_thread())
+            outputs[spare] = [path.read_bytes() for path in paths]
+        assert outputs[True] == outputs[False]
+
+    @pytest.mark.parametrize("spare", [True, False])
+    def test_dumps_written_before_the_model_stage(self, tmp_path,
+                                                  monkeypatch, capsys,
+                                                  spare):
+        # a run that fails in refine exits 2 and still leaves both dumps,
+        # with the bytes of a run that succeeds
+        from conic_purge import cli, pipeline
+        from conic_purge.errors import DegenerateConfiguration
+        monkeypatch.setattr(pipeline, "_spare_core", lambda: spare)
+        cfg = FREEZE_SCENARIOS["typical2d"]
+        data = make_dataset(cfg)
+        csv = tmp_path / "data.csv"
+        write_dataset_csv(csv, data.points, data.truth)
+        names = ("labels.csv", "model.json", "spectrum.csv", "eligible.csv")
+        good = [tmp_path / f"good-{name}" for name in names]
+        failed = [tmp_path / f"failed-{name}" for name in names]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "flag budget|no eligible",
+                                    RuntimeWarning)
+            assert cli.main(detect_argv(csv, cfg.seed, *good)) == 0
+
+            def planted(*args, **kwargs):
+                raise DegenerateConfiguration("planted")
+
+            monkeypatch.setattr(pipeline, "refine", planted)
+            capsys.readouterr()
+            assert cli.main(detect_argv(csv, cfg.seed, *failed)) == 2
+        assert "DegenerateConfiguration: planted" in capsys.readouterr().err
+        assert not failed[0].exists() and not failed[1].exists()
+        assert [p.read_bytes() for p in failed[2:]] == \
+            [p.read_bytes() for p in good[2:]]
 
     @pytest.mark.parametrize("mode, conflict", [
         ([], "--stage both"),

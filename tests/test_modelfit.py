@@ -31,7 +31,8 @@ from conic_purge.proximity import proximity_stage
 import reference_fits
 import reference_ransac
 import reference_refine
-from conftest import FREEZE_SCENARIOS, random_ellipse, random_ellipsoid
+from conftest import (FREEZE_SCENARIOS, LARGE_SPECTRUM_SCENARIO,
+                      random_ellipse, random_ellipsoid)
 
 
 def ellipse_samples(e, n, jitter=0.0, rng=None, offset=0.1):
@@ -901,6 +902,51 @@ class TestConcentrationKernel:
         pts = make_dataset(REFINE_CASES["c3-typical"]).points
         values, cores = modelfit._concentrate(pts, np.zeros((0, 6)), 75, 30)
         assert values.shape == (0, 6) and cores.shape == (0, 75)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([2, 3]), n=st.integers(12, 800),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_blocked_rows_equal_rows_alone(self, dim, n, seed, data):
+        # the stack runs in row blocks of at most 16k entries; with up to
+        # three blocks' worth of rows every row, models, cores and trimmed
+        # objective, is still the row run alone
+        per_block = modelfit._STACK_BLOCK_ENTRIES // n
+        count = data.draw(st.integers(1, min(3 * per_block + 1, 90)))
+        steps = data.draw(st.sampled_from([1, 2]))
+        pts = near_model_stack(seed, 1, n, dim)[0]
+        size = 5 if dim == 2 else 9
+        samples = modelfit._minimal_samples(n, size, seed, count)
+        values, ok = _fit_direct_batch(pts[samples])
+        assume(ok.any())
+        values = values[ok]
+        half = (n + 1) // 2
+        blocks = modelfit._row_blocks(len(values), n)
+        assert [i for b in blocks for i in range(len(values))[b]] == \
+            list(range(len(values)))
+        assert all(len(range(len(values))[b]) * n
+                   <= modelfit._STACK_BLOCK_ENTRIES for b in blocks)
+        stacked, cores = modelfit._concentrate(pts, values, half, steps)
+        objectives = modelfit._trimmed_objectives(pts, values, half)
+        for i in range(len(values)):
+            row, core = modelfit._concentrate(pts, values[i:i + 1], half,
+                                              steps)
+            assert row.tobytes() == stacked[i].tobytes()
+            assert np.array_equal(core[0], cores[i])
+            alone = modelfit._trimmed_objectives(pts, values[i:i + 1], half)
+            assert alone.tobytes() == objectives[i:i + 1].tobytes()
+
+    def test_rescue_start_memory(self):
+        # the C-steps hold one row block of residual temporaries at a
+        # time; the whole 60 x 800 stack peaked at 3.13 MiB
+        pts = make_dataset(LARGE_SPECTRUM_SCENARIO).points
+        modelfit.rescue_start(pts)  # draws the cached minimal samples
+        tracemalloc.start()
+        try:
+            modelfit.rescue_start(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2 ** 20
 
 
 class TestRescueSamples:

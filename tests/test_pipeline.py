@@ -283,17 +283,73 @@ class TestOverlap:
             serial_outcome(pts, seed=cfg.seed)
         assert threads == []
 
-    def test_given_report_runs_serially(self, threads):
+    @pytest.mark.parametrize("spare", [True, False])
+    @pytest.mark.parametrize("detect_all", [False, True])
+    def test_report_hook_sees_the_stage_report(self, monkeypatch, spare,
+                                               detect_all, threads,
+                                               solved_on):
+        # the hook gets the one spectrum and report the stage uses, before
+        # refine runs, with the core spare (spectrum on the worker) or not
+        monkeypatch.setattr(pipeline, "_spare_core", lambda: spare)
         cfg = FREEZE_SCENARIOS["typical2d"]
         pts = make_dataset(cfg).points
-        report = proximity.eigenvector_flag_report(
-            proximity.spectrum_of_points(pts), proximity.EligibilityConfig(),
-            cfg.seed)
-        out = detect_points(pts, "both", seed=cfg.seed, report=report)
+        events = []
+        original_refine = pipeline.refine
+        monkeypatch.setattr(pipeline, "refine", lambda *args, **kwargs:
+                            events.append("refine")
+                            or original_refine(*args, **kwargs))
+        out = quiet(detect_points, pts, "both", seed=cfg.seed,
+                    on_report=lambda spectrum, report: events.append(
+                        (spectrum, report)),
+                    detect_all=detect_all)
+        assert len(solved_on) == 1
+        assert len(threads) == int(spare)
+        assert solved_on[0][0] is (threads[0] if spare
+                                   else threading.current_thread())
         assert (outcome_bits(out.proximity_labels, out.fit),
                 outcome_bits(out.labels, out.fit)) == \
             serial_outcome(pts, seed=cfg.seed)
-        assert threads == []
+        (spectrum, report), called = events
+        assert called == "refine"
+        expected = proximity.spectrum_of_points(pts)
+        assert spectrum.eigenvalues.tobytes() == \
+            expected.eigenvalues.tobytes()
+        assert spectrum.eigenvectors.tobytes() == \
+            expected.eigenvectors.tobytes()
+        assert report_bits(report) == report_bits(
+            proximity.eigenvector_flag_report(
+                expected, proximity.EligibilityConfig(), cfg.seed,
+                detect_all))
+
+    def test_report_hook_on_stage_proximity(self, threads):
+        cfg = FREEZE_SCENARIOS["ransac2d"]
+        pts = make_dataset(cfg).points
+        seen = []
+        out = quiet(detect_points, pts, "proximity", seed=cfg.seed,
+                    on_report=lambda *made: seen.append(made))
+        plain = quiet(detect_points, pts, "proximity", seed=cfg.seed)
+        assert out.labels.outlier.tobytes() == plain.labels.outlier.tobytes()
+        assert out.model.values.tobytes() == plain.model.values.tobytes()
+        assert len(seen) == 1 and threads == []
+
+    @pytest.mark.parametrize("stage", ["model", "both"])
+    def test_report_hook_not_called_without_a_spectrum(self, stage):
+        # stage "model" makes no spectrum, and K=11 fails the stage's
+        # point check before one is solved
+        seen = []
+        hook = lambda *made: seen.append(made)  # noqa: E731
+        if stage == "model":
+            pts = make_dataset(FREEZE_SCENARIOS["typical2d"]).points
+            detect_points(pts, stage, on_report=hook)
+        else:
+            with pytest.raises(TooFewPoints):
+                detect_points(np.ones((11, 2)), stage, on_report=hook)
+        assert seen == []
+
+
+def report_bits(report):
+    return [(idx, lam, hf, trusted, None if flags is None else flags.tobytes())
+            for idx, lam, hf, trusted, flags in report]
 
 
 class TestSpareCore:
