@@ -19,8 +19,11 @@ class NotAnEllipsoid(ConicPurgeError):
 
 
 class DegenerateBandwidth(ConicPurgeError):
-    """The ranked pairwise distance used for the kernel bandwidth is zero,
-    typically because duplicated points dominate the data set."""
+    """No kernel bandwidth can be chosen on the data's pairwise distances:
+    the ranked distance used for it is zero, typically because duplicated
+    points dominate the data set (or points so close that their squared
+    differences underflow), or the coordinates span so far that squared
+    distances would overflow (``spectral.SQUARE_MARGIN``)."""
 
 
 class ConvergenceFailure(ConicPurgeError):

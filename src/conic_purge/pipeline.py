@@ -126,39 +126,61 @@ def _overlaps(pts: np.ndarray, refine_cfg: RefineConfig) -> bool:
 
 
 def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
-                            refine_cfg: RefineConfig):
+                            refine_cfg: RefineConfig, seed: int,
+                            detect_all: bool):
     """``spectrum_of_points`` on a worker thread while this thread computes
-    ``rescue_start``; returns the spectrum and refine's keywords.
+    ``rescue_start`` and then ``eigenvector_flag_report``; returns the
+    spectrum, the report and refine's keywords.
 
     The eigensolve releases the GIL and the rescue is Python-heavy, so
-    this split, not the reverse, keeps both cores busy.  The worker runs
-    in a copy of the caller's context (its ``np.errstate`` included) and
-    is joined before anything is returned or raised.  The worker's error
-    wins, since the spectral stage comes first serially.  A rescue that
-    raised is left to refine, which computes it again and raises in its
-    own order.
+    this split, not the reverse, keeps both cores busy.  The worker hands
+    the spectrum over before ``generalized_eigs`` verifies its eigenpairs,
+    and the report, which only reads it, is built while the check runs.
+    The worker runs in a copy of the caller's context (its ``np.errstate``
+    included) and is joined before anything is returned or raised, so
+    only a verified spectrum leaves this function.  Errors keep the
+    serial order: the worker's (the check's ``ConvergenceFailure``
+    included) wins over the report's.  A rescue that raised is left to
+    refine, which computes it again and raises in its own order.
     """
     solved = {}
+    handed = threading.Event()
+
+    def hand_off(spectrum):
+        solved["spectrum"] = spectrum
+        handed.set()
 
     def solve():
         try:
-            solved["spectrum"] = proximity.spectrum_of_points(pts,
-                                                              eligibility)
+            proximity.spectrum_of_points(pts, eligibility, on_solved=hand_off)
         except BaseException as exc:  # handed to the caller, re-raised there
             solved["error"] = exc
+        finally:
+            handed.set()  # a failure before the hand-off must not block
 
     worker = threading.Thread(target=contextvars.copy_context().run,
                               args=(solve,))
     worker.start()
+    report = failed = None
     try:
-        given = {"rescue": rescue_start(pts, refine_cfg)}
-    except Exception:
-        given = {}
+        try:
+            given = {"rescue": rescue_start(pts, refine_cfg)}
+        except Exception:
+            given = {}
+        handed.wait()
+        if "spectrum" in solved:
+            try:
+                report = proximity.eigenvector_flag_report(
+                    solved["spectrum"], eligibility, seed, detect_all)
+            except Exception as exc:  # raised unless the worker failed
+                failed = exc
     finally:
         worker.join()
     if "error" in solved:
         raise solved.pop("error")
-    return solved["spectrum"], given
+    if failed is not None:
+        raise failed
+    return solved["spectrum"], report, given
 
 
 def detect_points(points: np.ndarray, stage: str = "both",
@@ -187,13 +209,15 @@ def detect_points(points: np.ndarray, stage: str = "both",
     Stage "both" solves the spectrum on a worker thread while the caller
     computes refine's rescue start
     (:func:`~conic_purge.modelfit.rescue_start`), which needs no labels,
+    and then builds the report while the worker verifies the eigenpairs,
     when numpy's OpenBLAS leaves one of the process's CPUs free (it runs
     on fewer threads than there are usable CPUs); otherwise the stages
     run one after the other.  Either way the outcome, the spectrum and
     report handed to ``on_report`` and any error are those of the serial
-    stages.  When they overlap, ``timings_ms["proximity_ms"]`` covers the
-    rescue start too, and ``"model_ms"`` the rest of refine, and the
-    thread is joined before this returns or raises.
+    stages: the thread is joined before ``on_report`` is called, so the
+    hook only sees a verified spectrum, and before this returns or
+    raises.  When they overlap, ``timings_ms["proximity_ms"]`` covers the
+    rescue start too, and ``"model_ms"`` the rest of refine.
     """
     pts = np.asarray(points, dtype=float)
     eligibility = eligibility or EligibilityConfig()
@@ -213,15 +237,14 @@ def detect_points(points: np.ndarray, stage: str = "both",
         start = time.perf_counter()
         spectrum = report = None
         if stage == "both" and _overlaps(pts, refine_cfg):
-            spectrum, given = _spectrum_beside_rescue(pts, eligibility,
-                                                      refine_cfg)
+            spectrum, report, given = _spectrum_beside_rescue(
+                pts, eligibility, refine_cfg, seed, detect_all)
         elif on_report is not None and pts.shape[0] >= proximity.MIN_POINTS:
             spectrum = proximity.spectrum_of_points(pts, eligibility)
-        if spectrum is not None:
             report = proximity.eigenvector_flag_report(
                 spectrum, eligibility, seed, detect_all)
-            if on_report is not None:
-                on_report(spectrum, report)
+        if on_report is not None and spectrum is not None:
+            on_report(spectrum, report)
         prox_labels = proximity_stage(pts, eligibility, seed, report)
         timings["proximity_ms"] = 1e3 * (time.perf_counter() - start)
         if stage == "proximity":

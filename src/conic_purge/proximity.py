@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -295,8 +296,14 @@ def spike_ratio(vector: np.ndarray) -> float:
 
 
 def spectrum_of_points(points: np.ndarray,
-                       cfg: EligibilityConfig | None = None) -> Spectrum:
-    """Heat-kernel graph spectrum of a point set (the stage's front half)."""
+                       cfg: EligibilityConfig | None = None, *,
+                       on_solved: Callable[[Spectrum], None] | None = None,
+                       ) -> Spectrum:
+    """Heat-kernel graph spectrum of a point set (the stage's front half).
+
+    ``on_solved`` goes to :func:`~conic_purge.spectral.generalized_eigs`,
+    which hands it the spectrum before verifying its eigenpairs.
+    """
     cfg = cfg or EligibilityConfig()
     dist = pairwise_distances(np.asarray(points, dtype=float))
     t = select_bandwidth(dist, cfg.bandwidth_rank)
@@ -304,7 +311,7 @@ def spectrum_of_points(points: np.ndarray,
     del dist  # each K x K array is released once used, to bound the peak
     lp = graph_laplacian(w)
     del w
-    return generalized_eigs(lp)
+    return generalized_eigs(lp, on_solved=on_solved)
 
 
 def _vector_seed(rng_seed: int, idx: int) -> np.random.SeedSequence:

@@ -7,6 +7,7 @@ generalized problem  L f = lambda D f.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ __all__ = [
 MAX_POINTS = 5000  # dense full-spectrum solve; keeps O(K^3) within reason
 
 RESIDUAL_RTOL = 1e-8
+
+# squared distances must stay this factor below the largest float64, so
+# that d^2 in the kernel and the squared bandwidth cannot overflow either
+SQUARE_MARGIN = 16.0
 
 DistanceMatrix = np.ndarray
 
@@ -67,7 +72,11 @@ def pairwise_distances(points: np.ndarray) -> DistanceMatrix:
 
     Row-chunked so K up to MAX_POINTS stays within memory; the arithmetic
     matches a naive per-pair evaluation bit for bit.  K above MAX_POINTS
-    is refused here, before any K x K array exists.
+    is refused here, before any K x K array exists, and so are finite
+    coordinates whose squared distances could overflow: DegenerateBandwidth
+    when a coordinate's span (max - min) exceeds sqrt(max float /
+    (SQUARE_MARGIN * dims)), which bounds every squared distance by
+    max float / SQUARE_MARGIN.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
@@ -77,6 +86,14 @@ def pairwise_distances(points: np.ndarray) -> DistanceMatrix:
         raise ValueError(f"K={k} exceeds the configured cap of {MAX_POINTS}")
     if not np.isfinite(pts).all():
         raise ValueError("coordinates must be finite")
+    with np.errstate(over="ignore"):  # an infinite span is refused below
+        span = float((pts.max(axis=0) - pts.min(axis=0)).max())
+    limit = float(np.sqrt(np.finfo(float).max
+                          / (SQUARE_MARGIN * pts.shape[1])))
+    if span > limit:
+        raise DegenerateBandwidth(
+            f"coordinate span {span:.3e} exceeds {limit:.3e}; squared "
+            "pairwise distances would overflow float64")
     out = np.zeros((k, k))
     chunk = max(1, int(4e6) // max(k, 1))
     for start in range(0, k, chunk):
@@ -99,7 +116,8 @@ def select_bandwidth(dist: DistanceMatrix, rank_multiplier: int = 4) -> float:
     Of all K^2 entries (diagonal zeros and both symmetric copies included)
     the (rank_multiplier * K)-th smallest, 1-indexed and clamped to K^2, is
     taken as sqrt(t); a selection finds it without sorting.  A zero value
-    there means duplicated points dominate and no meaningful scale exists.
+    there means duplicated points dominate, or points so close that their
+    squared differences underflow, and no meaningful scale exists.
     """
     if rank_multiplier < 1:
         raise ValueError("rank multiplier must be >= 1")
@@ -109,7 +127,8 @@ def select_bandwidth(dist: DistanceMatrix, rank_multiplier: int = 4) -> float:
     if root_t <= 0.0:
         raise DegenerateBandwidth(
             f"rank-{rank_multiplier * k} pairwise distance is zero; "
-            "data contains too many duplicated points")
+            "data contains too many duplicated points, or points so close "
+            "that their squared differences underflow")
     return root_t * root_t
 
 
@@ -135,7 +154,9 @@ def graph_laplacian(weights: np.ndarray) -> LaplacianPair:
     return LaplacianPair(lap, deg)
 
 
-def generalized_eigs(lp: LaplacianPair) -> Spectrum:
+def generalized_eigs(lp: LaplacianPair, *,
+                     on_solved: Callable[[Spectrum], None] | None = None,
+                     ) -> Spectrum:
     """Full spectrum of  L f = lambda D f  via the symmetric reduction.
 
     The problem is rescaled with D^{-1/2} to a standard symmetric one,
@@ -151,6 +172,12 @@ def generalized_eigs(lp: LaplacianPair) -> Spectrum:
     term allows for: a pair that meets the bound on L meets this one.  On
     a heat-kernel graph with a rank-selected bandwidth max-row-sum-norm(L)
     is at least 2/e, and K * tiny (at most 1.2e-304) rounds away.
+
+    ``on_solved``, when given, is called with the spectrum once its
+    vectors are normalized and before the check, so another thread may
+    read it while the check runs; that spectrum is not yet verified.
+    The check only reads it, and the same object is returned once it
+    passes.
 
     Four K x K float64 arrays are live at most, L included, besides what
     eigh allocates internally; the inputs are not modified.
@@ -171,6 +198,9 @@ def generalized_eigs(lp: LaplacianPair) -> Spectrum:
     # max-norm 1 with the largest-magnitude entry exactly +1
     peak = np.argmax(np.abs(vectors, out=sym), axis=0)
     vectors /= vectors[peak, np.arange(k)]
+    spectrum = Spectrum(evals, vectors)
+    if on_solved is not None:
+        on_solved(spectrum)
     # the residual check, with sym's buffer reused for |L|, L' and D F diag(λ)
     tiny = np.finfo(float).tiny
     np.abs(lap, out=sym)
@@ -184,4 +214,4 @@ def generalized_eigs(lp: LaplacianPair) -> Spectrum:
     if worst > limit:
         raise ConvergenceFailure(
             f"eigenpair residual {worst:.3e} exceeds tolerance {limit:.3e}")
-    return Spectrum(evals, vectors)
+    return spectrum

@@ -403,6 +403,49 @@ class TestDetect:
         assert proc.returncode == 2
         assert "DegenerateBandwidth" in proc.stderr
 
+    @pytest.mark.parametrize("spare", [True, False])
+    @pytest.mark.parametrize("scale, message", [
+        (1e200, "squared pairwise distances would overflow"),
+        (1e-200, "too many duplicated points, or points so close that "
+                 "their squared differences underflow")],
+        ids=["overflow", "underflow"])
+    def test_extreme_scale_exit_2(self, tmp_path, monkeypatch, capsys, spare,
+                                  scale, message):
+        # finite coordinates whose squared distances overflow, or are
+        # distinct but underflow, exit 2 with no numpy warning
+        from conic_purge import cli, pipeline
+        monkeypatch.setattr(pipeline, "_spare_core", lambda: spare)
+        t = np.linspace(0.0, 2.0 * math.pi, 60, endpoint=False)
+        data = tmp_path / "data.csv"
+        write_dataset_csv(data, np.c_[3.0 * np.cos(t), np.sin(t)] * scale)
+        outputs = [tmp_path / name for name in
+                   ("labels.csv", "model.json", "spec.csv", "elig.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(detect_argv(data, 0, *outputs)) == 2
+        err = capsys.readouterr().err
+        assert "DegenerateBandwidth" in err and message in err
+        assert not any(path.exists() for path in outputs)
+
+    @pytest.mark.parametrize("spare", [True, False])
+    def test_failed_check_writes_no_dump(self, tmp_path, monkeypatch, capsys,
+                                         spare):
+        # a spectrum that fails its residual check exits 2; the dumps,
+        # which would be made from it, are not written
+        from conic_purge import cli, pipeline, spectral
+        monkeypatch.setattr(pipeline, "_spare_core", lambda: spare)
+        monkeypatch.setattr(spectral, "RESIDUAL_RTOL", 0.0)
+        cfg = FREEZE_SCENARIOS["typical2d"]
+        data = tmp_path / "data.csv"
+        write_dataset_csv(data, make_dataset(cfg).points)
+        outputs = [tmp_path / name for name in
+                   ("labels.csv", "model.json", "spec.csv", "elig.csv")]
+        before = threading.active_count()
+        assert cli.main(detect_argv(data, cfg.seed, *outputs)) == 2
+        assert "ConvergenceFailure" in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
+        assert threading.active_count() == before
+
     def test_too_few_rows_exit_1(self, tmp_path):
         data = tmp_path / "tiny.csv"
         data.write_text("x,y\n" + "\n".join(f"{i}.0,0.0" for i in range(5)))
@@ -449,7 +492,8 @@ class TestDetect:
         original_eigs = proximity.generalized_eigs
         original_detect = proximity.detect_1d
         monkeypatch.setattr(proximity, "generalized_eigs",
-                            lambda lp: solves.append(1) or original_eigs(lp))
+                            lambda lp, **hand_off: solves.append(1)
+                            or original_eigs(lp, **hand_off))
         monkeypatch.setattr(
             proximity, "detect_1d",
             lambda values, *args, **kwargs: detected.append(
@@ -499,8 +543,9 @@ class TestDetect:
         solved_on, started = [], []
         original = proximity.generalized_eigs
         monkeypatch.setattr(
-            proximity, "generalized_eigs", lambda lp: solved_on.append(
-                threading.current_thread()) or original(lp))
+            proximity, "generalized_eigs",
+            lambda lp, **hand_off: solved_on.append(
+                threading.current_thread()) or original(lp, **hand_off))
 
         class Recorded(threading.Thread):
             def start(self):

@@ -16,7 +16,7 @@ from conic_purge import (ConicCoeffs, ConicPurgeError, ConvergenceFailure,
                          TooFewPoints, detect_points,
                          ellipse_from_eccentricity, make_dataset, refine,
                          run_experiment)
-from conic_purge import modelfit, pipeline, proximity
+from conic_purge import modelfit, pipeline, proximity, spectral
 from conic_purge.pipeline import (PIPELINES, DetectionOutcome, RunRecord,
                                   sweep_configs, sweep_trial_seed)
 from conic_purge.proximity import proximity_stage
@@ -200,7 +200,7 @@ class TestOverlap:
         assert len(threads) == 12
 
     def test_spectral_error_wins(self, monkeypatch, threads, solved_on):
-        def fail(lp):
+        def fail(lp, *, on_solved=None):
             raise ConvergenceFailure("planted")
 
         def rescue_fails(*args):
@@ -217,13 +217,123 @@ class TestOverlap:
             detect_points(pts, "both")
         assert len(threads) == 2
 
-    def test_duplicate_points(self, threads):
+    @pytest.mark.parametrize("planted", [None, "report", "rescue"])
+    def test_check_failure_wins(self, monkeypatch, threads, planted):
+        # a real residual-check failure, raised on the worker after it
+        # handed the spectrum over, beats what the caller raised meanwhile,
+        # and the report hook never sees the unverified spectrum
+        def fails(*args, **kwargs):
+            raise RuntimeError(f"planted {planted}")
+
+        pts = make_dataset(FREEZE_SCENARIOS["typical2d"]).points
+        monkeypatch.setattr(spectral, "RESIDUAL_RTOL", 0.0)
+        if planted == "report":
+            monkeypatch.setattr(proximity, "eigenvector_flag_report", fails)
+        elif planted == "rescue":
+            monkeypatch.setattr(modelfit, "_multistart_concentrate", fails)
+        seen = []
+        with pytest.raises(ConvergenceFailure, match="exceeds tolerance"):
+            detect_points(pts, "both",
+                          on_report=lambda *made: seen.append(made))
+        assert seen == [] and len(threads) == 1
+        assert overlapped_outcome(pts) == serial_outcome(pts)
+
+    def test_report_error_beats_refine(self, monkeypatch, threads):
+        def fails(*args, **kwargs):
+            raise RuntimeError("planted report")
+
+        pts = make_dataset(FREEZE_SCENARIOS["typical2d"]).points
+        events = []
+        monkeypatch.setattr(proximity, "eigenvector_flag_report", fails)
+        monkeypatch.setattr(pipeline, "refine",
+                            lambda *args, **kwargs: events.append("refine"))
+        with pytest.raises(RuntimeError, match="planted report"):
+            detect_points(pts, "both",
+                          on_report=lambda *made: events.append(made))
+        assert events == [] and len(threads) == 1
+
+    def test_report_built_while_the_check_runs(self, monkeypatch, threads):
+        # the worker's hand-off waits until the caller has built the
+        # report, so the check can only end after it
+        reported = threading.Event()
+        waited = []
+        original_eigs = proximity.generalized_eigs
+        original_report = proximity.eigenvector_flag_report
+
+        def eigs(lp, *, on_solved=None):
+            def hand_off(spectrum):
+                on_solved(spectrum)
+                waited.append(reported.wait(timeout=30))
+            return original_eigs(lp, on_solved=on_solved and hand_off)
+
+        def report(*args):
+            made = original_report(*args)
+            reported.set()
+            return made
+
+        monkeypatch.setattr(proximity, "generalized_eigs", eigs)
+        monkeypatch.setattr(proximity, "eigenvector_flag_report", report)
+        cfg = FREEZE_SCENARIOS["typical2d"]
+        pts = make_dataset(cfg).points
+        assert overlapped_outcome(pts, seed=cfg.seed) == \
+            serial_outcome(pts, seed=cfg.seed)
+        assert waited == [True] and len(threads) == 1
+
+    @pytest.mark.parametrize("detect_all", [False, True])
+    def test_report_is_of_the_returned_spectrum(self, detect_all, threads,
+                                                monkeypatch):
+        returned = []
+        original = proximity.spectrum_of_points
+
+        def recorded(*args, **kwargs):
+            returned.append(original(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(proximity, "spectrum_of_points", recorded)
+        cfg = FREEZE_SCENARIOS["ransac2d"]
+        pts = make_dataset(cfg).points
+        made = []
+        quiet(detect_points, pts, "both", seed=cfg.seed,
+              on_report=lambda *args: made.append(args),
+              detect_all=detect_all)
+        (spectrum, report), = made
+        assert spectrum is returned[0] and len(threads) == 1
+        assert report_bits(report) == report_bits(
+            proximity.eigenvector_flag_report(
+                spectrum, proximity.EligibilityConfig(), cfg.seed,
+                detect_all))
+
+    def test_duplicate_points(self, monkeypatch, threads):
+        # the worker fails before its hand-off; the caller does not hang
+        handed = []
+        original = proximity.generalized_eigs
+        monkeypatch.setattr(proximity, "generalized_eigs",
+                            lambda lp, **kwargs: handed.append(lp)
+                            or original(lp, **kwargs))
         pts = np.repeat(np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 3.0]]), 10,
                         axis=0)
-        overlapped = overlapped_outcome(pts)
-        assert overlapped == serial_outcome(pts)
+        outcome = []
+        caller = threading.Thread(
+            target=lambda: outcome.append(overlapped_outcome(pts)),
+            daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert outcome == [serial_outcome(pts)]
+        assert outcome[0][0] is DegenerateBandwidth
+        assert handed == [] and len(threads) == 2  # the caller, one worker
+
+    def test_overflowing_distances(self, threads):
+        # finite coordinates whose squared distances would overflow are
+        # refused before the graph is built, without a numpy warning
+        t = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)
+        pts = np.c_[3.0 * np.cos(t), np.sin(t)] * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            overlapped = overlapped_outcome(pts)
+            assert overlapped == serial_outcome(pts)
         assert overlapped[0] is DegenerateBandwidth
-        assert len(threads) == 1
+        assert "would overflow" in overlapped[1]
 
     def test_rescue_error(self, monkeypatch, threads):
         def rescue_fails(*args):
@@ -388,6 +498,19 @@ class TestRunExperiment:
         assert a.precision == b.precision
         assert np.array_equal(a.final_labels.outlier, b.final_labels.outlier)
         assert a.model_json == b.model_json
+
+    def test_overflowing_scale_records_a_failure(self):
+        # the proximity stage refuses coordinates whose squared distances
+        # overflow with a library error, which the record keeps as an
+        # infinite fitting error
+        cfg = ExperimentConfig(model=ellipse_from_eccentricity(1e200, 0.5),
+                               n_inliers=50, n_outliers=10, sigma0=1e197,
+                               sigma1=1e199, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = run_experiment(cfg)
+        assert record.nonoverlap == float("inf")
+        assert record.proximity_labels is None
 
     def test_all_pipelines_run(self):
         for pipeline in PIPELINES:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from conic_purge import (ConvergenceFailure, DegenerateBandwidth,
                          ellipse_from_eccentricity, generalized_eigs,
                          graph_laplacian, heat_kernel_weights, make_dataset,
                          pairwise_distances, select_bandwidth)
-from conic_purge.spectral import RESIDUAL_RTOL, LaplacianPair
+from conic_purge import spectral as spectral_mod
+from conic_purge.spectral import (MAX_POINTS, RESIDUAL_RTOL, SQUARE_MARGIN,
+                                  LaplacianPair)
 
 
 def random_laplacian_pair(rng, k):
@@ -53,6 +56,36 @@ class TestPairwiseDistances:
     def test_too_few(self):
         with pytest.raises(TooFewPoints):
             pairwise_distances(np.array([[0.0, 0.0]]))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_overflow_limit(self, dim):
+        # a coordinate span up to sqrt(max / (SQUARE_MARGIN * dim)) keeps
+        # every squared distance finite; the next float is refused
+        limit = math.sqrt(np.finfo(float).max / (SQUARE_MARGIN * dim))
+        pts = np.zeros((3, dim))
+        pts[1] = limit
+        with np.errstate(all="raise"):
+            dist = pairwise_distances(pts)
+            assert np.isfinite(dist * dist).all()
+        pts[1, -1] = np.nextafter(limit, np.inf)
+        with pytest.raises(DegenerateBandwidth, match="would overflow"):
+            pairwise_distances(pts)
+
+    def test_overflow_refused_before_the_matrix(self):
+        # O(K) and before any K x K array, also at the K cap and for a
+        # span that itself overflows
+        pts = np.zeros((MAX_POINTS, 2))
+        pts[0, 0], pts[1, 0] = -1e308, 1e308
+        tracemalloc.start()
+        try:
+            with np.errstate(all="raise"):
+                with pytest.raises(DegenerateBandwidth,
+                                   match="span inf exceeds"):
+                    pairwise_distances(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestSelectBandwidth:
@@ -211,8 +244,27 @@ class TestGeneralizedEigs:
         spec_b = generalized_eigs(permuted)
         assert np.allclose(spec_a.eigenvalues, spec_b.eigenvalues, atol=1e-9)
 
+    def test_hand_off_before_the_check(self, monkeypatch, rng):
+        # the callback gets the spectrum that is returned, before the
+        # check, which leaves its arrays alone; a failed check still
+        # raises after the hand-off
+        lp = random_laplacian_pair(rng, 30)
+        handed = []
+        spec = generalized_eigs(
+            lp, on_solved=lambda made: handed.append(
+                (made, made.eigenvalues.tobytes(),
+                 made.eigenvectors.tobytes())))
+        (made, values, vectors), = handed
+        assert made is spec
+        assert spec.eigenvalues.tobytes() == values
+        assert spec.eigenvectors.tobytes() == vectors
+        handed.clear()
+        monkeypatch.setattr(spectral_mod, "RESIDUAL_RTOL", 0.0)
+        with pytest.raises(ConvergenceFailure, match="exceeds tolerance"):
+            generalized_eigs(lp, on_solved=handed.append)
+        assert len(handed) == 1
+
     def test_size_cap(self, monkeypatch):
-        from conic_purge import spectral as spectral_mod
         monkeypatch.setattr(spectral_mod, "MAX_POINTS", 10)
         lp = graph_laplacian(np.ones((11, 11)))
         with pytest.raises(ValueError):
@@ -220,7 +272,6 @@ class TestGeneralizedEigs:
 
     def test_distance_size_cap(self, monkeypatch):
         # the cap is read at call time and checked before the K x K matrix
-        from conic_purge import spectral as spectral_mod
         monkeypatch.setattr(spectral_mod, "MAX_POINTS", 10)
         pairwise_distances(np.zeros((10, 2)))
         with pytest.raises(ValueError, match="K=11 exceeds"):
