@@ -1,6 +1,8 @@
 """Exception types shared across the library, and the number rule of
 every config field."""
 
+import numpy as np
+
 
 class ConicPurgeError(Exception):
     """Base class for all library-specific failures."""
@@ -55,9 +57,12 @@ def typed_number(cast, value, what: str):
     """``cast(value)`` for ``what``, a field of type ``cast`` (int or float).
 
     Raises ValueError, naming ``what``, for a value the field cannot take:
-    a fractional count too, so ``100.7`` is refused rather than cut to 100.
+    a fractional count too, so ``100.7`` is refused rather than cut to 100,
+    and a bool, which is not a number of anything.
     """
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError
         typed = cast(value)
         if cast is int and typed != value and typed != float(value):
             raise ValueError

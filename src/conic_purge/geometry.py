@@ -98,15 +98,18 @@ def _normalize_coeff_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # np.linalg.norm of one row does; norm(axis=1), and BLAS on strided
     # rows, sum the squares in other orders
     values = np.ascontiguousarray(values)
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):  # the rows refused below
         norm = np.sqrt((values[:, None, :] @ values[..., None])[:, 0, 0])
-    valid = np.isfinite(norm) & (norm != 0.0)
-    values = np.where(valid[:, None], values, 0.0) / np.where(valid, norm,
-                                                              1.0)[:, None]
-    # the first entry above _SIGN_EPS in magnitude, or entry 0 when none is
+        values = values / norm[:, None]
+    valid = (norm > 0.0) & (norm < np.inf)
+    if not valid.all():
+        values[~valid] = 0.0
+    # the first entry above _SIGN_EPS in magnitude, or entry 0 when none
+    # is, made positive; negation flips a sign as multiplying by -1 does
     lead = values[np.arange(values.shape[0]),
                   np.argmax(np.abs(values) > _SIGN_EPS, axis=1)]
-    return values * np.where(lead < -_SIGN_EPS, -1.0, 1.0)[:, None], valid
+    np.negative(values, out=values, where=(lead < -_SIGN_EPS)[:, None])
+    return values, valid
 
 
 def _normalize_coeffs(values: np.ndarray) -> np.ndarray:

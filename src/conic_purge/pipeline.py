@@ -21,7 +21,7 @@ from .modelfit import (FitResult, RefineConfig, _dim_tools,
                        fit_ellipse_direct, fit_ellipsoid_direct, refine,
                        rescue_start, vanilla_ransac)
 from .proximity import DetectionLabels, EligibilityConfig, proximity_stage
-from .spectral import MAX_POINTS, Spectrum
+from .spectral import MAX_POINTS, RowHalves, Spectrum
 from .synth import ExperimentConfig, detection_metrics, make_dataset
 
 __all__ = [
@@ -35,6 +35,15 @@ __all__ = [
 ]
 
 PIPELINES = ("two_stage", "no_elimination", "ransac")
+
+# from this many points on, the overlapped stages also share the graph
+# build and the eigenpair check between the two threads.  Below it the
+# caller's rescue start and report take about as long as the worker's
+# graph and solve, and moving work to the caller did not pay: split,
+# detect_points ran within noise at K=150 and 2-5% faster at K=250-450
+# in 2-D, but 8% slower at K=350-400 in 3-D; from K=500 on it ran 7-11%
+# faster in both (2 CPUs, OpenBLAS on one thread; BENCH_splithalves.json)
+SPLIT_MIN_POINTS = 500
 
 # the config fields a sweep may vary, with the cast of their grid values
 _SWEEP_CASTS = {"n_inliers": int, "n_outliers": int, "sigma0": float,
@@ -136,13 +145,20 @@ def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
     this split, not the reverse, keeps both cores busy.  The worker hands
     the spectrum over before ``generalized_eigs`` verifies its eigenpairs,
     and the report, which only reads it, is built while the check runs.
-    The worker runs in a copy of the caller's context (its ``np.errstate``
-    included) and is joined before anything is returned or raised, so
-    only a verified spectrum leaves this function.  Errors keep the
-    serial order: the worker's (the check's ``ConvergenceFailure``
-    included) wins over the report's.  A rescue that raised is left to
-    refine, which computes it again and raises in its own order.
+    From ``SPLIT_MIN_POINTS`` points on, this thread also builds half of
+    the graph with the worker before computing the rescue during the
+    eigensolve, and takes row blocks of the check once its report is
+    made (:class:`~conic_purge.spectral.RowHalves`).  The worker runs in
+    a copy of the caller's context (its ``np.errstate`` included) and is
+    joined before anything is returned or raised, so only a verified
+    spectrum leaves this function.  Errors keep the serial order: the
+    worker's (the check's ``ConvergenceFailure`` included) wins over the
+    report's.  A rescue that raised is left to refine, which computes it
+    again and raises in its own order.
     """
+    # refuses points as the worker's first step would, before it starts
+    halves = (RowHalves(pts, eligibility.bandwidth_rank)
+              if pts.shape[0] >= SPLIT_MIN_POINTS else None)
     solved = {}
     handed = threading.Event()
 
@@ -152,7 +168,12 @@ def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
 
     def solve():
         try:
-            proximity.spectrum_of_points(pts, eligibility, on_solved=hand_off)
+            if halves is None:
+                proximity.spectrum_of_points(pts, eligibility,
+                                             on_solved=hand_off)
+            else:
+                proximity.generalized_eigs(halves.build(1),
+                                           on_solved=hand_off, halves=halves)
         except BaseException as exc:  # handed to the caller, re-raised there
             solved["error"] = exc
         finally:
@@ -163,6 +184,8 @@ def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
     worker.start()
     report = failed = None
     try:
+        if halves is not None:
+            halves.build(0)
         try:
             given = {"rescue": rescue_start(pts, refine_cfg)}
         except Exception:
@@ -174,7 +197,11 @@ def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
                     solved["spectrum"], eligibility, seed, detect_all)
             except Exception as exc:  # raised unless the worker failed
                 failed = exc
+            if halves is not None:
+                halves.check()
     finally:
+        if halves is not None:
+            halves.release()
         worker.join()
     if "error" in solved:
         raise solved.pop("error")
@@ -212,7 +239,11 @@ def detect_points(points: np.ndarray, stage: str = "both",
     and then builds the report while the worker verifies the eigenpairs,
     when numpy's OpenBLAS leaves one of the process's CPUs free (it runs
     on fewer threads than there are usable CPUs); otherwise the stages
-    run one after the other.  Either way the outcome, the spectrum and
+    run one after the other.  From ``SPLIT_MIN_POINTS`` points on, the
+    caller first builds half of the graph with the worker, computes the
+    rescue start during the eigensolve, and after its report takes row
+    blocks of the eigenpair check; the worker is still the only thread
+    started.  Either way the outcome, the spectrum and
     report handed to ``on_report`` and any error are those of the serial
     stages: the thread is joined before ``on_report`` is called, so the
     hook only sees a verified spectrum, and before this returns or

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,6 +39,13 @@ MIN_POINTS = 12  # fewest points the proximity stage accepts
 
 # spread below this (relative to the data magnitude) is considered flat
 _FLAT_RTOL = 1e-9
+
+# the eligibility report examines its eigenvectors in chunks of at most
+# this many bytes.  glibc serves arrays below its mmap threshold, which
+# rises to the size of a freed K x K matrix, from a heap that keeps what
+# is freed, so the report's working set stays resident: at K=800 the
+# whole batch at once raised the benchmark's peak RSS by 5 MiB
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -73,9 +80,10 @@ class EligibilityConfig:
     binary_ratio: float = 30.0
 
     def __post_init__(self):
-        for name in ("max_iter", "bandwidth_rank", "repeats"):
-            object.__setattr__(
-                self, name, typed_number(int, getattr(self, name), name))
+        for spec in fields(self):
+            cast = int if spec.type in (int, "int") else float
+            object.__setattr__(self, spec.name, typed_number(
+                cast, getattr(self, spec.name), spec.name))
         if not 0.0 < self.eig_threshold < math.inf:
             raise ValueError("eig_threshold must be positive and finite")
         if not 0.0 < self.hf_threshold <= 1.0:
@@ -139,22 +147,42 @@ def high_frequency_measure(vector: np.ndarray) -> float:
     positive and negative mass balance exactly.
     """
     v = np.asarray(vector, dtype=float)
-    total = float(np.abs(v).sum())
-    if total == 0.0:
+    return float(_hf_measures(v.reshape(1, -1))[0])
+
+
+def _hf_measures(rows: np.ndarray) -> np.ndarray:
+    """``high_frequency_measure`` of each row of a C-contiguous array.
+
+    A row's sums are the pairwise sums numpy takes of the vector alone,
+    so each measure equals the one-vector value bit for bit.
+    """
+    total = np.abs(rows).sum(axis=1)
+    if not total.all():
         raise ZeroVector("high-frequency measure of the zero vector")
-    return (total - abs(float(v.sum()))) / total
+    mixed = np.abs(rows.sum(axis=1))
+    with np.errstate(all="ignore"):  # the arithmetic of Python floats
+        return (total - mixed) / total
 
 
-def _eligible_measures(spectrum: Spectrum,
-                       cfg: EligibilityConfig) -> list[tuple[int, float]]:
-    """(index, hf measure) of each eligible eigenvector, ascending."""
-    eligible = []
-    for i, lam in enumerate(spectrum.eigenvalues):
-        if lam < cfg.eig_threshold:
-            hf = high_frequency_measure(spectrum.eigenvectors[:, i])
-            if hf < cfg.hf_threshold:
-                eligible.append((i, hf))
-    return eligible
+def _row_chunks(vectors: np.ndarray, indexes: np.ndarray, copies: int = 1):
+    """Columns ``indexes`` of ``vectors`` as C-contiguous rows, a few at a
+    time, with their indexes: each chunk, ``copies`` times over, stays
+    within ``_CHUNK_BYTES``."""
+    size = max(1, _CHUNK_BYTES // (8 * vectors.shape[0] * copies))
+    for first in range(0, len(indexes), size):
+        chunk = indexes[first:first + size]
+        yield chunk, vectors.T[chunk]
+
+
+def _eligible(spectrum: Spectrum, cfg: EligibilityConfig):
+    """Indexes of the eligible eigenvectors, ascending, with their hf
+    measures."""
+    below = np.flatnonzero(spectrum.eigenvalues < cfg.eig_threshold)
+    hf = np.concatenate([np.empty(0)] + [
+        _hf_measures(rows)
+        for _, rows in _row_chunks(spectrum.eigenvectors, below)])
+    keep = hf < cfg.hf_threshold
+    return below[keep], hf[keep]
 
 
 def select_eligible(spectrum: Spectrum, cfg: EligibilityConfig) -> list[int]:
@@ -163,33 +191,155 @@ def select_eligible(spectrum: Spectrum, cfg: EligibilityConfig) -> list[int]:
     Raises NoEligibleVectors when nothing qualifies; callers fall back to
     "no proximity outliers" and continue with the model stage.
     """
-    eligible = [i for i, _hf in _eligible_measures(spectrum, cfg)]
+    eligible = _eligible(spectrum, cfg)[0].tolist()
     if not eligible:
         raise NoEligibleVectors("no eigenvector passed the eligibility filters")
     return eligible
 
 
-def _sorted_quartiles(x: np.ndarray) -> tuple[float, float, float]:
-    """Quartiles of an ascending sample, equal bit for bit to
-    ``np.quantile(x, [0.25, 0.5, 0.75], method="linear")``.
+def _first_max(first, *rest):
+    """Python's ``max(first, *rest)`` elementwise: the first of the largest,
+    so that a NaN after the first argument is passed over."""
+    out = first
+    for x in rest:
+        out = np.where(x > out, x, out)
+    return out
 
-    Hyndman & Fan type 7: position (m-1)*q, interpolated between its two
-    neighbours with numpy's two-sided rule (from the upper neighbour when
-    the weight is at least one half).
+
+def _row_quartiles(s: np.ndarray, rows: np.ndarray, count: np.ndarray,
+                   at: Callable):
+    """Quartiles of a selection from each ascending row ``rows`` of ``s``,
+    equal bit for bit to ``np.quantile(selection, [0.25, 0.5, 0.75],
+    method="linear")``.
+
+    Row j selects ``count[j]`` of its values; ``at(ranks)`` maps one rank
+    per row to its position in the row.  Hyndman & Fan type 7: rank
+    (count-1)*q, interpolated between its two neighbours with numpy's
+    two-sided rule (from the upper neighbour when the weight is at least
+    one half).
     """
-    m = x.shape[0]
+    last = count - 1
     out = []
     for q in (0.25, 0.5, 0.75):
-        pos = (m - 1) * q
-        i = math.floor(pos)
-        if i >= m - 1:
-            out.append(float(x[-1]))
-            continue
+        pos = last * q
+        i = np.floor(pos)
         t = pos - i
-        a, b = float(x[i]), float(x[i + 1])
-        d = b - a
-        out.append(b - d * (1.0 - t) if t >= 0.5 else a + d * t)
-    return out[0], out[1], out[2]
+        i = i.astype(np.intp)
+        a = s[rows, at(np.minimum(i, last))]
+        b = s[rows, at(np.minimum(i + 1, last))]
+        with np.errstate(all="ignore"):  # the arithmetic of Python floats
+            d = b - a
+            inner = np.where(t >= 0.5, b - d * (1.0 - t), a + d * t)
+        out.append(np.where(i >= last, b, inner))
+    return out
+
+
+def _detect_rows(values: np.ndarray, gamma: float, max_iter: int,
+                 seeds=None, initial: np.ndarray | None = None):
+    """The quantile-interval test of :func:`detect_1d` on each row of
+    ``values`` at once; returns the (rows, n) outlier flags and the rows
+    whose interval excluded every element, ascending.
+
+    Row j starts from the random half drawn with ``seeds[j]``, or from
+    ``initial[j]`` when given.  Each row is sorted once, and the rows
+    iterate together, each to its own end, so a row's flags are those of
+    the test run on that row alone:
+
+    - Everything after the start depends on the sorted values only, not
+      on which of two equal values sorts first, so the rows are sorted
+      without keeping ties in index order.
+    - After the first pass the inliers are a range of the sorted order,
+      and each pass finds the next range by counting the values below
+      and above its interval.
+    - From the first pass on, each range is a function of the range
+      before it.  So when a row's range repeats an earlier one, its later
+      passes cycle, and its range after ``max_iter`` passes is read off
+      the cycle instead of iterated to.  A fixpoint is a cycle of one.
+    """
+    m, n = values.shape
+    with np.errstate(all="ignore"):  # the arithmetic of Python floats
+        if initial is None:
+            s = np.sort(values, axis=1)
+        else:
+            order = np.argsort(values, axis=1)
+            s = np.take_along_axis(values, order, axis=1)
+        flat = s[:, -1] - s[:, 0] <= _FLAT_RTOL * _first_max(
+            1.0, np.abs(s[:, 0]), np.abs(s[:, -1]))
+        live = np.flatnonzero(~flat)
+        if initial is None:
+            member = np.zeros((live.size, n), dtype=bool)
+            for row, j in zip(member, live):
+                rng = np.random.default_rng(seeds[j])
+                row[rng.permutation(n)[:n // 2]] = True
+        else:
+            member = np.take_along_axis(initial[live], order[live], axis=1)
+        count = member.sum(axis=1)
+        positions = np.nonzero(member)[1]  # of each row's members, in turn
+        offsets = np.cumsum(count) - count
+        every = np.arange(n)
+
+        spans = []  # per pass: (2, rows) starts and stops, -1 if not run
+        last = np.zeros(live.size, dtype=np.intp)  # pass whose range ends
+        excluded = np.zeros(live.size, dtype=bool)
+        active = np.arange(live.size)
+        bounds = np.empty((2, m))
+        for step in range(max_iter):
+            if not active.size:
+                break
+            if step == 0:
+                q1, mu, q3 = _row_quartiles(s, live, count,
+                                            lambda r: positions[offsets + r])
+            else:
+                start, stop = spans[-1][:, active]
+                q1, mu, q3 = _row_quartiles(s, live[active], stop - start,
+                                            lambda r: start + r)
+            lo, hi = mu - gamma * (mu - q1), mu + gamma * (q3 - mu)
+            # sub-noise variation around the interval must not protrude
+            pad = _FLAT_RTOL * _first_max(1.0, np.abs(lo), np.abs(hi))
+            lo, hi = lo - pad, hi + pad
+            # searchsorted's positions, counted over every row at once; a
+            # NaN bound sorts after every value
+            rows = live[active]
+            bounds[:, rows] = lo, hi
+            start = np.where(np.isnan(lo), n,
+                             (s < bounds[0, :, None]).sum(axis=1)[rows])
+            stop = np.where(np.isnan(hi), n,
+                            (s <= bounds[1, :, None]).sum(axis=1)[rows])
+            empty = stop <= start
+            if step == 0:
+                inside = (every >= start[:, None]) & (every < stop[:, None])
+                ended = ((stop - start == count)
+                         & ((member & inside).sum(axis=1) == stop - start))
+                last[active[ended]] = 0
+            else:
+                earlier = np.stack(spans)[:, :, active]
+                same = (earlier[:, 0] == start) & (earlier[:, 1] == stop)
+                ended = same.any(axis=0)
+                first = same.argmax(axis=0)[ended]
+                period = step - first
+                last[active[ended]] = first + (max_iter - 1 - first) % period
+            span = np.full((2, live.size), -1, dtype=np.intp)
+            span[:, active] = start, stop
+            spans.append(span)
+            excluded[active[empty]] = True
+            active = active[~(empty | ended)]
+        last[active] = max_iter - 1
+
+        # a row's inliers are the values within its last range's ends; a
+        # row with no range keeps every value
+        bounds[0], bounds[1] = -np.inf, np.inf
+        kept = np.flatnonzero(~excluded)
+        if kept.size:
+            start, stop = np.stack(spans)[last[kept], :, kept].T
+            bounds[:, live[kept]] = (s[live[kept], start],
+                                     s[live[kept], stop - 1])
+        flags = (values < bounds[0, :, None]) | (values > bounds[1, :, None])
+    return flags, live[excluded]
+
+
+def _warn_excluded(stacklevel: int) -> None:
+    warnings.warn("interval excluded every element; keeping all points",
+                  RuntimeWarning, stacklevel=stacklevel + 1)
 
 
 def detect_1d(values: np.ndarray, gamma: float, rng_seed,
@@ -210,55 +360,35 @@ def detect_1d(values: np.ndarray, gamma: float, rng_seed,
 
     The values are sorted once.  After the first pass the inliers are an
     interval of values, i.e. a contiguous range of the sorted order, so
-    each pass reads its quartiles from a slice and finds the next range
-    with two binary searches.
+    each pass reads its quartiles from a slice.  ValueError is raised for
+    a ``gamma`` that is not a finite positive number, a ``max_iter`` that
+    is not a whole number of at least 1, values that are not a finite 1-D
+    sample, and an initial mask that is empty or of another length.
     """
+    gamma = typed_number(float, gamma, "gamma")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
+    max_iter = typed_number(int, max_iter, "max_iter")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     v = np.asarray(values, dtype=float)
-    n = v.shape[0]
-    if n < 4:
+    if v.ndim != 1:
+        raise ValueError("values must be a 1-D sample")
+    if v.shape[0] < 4:
         raise TooFewPoints("need at least 4 values for quartiles")
-    order = np.lexsort((np.arange(n), v))
-    s = v[order]
-    if s[-1] - s[0] <= _FLAT_RTOL * max(1.0, abs(s[0]), abs(s[-1])):
-        return np.zeros(n, dtype=bool)
-
-    # the first pass starts from an arbitrary subset, held as a mask over
-    # the sorted order; every later pass from the range span = (start, stop)
-    if initial_inliers is None:
-        rng = np.random.default_rng(rng_seed)
-        member = np.zeros(n, dtype=bool)
-        member[rng.permutation(n)[:n // 2]] = True
-    else:
-        mask = np.asarray(initial_inliers, dtype=bool)
-        if mask.shape != v.shape or not mask.any():
+    if not np.isfinite(v).all():
+        raise ValueError("values must be finite")
+    initial = None
+    if initial_inliers is not None:
+        initial = np.asarray(initial_inliers, dtype=bool)
+        if initial.shape != v.shape or not initial.any():
             raise ValueError("initial inlier mask must be nonempty over values")
-        member = mask[order]
-    span = None
-
-    for _ in range(max_iter):
-        selected = s[member] if span is None else s[span[0]:span[1]]
-        q1, mu, q3 = _sorted_quartiles(selected)
-        lo, hi = mu - gamma * (mu - q1), mu + gamma * (q3 - mu)
-        # sub-noise variation around the interval must not protrude
-        pad = _FLAT_RTOL * max(1.0, abs(lo), abs(hi))
-        start = int(np.searchsorted(s, lo - pad, side="left"))
-        stop = int(np.searchsorted(s, hi + pad, side="right"))
-        if stop <= start:
-            warnings.warn("interval excluded every element; keeping all points",
-                          RuntimeWarning, stacklevel=2)
-            return np.zeros(n, dtype=bool)
-        if span is None:
-            fixpoint = (stop - start == selected.shape[0]
-                        and bool(member[start:stop].all()))
-        else:
-            fixpoint = span == (start, stop)
-        span = (start, stop)
-        if fixpoint:
-            break
-
-    flags = np.ones(n, dtype=bool)
-    flags[order[member] if span is None else order[span[0]:span[1]]] = False
-    return flags
+        initial = initial[None, :]
+    flags, excluded = _detect_rows(v[None, :], gamma, max_iter, [rng_seed],
+                                   initial)
+    if excluded.size:
+        _warn_excluded(stacklevel=2)
+    return flags[0]
 
 
 def _intra_class_deviation(values: np.ndarray, flags: np.ndarray) -> float:
@@ -269,18 +399,34 @@ def _intra_class_deviation(values: np.ndarray, flags: np.ndarray) -> float:
     return dev
 
 
-def _detect_vector(values, cfg: EligibilityConfig, seed_seq) -> np.ndarray:
-    """One eigenvector's flags; repeats>1 keeps the tightest classification."""
-    seeds = seed_seq.spawn(cfg.repeats)
-    best, best_dev = None, np.inf
-    for seed in seeds:
-        flags = detect_1d(values, cfg.gamma, seed, cfg.max_iter)
-        if cfg.repeats == 1:
-            return flags
-        dev = _intra_class_deviation(values, flags)
-        if dev < best_dev:
-            best, best_dev = flags, dev
-    return best
+def _detect_vectors(rows: np.ndarray, cfg: EligibilityConfig, rng_seed: int,
+                    indexes) -> list[np.ndarray]:
+    """The flags of each row, the eigenvector of the same place in
+    ``indexes``, from ``repeats`` seeded runs of the detector, batched;
+    with repeats>1 the tightest classification is kept."""
+    if len(rows) and rows.shape[1] < 4:
+        raise TooFewPoints("need at least 4 values for quartiles")
+    repeats = cfg.repeats
+    # seeded per eigenvector index, so a vector's flags do not depend on
+    # which other vectors are examined: the children that
+    # SeedSequence(rng_seed, spawn_key=(idx,)).spawn(repeats) makes
+    seeds = [np.random.SeedSequence(rng_seed, spawn_key=(idx, r))
+             for idx in indexes for r in range(repeats)]
+    flags, excluded = _detect_rows(np.repeat(rows, repeats, axis=0),
+                                   cfg.gamma, cfg.max_iter, seeds)
+    for _ in excluded:
+        _warn_excluded(stacklevel=3)
+    if repeats == 1:
+        return list(flags)
+    kept = []
+    for values, runs in zip(rows, flags.reshape(len(rows), repeats, -1)):
+        best, best_dev = None, np.inf
+        for run in runs:
+            dev = _intra_class_deviation(values, run)
+            if dev < best_dev:
+                best, best_dev = run, dev
+        kept.append(best)
+    return kept
 
 
 def spike_ratio(vector: np.ndarray) -> float:
@@ -291,8 +437,23 @@ def spike_ratio(vector: np.ndarray) -> float:
     below ~10.
     """
     v = np.asarray(vector, dtype=float)
-    mad = float(np.median(np.abs(v - np.median(v))))
-    return float(np.ptp(v)) / (mad + 1e-300)
+    return float(_spike_ratios(v.reshape(1, -1))[0])
+
+
+def _spike_ratios(rows: np.ndarray) -> np.ndarray:
+    """``spike_ratio`` of each row, equal to the one-vector value bit for
+    bit: a median is read from the sorted row as ``np.median`` reads it
+    from a partition, the mean of the middle two for an even length."""
+    def medians(x):
+        x = np.sort(x, axis=1)
+        mid = x.shape[1] // 2
+        if x.shape[1] % 2:
+            return x[:, mid]
+        return (x[:, mid - 1] + x[:, mid]) / 2.0
+
+    mad = medians(np.abs(rows - medians(rows)[:, None]))
+    with np.errstate(all="ignore"):  # the arithmetic of Python floats
+        return np.ptp(rows, axis=1) / (mad + 1e-300)
 
 
 def spectrum_of_points(points: np.ndarray,
@@ -302,7 +463,10 @@ def spectrum_of_points(points: np.ndarray,
     """Heat-kernel graph spectrum of a point set (the stage's front half).
 
     ``on_solved`` goes to :func:`~conic_purge.spectral.generalized_eigs`,
-    which hands it the spectrum before verifying its eigenpairs.
+    which hands it the spectrum before verifying its eigenpairs.  Large
+    point sets in the overlapped pipeline stages build the same graph on
+    two threads instead (:class:`~conic_purge.spectral.RowHalves`), with
+    the same spectrum and errors bit for bit.
     """
     cfg = cfg or EligibilityConfig()
     dist = pairwise_distances(np.asarray(points, dtype=float))
@@ -312,12 +476,6 @@ def spectrum_of_points(points: np.ndarray,
     lp = graph_laplacian(w)
     del w
     return generalized_eigs(lp, on_solved=on_solved)
-
-
-def _vector_seed(rng_seed: int, idx: int) -> np.random.SeedSequence:
-    # per eigenvector index, so a vector's flags do not depend on which
-    # other vectors are examined
-    return np.random.SeedSequence(entropy=rng_seed, spawn_key=(idx,))
 
 
 def eigenvector_flag_report(spectrum: Spectrum, cfg: EligibilityConfig,
@@ -331,17 +489,29 @@ def eigenvector_flag_report(spectrum: Spectrum, cfg: EligibilityConfig,
     ``strong_eig_threshold``).  The detector runs once on each trusted
     vector, or on every eligible one with ``detect_all``; the flags of a
     vector it does not run on are None.
+
+    The report is computed as one batch: the measures, the spike ratios
+    and the detector's passes run over all vectors at once, with one sort
+    and one seeded start per vector, and each entry equals that of the
+    vector examined alone bit for bit.
     """
-    report = []
-    for idx, hf in _eligible_measures(spectrum, cfg):
-        lam = float(spectrum.eigenvalues[idx])
-        vec = spectrum.eigenvectors[:, idx]
-        trusted = (lam < cfg.strong_eig_threshold
-                   and spike_ratio(vec) >= cfg.binary_ratio)
-        flags = (_detect_vector(vec, cfg, _vector_seed(rng_seed, idx))
-                 if trusted or detect_all else None)
-        report.append((idx, lam, hf, trusted, flags))
-    return report
+    vectors = spectrum.eigenvectors
+    idx, hf = _eligible(spectrum, cfg)
+    lam = spectrum.eigenvalues[idx]
+    trusted = lam < cfg.strong_eig_threshold
+    trusted[trusted] = np.concatenate([np.empty(0)] + [
+        _spike_ratios(rows)
+        for _, rows in _row_chunks(vectors, idx[trusted])]) \
+        >= cfg.binary_ratio
+    run = np.ones_like(trusted) if detect_all else trusted
+    flags = iter([flags for chunk, rows in _row_chunks(vectors, idx[run],
+                                                       cfg.repeats)
+                  for flags in _detect_vectors(rows, cfg, rng_seed,
+                                               chunk.tolist())])
+    return [(i, lam_i, hf_i, ok, next(flags) if detect else None)
+            for i, lam_i, hf_i, ok, detect in zip(
+                idx.tolist(), lam.tolist(), hf.tolist(), trusted.tolist(),
+                run.tolist())]
 
 
 def proximity_stage(points: np.ndarray, cfg: EligibilityConfig | None = None,

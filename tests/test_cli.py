@@ -148,6 +148,8 @@ class TestGenerate:
         ({"n_inliers": 100.7}, "n_inliers 100.7 is not an integer"),
         ({"n_outliers": 3.9}, "n_outliers 3.9 is not an integer"),
         ({"seed": 3.9}, "seed 3.9 is not an integer"),
+        ({"seed": True}, "seed True is not an integer"),
+        ({"sigma1": False}, "sigma1 False is not a number"),
         ({"sigma1": None}, "sigma1 None is not a number"),
     ] + [({obj: {key: 2.5}}, f"{obj}: {key} 2.5 is not an integer")
          for obj, key in [("eligibility", "max_iter"),
@@ -177,7 +179,8 @@ class TestGenerate:
     ],
         ids=["eligibility-key", "refine-key", "eligibility-value",
              "refine-value", "eligibility-null", "n_inliers", "n_outliers",
-             "seed", "sigma1", "eligibility-max_iter", "bandwidth_rank",
+             "seed", "seed-bool", "sigma1-bool", "sigma1",
+             "eligibility-max_iter", "bandwidth_rank",
              "repeats", "refine-max_iter", "min_points", "semi_major-null",
              "eccentricity-text", "center-number", "rotation-list",
              "semi_axes-null", "ellipsoid-center", "orientation",
@@ -490,15 +493,14 @@ class TestDetect:
                                          eligibility), eligibility, 11)
         solves, detected = [], []
         original_eigs = proximity.generalized_eigs
-        original_detect = proximity.detect_1d
+        original_detect = proximity._detect_vectors
         monkeypatch.setattr(proximity, "generalized_eigs",
                             lambda lp, **hand_off: solves.append(1)
                             or original_eigs(lp, **hand_off))
         monkeypatch.setattr(
-            proximity, "detect_1d",
-            lambda values, *args, **kwargs: detected.append(
-                np.asarray(values).tobytes())
-            or original_detect(values, *args, **kwargs))
+            proximity, "_detect_vectors",
+            lambda rows, *args: detected.extend(row.tobytes() for row in rows)
+            or original_detect(rows, *args))
         modes = [[], ["--stage", "proximity"], ["--stage", "model"],
                  ["--baseline", "ransac", "--k", "50"]]
         for spare in (True, False):
@@ -828,7 +830,8 @@ class TestSweep:
         ("ransac_k", 99.5, "ransac_k 99.5 is not an integer"),
         ("trials", "many", "trials 'many' is not an integer"),
         ("ransac_k", math.inf, "ransac_k inf is not an integer"),
-    ], ids=["trials", "master_seed", "ransac_k", "text", "inf"])
+        ("trials", True, "trials True is not an integer"),
+    ], ids=["trials", "master_seed", "ransac_k", "text", "inf", "bool"])
     def test_fractional_count_exit_1(self, tmp_path, capsys, monkeypatch,
                                      key, value, message):
         # refused before any cell runs, like a fractional grid count

@@ -457,6 +457,149 @@ class TestOverlap:
         assert seen == []
 
 
+class TestSplit:
+    """From ``pipeline.SPLIT_MIN_POINTS`` points on, the caller also builds
+    half of the graph with the worker and takes row blocks of its
+    eigenpair check.  Forced on here at small and odd K, the outcome, the
+    spectrum and report handed on and the errors are those of the serial
+    stages, with one worker per call and none left alive."""
+
+    @pytest.fixture(autouse=True)
+    def split_on(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_spare_core", lambda: True)
+        monkeypatch.setattr(pipeline, "SPLIT_MIN_POINTS", proximity.MIN_POINTS)
+        monkeypatch.setattr(spectral, "BLOCK_ENTRIES", 999)  # many blocks
+
+    @pytest.fixture
+    def solved_on(self, monkeypatch):
+        """The thread on which each ``generalized_eigs`` call ran: split,
+        the worker solves from the graph the two threads built."""
+        ran = []
+        original = proximity.generalized_eigs
+
+        def recorded(*args, **kwargs):
+            ran.append(threading.current_thread())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(proximity, "generalized_eigs", recorded)
+        return ran
+
+    @pytest.mark.parametrize("scenario", sorted(FREEZE_SCENARIOS))
+    def test_matches_serial(self, scenario, threads, solved_on):
+        cfg = FREEZE_SCENARIOS[scenario]
+        pts = make_dataset(cfg).points
+        assert overlapped_outcome(pts, cfg.eligibility, cfg.refine,
+                                  cfg.seed) == \
+            serial_outcome(pts, cfg.eligibility, cfg.refine, cfg.seed)
+        assert len(threads) == 1
+        assert solved_on[0] is threads[0]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(cfg=scenarios())
+    def test_matches_serial_on_generated_scenarios(self, cfg):
+        pts = make_dataset(cfg).points
+        before = threading.active_count()
+        assert overlapped_outcome(pts, seed=cfg.seed) == \
+            serial_outcome(pts, seed=cfg.seed)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n_points", [12, 13, 41])
+    def test_small_odd_k(self, n_points, threads):
+        cfg = dataclasses.replace(FREEZE_SCENARIOS["typical2d"],
+                                  n_inliers=12, n_outliers=n_points - 12)
+        pts = make_dataset(cfg).points
+        assert overlapped_outcome(pts, seed=cfg.seed) == \
+            serial_outcome(pts, seed=cfg.seed)
+        assert len(threads) == 1
+
+    @pytest.mark.parametrize("detect_all", [False, True])
+    def test_report_hook_sees_the_serial_spectrum(self, detect_all, threads):
+        cfg = FREEZE_SCENARIOS["ransac2d"]
+        pts = make_dataset(cfg).points
+        made = []
+        quiet(detect_points, pts, "both", seed=cfg.seed,
+              on_report=lambda *args: made.append(args),
+              detect_all=detect_all)
+        (spectrum, report), = made
+        expected = proximity.spectrum_of_points(pts)
+        assert spectrum.eigenvalues.tobytes() == \
+            expected.eigenvalues.tobytes()
+        assert spectrum.eigenvectors.tobytes() == \
+            expected.eigenvectors.tobytes()
+        assert report_bits(report) == report_bits(
+            proximity.eigenvector_flag_report(
+                expected, proximity.EligibilityConfig(), cfg.seed,
+                detect_all))
+        assert len(threads) == 1
+
+    @pytest.mark.parametrize("planted", [None, "report"])
+    def test_check_failure_wins(self, monkeypatch, threads, planted):
+        pts = make_dataset(FREEZE_SCENARIOS["typical2d"]).points
+        monkeypatch.setattr(spectral, "RESIDUAL_RTOL", 0.0)
+        if planted:
+            def fails(*args, **kwargs):
+                raise RuntimeError("planted report")
+
+            monkeypatch.setattr(proximity, "eigenvector_flag_report", fails)
+        seen = []
+        with pytest.raises(ConvergenceFailure, match="exceeds tolerance"):
+            detect_points(pts, "both",
+                          on_report=lambda *made: seen.append(made))
+        assert seen == [] and len(threads) == 1
+        assert overlapped_outcome(pts) == serial_outcome(pts)
+
+    def test_graph_error_wins(self, threads):
+        pts = np.repeat(np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 3.0]]), 10,
+                        axis=0)
+        overlapped = overlapped_outcome(pts)
+        assert overlapped == serial_outcome(pts)
+        assert overlapped[0] is DegenerateBandwidth
+        assert len(threads) == 1
+
+    def test_refused_points_start_no_worker(self, threads):
+        t = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)
+        pts = np.c_[3.0 * np.cos(t), np.sin(t)] * 1e200
+        overlapped = overlapped_outcome(pts)
+        assert overlapped == serial_outcome(pts)
+        assert "would overflow" in overlapped[1]
+        assert threads == []
+
+    def test_errstate_reaches_both_halves(self, threads):
+        pts = make_dataset(FREEZE_SCENARIOS["typical2d"]).points
+        with np.errstate(under="raise"):
+            with pytest.raises(FloatingPointError, match="underflow"):
+                detect_points(pts, "both")
+        assert len(threads) == 1
+
+    def test_concurrent_calls(self, threads):
+        cases = [FREEZE_SCENARIOS[name] for name in ("typical2d", "ransac2d")]
+        data = [make_dataset(cfg).points for cfg in cases]
+        expected = [serial_outcome(pts, seed=cfg.seed)
+                    for pts, cfg in zip(data, cases)]
+        results = {}
+
+        def call(i):
+            out = quiet(detect_points, data[i % 2], "both",
+                        seed=cases[i % 2].seed)
+            results[i] = (outcome_bits(out.proximity_labels, out.fit),
+                          outcome_bits(out.labels, out.fit))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(i,))
+                       for i in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == {i: expected[i % 2] for i in range(4)}
+        assert len(threads) == 8
+
+
 def report_bits(report):
     return [(idx, lam, hf, trusted, None if flags is None else flags.tobytes())
             for idx, lam, hf, trusted, flags in report]

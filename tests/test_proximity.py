@@ -19,10 +19,11 @@ from conic_purge import (EligibilityConfig, ExperimentConfig, NoEligibleVectors,
                          select_eligible)
 from conic_purge import proximity
 from conic_purge.geometry import EllipseParams, ellipse_boundary_points
-from conic_purge.proximity import (_sorted_quartiles, spectrum_of_points,
+from conic_purge.proximity import (_row_quartiles, spectrum_of_points,
                                    spike_ratio)
 from conic_purge.spectral import (Spectrum, generalized_eigs, graph_laplacian)
 
+import reference_proximity
 from conftest import FREEZE_SCENARIOS, LARGE_SPECTRUM_SCENARIO
 
 
@@ -72,6 +73,21 @@ class TestEligibilityConfig:
     def test_non_finite_knob_rejected(self, knob, value):
         with pytest.raises(ValueError, match=knob):
             EligibilityConfig(**{knob: value})
+
+    @pytest.mark.parametrize("knob", [
+        field.name for field in dataclasses.fields(EligibilityConfig)])
+    def test_bool_knobs_refused(self, knob):
+        with pytest.raises(ValueError, match=f"{knob} True is not"):
+            EligibilityConfig(**{knob: True})
+
+    @pytest.mark.parametrize("knob", [
+        "eig_threshold", "hf_threshold", "gamma", "max_flag_fraction",
+        "strong_eig_threshold", "binary_ratio"])
+    def test_float_knobs_typed(self, knob):
+        typed = getattr(EligibilityConfig(**{knob: 1}), knob)
+        assert typed == 1.0 and type(typed) is float
+        with pytest.raises(ValueError, match=f"{knob} 'x' is not a number"):
+            EligibilityConfig(**{knob: "x"})
 
     @pytest.mark.parametrize("knob", ["max_iter", "bandwidth_rank",
                                       "repeats"])
@@ -366,6 +382,13 @@ def samples(draw, min_size, max_size=400):
     return v + 0.0  # drop negative zeros, see test_sorted_quartiles_bitwise
 
 
+def sorted_quartiles(x):
+    """The batched quartiles of one ascending row, every value selected."""
+    quartiles = _row_quartiles(x[None, :], np.array([0]), np.array([x.size]),
+                               lambda r: r)
+    return np.concatenate(quartiles)
+
+
 def flags_and_warnings(detector, *args, **kwargs):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -382,7 +405,7 @@ class TestSortedOrderEquivalence:
     @given(samples(min_size=1))
     def test_sorted_quartiles_bitwise(self, values):
         x = np.sort(values)
-        ours = np.array(_sorted_quartiles(x))
+        ours = sorted_quartiles(x)
         ref = np.quantile(values, [0.25, 0.5, 0.75], method="linear")
         assert ours.tobytes() == ref.tobytes()
 
@@ -390,7 +413,7 @@ class TestSortedOrderEquivalence:
         for m in range(1, 9):
             x = np.arange(m, dtype=float) ** 2
             ref = np.quantile(x, [0.25, 0.5, 0.75], method="linear")
-            assert np.array(_sorted_quartiles(x)).tobytes() == ref.tobytes()
+            assert sorted_quartiles(x).tobytes() == ref.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(samples(min_size=4),
@@ -542,21 +565,22 @@ class TestFilterFirst:
         spectrum = spectrum_of_points(data.points, cfg.eligibility)
         expected = pre_trusted(spectrum, cfg.eligibility)
         calls = []
-        original = proximity.detect_1d
+        original = proximity._detect_vectors
 
-        def counting(values, *args, **kwargs):
-            calls.append(values)
-            return original(values, *args, **kwargs)
+        def recording(rows, *args):
+            calls.append((rows.copy(), list(args[-1])))
+            return original(rows, *args)
 
-        monkeypatch.setattr(proximity, "detect_1d", counting)
+        monkeypatch.setattr(proximity, "_detect_vectors", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = proximity.eigenvector_flag_report(
                 spectrum, cfg.eligibility, cfg.seed)
             proximity_stage(data.points, cfg.eligibility, cfg.seed, report)
-        assert len(calls) == len(expected) > 0
+        (rows, indexes), = calls
+        assert indexes == expected and len(expected) > 0
         assert len(expected) < len(select_eligible(spectrum, cfg.eligibility))
-        for values, idx in zip(calls, expected):
+        for values, idx in zip(rows, expected, strict=True):
             assert np.array_equal(values, spectrum.eigenvectors[:, idx])
 
     @pytest.mark.parametrize("scenario,repeats",
@@ -640,24 +664,27 @@ class TestFilterFirst:
 
     def test_report_measures_each_vector_once(self, monkeypatch):
         # the hf measure is computed once per vector under the eigenvalue
-        # cut, by the eligibility filter, and the report keeps that value
+        # cut, in one batch by the eligibility filter, and the report keeps
+        # that value
         cfg = FREEZE_SCENARIOS["typical2d"]
         spectrum = spectrum_of_points(make_dataset(cfg).points,
                                       cfg.eligibility)
         measured = []
+        original = proximity._hf_measures
 
-        def counted(vector):
-            measured.append(high_frequency_measure(vector))
+        def counted(rows):
+            measured.append(original(rows))
             return measured[-1]
 
-        monkeypatch.setattr(proximity, "high_frequency_measure", counted)
+        monkeypatch.setattr(proximity, "_hf_measures", counted)
         report = proximity.eigenvector_flag_report(spectrum, cfg.eligibility,
                                                    cfg.seed)
         below = np.count_nonzero(spectrum.eigenvalues
                                  < cfg.eligibility.eig_threshold)
-        assert len(report) > 1 and len(measured) == below
+        (hf,) = measured
+        assert len(report) > 1 and len(hf) == below
         assert [r[2] for r in report] == \
-            [hf for hf in measured if hf < cfg.eligibility.hf_threshold]
+            [h for h in hf.tolist() if h < cfg.eligibility.hf_threshold]
 
     @pytest.mark.parametrize("eig_threshold", [1e-6, 1e-3, 0.1, 1.0, 2.0])
     def test_eig_threshold_at_or_above_strong_cut_is_inert(self,
@@ -681,3 +708,142 @@ class TestFilterFirst:
                     proximity.eigenvector_flag_report(spectrum, loose,
                                                       cfg.seed))
             assert np.array_equal(labels.outlier, base.outlier)
+
+
+@st.composite
+def spectra(draw):
+    """Seeded spectra whose vectors are smooth, near-binary, tied, flat,
+    two-level or sign-mixed, with eigenvalues around every threshold."""
+    k = draw(st.integers(4, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.choice([0.0, 1e-9, 5e-7, 1e-3, 0.05, 0.2, 1.0], size=k)
+    columns = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["normal", "binary", "ties", "flat",
+                                     "two-level", "mixed"]))
+        if kind == "normal":
+            v = rng.normal(0.5, 0.1, k)
+        elif kind == "binary":
+            v = np.full(k, 0.08) + rng.normal(0.0, 1e-5, k)
+            spikes = rng.choice(k, rng.integers(1, max(2, k // 4)),
+                                replace=False)
+            v[spikes] = rng.normal(-0.5, 0.01, spikes.size)
+        elif kind == "ties":
+            v = rng.integers(0, 4, k).astype(float)
+        elif kind == "flat":
+            v = np.full(k, rng.choice([0.3, -2.0]))
+        elif kind == "two-level":
+            v = np.where(rng.random(k) < 0.5, 0.0, 1.0)
+        else:
+            v = rng.normal(0.0, 1.0, k)
+        columns.append(v + 0.0)
+    return Spectrum(np.sort(values), np.column_stack(columns))
+
+
+def report_and_warnings(report, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            made = [(type(i), i, type(lam), lam, type(hf), hf, type(ok), ok,
+                     None if flags is None else
+                     (flags.dtype, flags.shape, flags.tobytes()))
+                    for i, lam, hf, ok, flags in report(*args)]
+        except ZeroVector as exc:
+            made = str(exc)
+    return made, [(w.category, str(w.message)) for w in caught]
+
+
+class TestBatchedReport:
+    """The report made as one batch equals, bit for bit, the report made
+    one eigenvector at a time (``reference_proximity``), warnings and
+    errors included."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(spectrum=spectra(), repeats=st.integers(1, 3),
+           detect_all=st.booleans(), max_iter=st.sampled_from([1, 2, 100]),
+           gamma=st.sampled_from([0.01, 0.5, 2.5]),
+           binary_ratio=st.sampled_from([1.0, 2.0, 30.0]),
+           strong=st.sampled_from([1e-6, 0.1]),
+           chunk_bytes=st.sampled_from([None, 1]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference(self, spectrum, repeats, detect_all, max_iter,
+                               gamma, binary_ratio, strong, chunk_bytes,
+                               seed):
+        cfg = EligibilityConfig(repeats=repeats, max_iter=max_iter,
+                                gamma=gamma, binary_ratio=binary_ratio,
+                                strong_eig_threshold=strong)
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk_bytes is not None:  # one vector per chunk
+                patch.setattr(proximity, "_CHUNK_BYTES", chunk_bytes)
+            ours = report_and_warnings(proximity.eigenvector_flag_report,
+                                       spectrum, cfg, seed, detect_all)
+        assert ours == report_and_warnings(
+            reference_proximity.eigenvector_flag_report, spectrum, cfg, seed,
+            detect_all)
+
+    def test_interval_excluding_everything(self):
+        # two-level vectors and a narrow interval around a median between
+        # the levels: the warning, once per vector and repeat, in order
+        rng = np.random.default_rng(4)
+        vectors = np.where(rng.random((40, 40)) < 0.5, 0.0, 1.0)
+        spectrum = Spectrum(np.zeros(40), vectors)
+        cfg = EligibilityConfig(gamma=0.01, repeats=2)
+        ours = report_and_warnings(proximity.eigenvector_flag_report,
+                                   spectrum, cfg, 3, True)
+        assert ours == report_and_warnings(
+            reference_proximity.eigenvector_flag_report, spectrum, cfg, 3,
+            True)
+        assert len(ours[1]) > 1
+        assert {message for _, message in ours[1]} == \
+            {"interval excluded every element; keeping all points"}
+
+    def test_zero_vector(self):
+        vectors = np.ones((8, 8))
+        vectors[:, 3] = 0.0
+        spectrum = Spectrum(np.zeros(8), vectors)
+        cfg = EligibilityConfig()
+        ours = report_and_warnings(proximity.eigenvector_flag_report,
+                                   spectrum, cfg, 0)
+        assert ours == report_and_warnings(
+            reference_proximity.eigenvector_flag_report, spectrum, cfg, 0)
+        assert ours[0] == "high-frequency measure of the zero vector"
+
+    @pytest.mark.parametrize("name", sorted(FREEZE_SCENARIOS))
+    def test_freeze_scenarios(self, name):
+        cfg = FREEZE_SCENARIOS[name]
+        spectrum = spectrum_of_points(make_dataset(cfg).points)
+        for detect_all in (False, True):
+            assert report_and_warnings(
+                proximity.eigenvector_flag_report, spectrum, cfg.eligibility,
+                cfg.seed, detect_all) == report_and_warnings(
+                reference_proximity.eigenvector_flag_report, spectrum,
+                cfg.eligibility, cfg.seed, detect_all)
+
+
+class TestDetect1dArguments:
+    @pytest.mark.parametrize("max_iter", [0, -1, True, np.True_, 2.5, None])
+    def test_max_iter(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            detect_1d(np.arange(10.0), 2.5, 0, max_iter=max_iter)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf, True,
+                                       "wide"])
+    def test_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            detect_1d(np.arange(10.0), gamma, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_values_must_be_finite(self, bad):
+        values = np.arange(10.0)
+        values[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            detect_1d(values, 2.5, 0)
+
+    def test_values_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            detect_1d(np.arange(12.0).reshape(6, 2), 2.5, 0)
+
+    def test_whole_float_max_iter_accepted(self):
+        values = np.r_[np.zeros(20), 5.0]
+        assert np.array_equal(detect_1d(values, 2.5, 1, max_iter=3.0),
+                              detect_1d(values, 2.5, 1, max_iter=3))

@@ -1,4 +1,7 @@
+import contextvars
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_spectral as ref
+from conftest import FREEZE_SCENARIOS
 from conic_purge import (ConvergenceFailure, DegenerateBandwidth,
                          ExperimentConfig, TooFewPoints,
                          ellipse_from_eccentricity, generalized_eigs,
@@ -168,6 +172,24 @@ class TestGraphLaplacian:
         w = 0.5 * (w + w.T)
         lp = graph_laplacian(w)
         assert np.abs(lp.laplacian.sum(axis=1)).max() < 1e-12
+
+    def test_diag_minus_weights_bit_for_bit(self, rng):
+        # the in-place row helpers give diag(column sums) - W exactly, and
+        # leave the weights as they were
+        w = rng.uniform(0.0, 1.0, (33, 33))
+        w = 0.5 * (w + w.T)
+        w[w < 0.2] = 0.0
+        given = w.copy()
+        lp = graph_laplacian(w)
+        deg = w.sum(axis=0)
+        assert lp.degrees.tobytes() == deg.tobytes()
+        assert lp.laplacian.tobytes() == (np.diag(deg) - w).tobytes()
+        assert w.tobytes() == given.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 4), (4,)])
+    def test_non_square_refused(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            graph_laplacian(np.ones(shape))
 
 
 class TestGeneralizedEigs:
@@ -415,3 +437,171 @@ class TestResidualCheck:
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(ConvergenceFailure, match="exceeds tolerance"):
             generalized_eigs(lp)
+
+
+def spectrum_in_halves(pts, rank=4, caller_checks=True):
+    """The spectrum built and verified by this thread and one worker
+    sharing a RowHalves, as the overlapped pipeline shares it, or the
+    type and message of what the worker raised."""
+    halves = spectral_mod.RowHalves(pts, rank)
+    out, handed = {}, threading.Event()
+
+    def hand_off(spectrum):
+        out["spectrum"] = spectrum
+        handed.set()
+
+    def solve():
+        try:
+            out["returned"] = generalized_eigs(halves.build(1),
+                                               on_solved=hand_off,
+                                               halves=halves)
+        except Exception as exc:
+            out["error"] = exc
+        finally:
+            handed.set()
+
+    worker = threading.Thread(target=contextvars.copy_context().run,
+                              args=(solve,))
+    worker.start()
+    try:
+        halves.build(0)
+        handed.wait()
+        if caller_checks and "spectrum" in out:
+            halves.check()
+    finally:
+        halves.release()
+        worker.join()
+    if "error" in out:
+        return type(out["error"]), str(out["error"])
+    assert out["returned"] is out["spectrum"]
+    return out["returned"]
+
+
+def spectrum_on_one_thread(pts, rank=4, reference=False):
+    """The serial functions, or the reference ones, one after the other."""
+    distances, kernel, eigs = (
+        (ref.pairwise_distances, ref.heat_kernel_weights, ref.generalized_eigs)
+        if reference else
+        (pairwise_distances, heat_kernel_weights, generalized_eigs))
+    try:
+        dist = distances(pts)
+        weights = kernel(dist, select_bandwidth(dist, rank))
+        return eigs(graph_laplacian(weights))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def spectrum_bits(made):
+    if isinstance(made, tuple):
+        return made
+    return made.eigenvalues.tobytes(), made.eigenvectors.tobytes()
+
+
+class TestRowHalves:
+    """Two threads building the graph in row halves and sharing the
+    residual check in row blocks give the bits and errors of one."""
+
+    @pytest.fixture(params=[None, 7, 300], ids=["default", "row", "few-rows"])
+    def blocks(self, request, monkeypatch):
+        # one row per block, a few rows, or the default blocks
+        if request.param is not None:
+            monkeypatch.setattr(spectral_mod, "BLOCK_ENTRIES", request.param)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(4, 90), dim=st.sampled_from([2, 3]),
+           rank=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+           caller_checks=st.booleans(),
+           block_entries=st.sampled_from([None, 7, 300]))
+    def test_matches_one_thread_and_reference(self, k, dim, rank, seed,
+                                              caller_checks, block_entries):
+        pts = np.random.default_rng(seed).normal(size=(k, dim))
+        pts *= np.random.default_rng(seed).uniform(0.1, 10.0)
+        with pytest.MonkeyPatch.context() as patch:
+            if block_entries is not None:
+                patch.setattr(spectral_mod, "BLOCK_ENTRIES", block_entries)
+            halved = spectrum_bits(
+                spectrum_in_halves(pts, rank, caller_checks))
+        assert halved == spectrum_bits(spectrum_on_one_thread(pts, rank))
+        assert halved == spectrum_bits(
+            spectrum_on_one_thread(pts, rank, reference=True))
+
+    @pytest.mark.parametrize("k", [31, 255, 800])
+    def test_benchmark_shaped_graphs(self, blocks, k):
+        cfg = ExperimentConfig(model=ellipse_from_eccentricity(5.0, 0.95),
+                               n_inliers=k * 3 // 4, n_outliers=k - k * 3 // 4,
+                               sigma0=0.05, sigma1=2.0, seed=k)
+        pts = make_dataset(cfg).points
+        assert spectrum_bits(spectrum_in_halves(pts)) == \
+            spectrum_bits(spectrum_on_one_thread(pts))
+
+    @pytest.mark.parametrize("row", [2, 37])
+    @pytest.mark.parametrize("caller_checks", [False, True])
+    def test_check_failure_carries_the_serial_message(self, monkeypatch,
+                                                      row, caller_checks):
+        # one entry of one eigenvector is off, in the lower or the upper
+        # half of the rows; whichever thread checks that row, the error
+        # names the worst residual and tolerance over all rows
+        pts = np.random.default_rng(5).normal(size=(40, 2))
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            evals, evecs = eigh(a)
+            evecs[row, 7] += 1e-3
+            return evals, evecs
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        monkeypatch.setattr(spectral_mod, "BLOCK_ENTRIES", 40 * 5)
+        serial = spectrum_on_one_thread(pts)
+        assert serial[0] is ConvergenceFailure
+        assert spectrum_in_halves(pts, caller_checks=caller_checks) == serial
+
+    def test_both_threads_share_the_work(self, monkeypatch):
+        seen = {"distances": set(), "check": set()}
+        for name, key in (("_distance_rows", "distances"),
+                          ("_residual_rows", "check")):
+            original = getattr(spectral_mod, name)
+
+            def recorded(*args, original=original, key=key):
+                seen[key].add(threading.current_thread())
+                if key == "check":
+                    time.sleep(0.002)  # long enough for both to take blocks
+                return original(*args)
+
+            monkeypatch.setattr(spectral_mod, name, recorded)
+        monkeypatch.setattr(spectral_mod, "BLOCK_ENTRIES", 60 * 4)
+        spectrum_in_halves(np.random.default_rng(3).normal(size=(60, 2)))
+        assert len(seen["distances"]) == len(seen["check"]) == 2
+
+    @pytest.mark.parametrize("case", ["duplicates", "underflow"])
+    def test_graph_errors_keep_the_serial_order(self, case):
+        if case == "duplicates":
+            pts = np.repeat(np.random.default_rng(1).normal(size=(3, 2)), 10,
+                            axis=0)
+            state = {}
+        else:  # the heat kernel has subnormal weights
+            pts = make_dataset(FREEZE_SCENARIOS["typical2d"]).points
+            state = {"under": "raise"}
+        with np.errstate(**state):
+            serial = spectrum_on_one_thread(pts)
+            assert isinstance(serial, tuple)
+            assert spectrum_in_halves(pts) == serial
+
+    def test_refuses_what_distances_refuse(self):
+        for pts in (np.ones((1, 2)), np.full((6, 2), np.nan)):
+            with pytest.raises((TooFewPoints, ValueError)) as caught:
+                spectral_mod.RowHalves(pts, 4)
+            with pytest.raises(caught.type, match=str(caught.value)):
+                pairwise_distances(pts)
+
+    def test_spectrum_memory(self):
+        # as on one thread (test_proximity's test_spectrum_memory): the
+        # graph buffer, the two symmetric-form buffers and the vectors
+        k = 1000
+        pts = np.random.default_rng(8).normal(size=(k, 2))
+        tracemalloc.start()
+        try:
+            spectrum_in_halves(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.2 * k * k * 8
