@@ -30,6 +30,7 @@ __all__ = [
     "fit_ellipsoid_direct",
     "refine",
     "rescue_start",
+    "RescueTrajectory",
     "vanilla_ransac",
     "ransac_success_prob",
     "MIN_POINTS_ELLIPSE",
@@ -42,6 +43,8 @@ MIN_POINTS_ELLIPSOID = 9
 MAD_TO_SIGMA = 1.4826  # consistency factor for Gaussian residuals
 _TAU_FLOOR = 1e-12
 _CYCLE_WINDOW = 16
+# the fit errors that end a trajectory without an outcome
+_FIT_ERRORS = (DegenerateConfiguration, NotAnEllipse, NotAnEllipsoid)
 
 
 @dataclass(frozen=True)
@@ -286,7 +289,7 @@ def _classification_loop(pts, start, fitter, min_points, cfg):
             break
         try:
             model_next = fitter(pts[updated])
-        except (DegenerateConfiguration, NotAnEllipse, NotAnEllipsoid):
+        except _FIT_ERRORS:
             break
         inliers, model = updated, model_next
         history.append((inliers, model))
@@ -435,22 +438,59 @@ def _trim_size(pts: np.ndarray, min_points: int) -> int:
     return max(min_points, (pts.shape[0] + 1) // 2)
 
 
-def rescue_start(points: np.ndarray,
-                 cfg: RefineConfig | None = None) -> np.ndarray | None:
-    """Start mask of :func:`refine`'s rescue trajectory on ``points``.
+class RescueTrajectory:
+    """:func:`refine`'s rescue trajectory on one set of points.
 
-    The best trimmed half-set of :func:`_multistart_concentrate`, or None
-    when there is none.  It depends on the points and ``cfg.min_points``
-    only, never on a labeling, so a caller may compute it beside other
-    work and hand it to ``refine(..., rescue=...)``.  Raises ValueError,
-    as refine does, for points that are not finite (n, 2) or (n, 3) rows
-    and for a ``min_points`` below the fit's minimum.
+    ``start`` is the best trimmed half-set of
+    :func:`_multistart_concentrate` as a mask, or None when there is none.
+    The trajectory's classification loop from it runs on the first
+    :meth:`finish`, by whoever calls it first: a caller with time to spare
+    or refine.
+    """
+
+    __slots__ = ("start", "_loop_args", "_outcome")
+
+    def __init__(self, start, pts, fitter, min_points: int,
+                 cfg: RefineConfig):
+        self.start = start
+        self._loop_args = (pts, start, fitter, min_points, cfg)
+        self._outcome = _UNSET
+
+    def finish(self):
+        """The loop's (model, inliers, iterations, converged), computed
+        once.  None when there is no start or when the loop's fit failed
+        (DegenerateConfiguration, NotAnEllipse, NotAnEllipsoid): refine
+        treats both as no rescue outcome.  Any other error propagates and
+        leaves the trajectory unfinished."""
+        if self._outcome is _UNSET:
+            outcome = None
+            if self.start is not None:
+                try:
+                    outcome = _classification_loop(*self._loop_args)
+                except _FIT_ERRORS:
+                    pass
+            self._outcome = outcome
+        return self._outcome
+
+
+def rescue_start(points: np.ndarray,
+                 cfg: RefineConfig | None = None) -> RescueTrajectory:
+    """:func:`refine`'s rescue trajectory on ``points``, started.
+
+    Its start and its loop depend on the points and ``cfg`` only, never on
+    a labeling, so a caller may compute the start here, run the loop
+    (:meth:`RescueTrajectory.finish`) beside other work, and hand the
+    trajectory, finished or not, to ``refine(points, ..., cfg,
+    rescue=...)``.  Raises ValueError, as refine does, for points that are
+    not finite (n, 2) or (n, 3) rows and for a ``min_points`` below the
+    fit's minimum.
     """
     cfg = cfg or RefineConfig()
     pts = np.asarray(points, dtype=float)
-    _fitter, min_points = _dim_tools(pts, cfg.min_points)
-    return _multistart_concentrate(pts, min_points,
-                                   _trim_size(pts, min_points))
+    fitter, min_points = _dim_tools(pts, cfg.min_points)
+    start = _multistart_concentrate(pts, min_points,
+                                    _trim_size(pts, min_points))
+    return RescueTrajectory(start, pts, fitter, min_points, cfg)
 
 
 def refine(points: np.ndarray, initial: DetectionLabels,
@@ -469,9 +509,11 @@ def refine(points: np.ndarray, initial: DetectionLabels,
     other's result stands alone; the plain trajectory's error is raised
     only when both fail.
 
-    The keyword-only ``rescue`` is ``rescue_start(points, cfg)`` when the
-    caller already has it (None included); refine computes it otherwise,
-    after its own checks.  The result is the same bits either way.
+    The keyword-only ``rescue`` is the trajectory ``rescue_start(points,
+    cfg)`` returned, finished or not, when the caller already has it, or
+    None for no rescue; refine computes it otherwise, after its own
+    checks, and finishes it after the plain trajectory.  The result is the
+    same bits either way.
     """
     cfg = cfg or RefineConfig()
     pts = np.asarray(points, dtype=float)
@@ -484,18 +526,18 @@ def refine(points: np.ndarray, initial: DetectionLabels,
     # the rescue route must not depend on the starting labels, otherwise
     # re-running refine on its own output could surface new candidates
     if rescue is _UNSET:
-        rescue = _multistart_concentrate(pts, min_points, half)
-    outcomes, errors = [], []
-    for start in (initial.inlier, rescue):
-        if start is None:
-            continue
-        try:
-            outcomes.append(_classification_loop(pts, start, fitter,
-                                                 min_points, cfg))
-        except (DegenerateConfiguration, NotAnEllipse, NotAnEllipsoid) as exc:
-            errors.append(exc)
+        rescue = RescueTrajectory(_multistart_concentrate(pts, min_points,
+                                                          half),
+                                  pts, fitter, min_points, cfg)
+    try:
+        plain = _classification_loop(pts, initial.inlier, fitter,
+                                     min_points, cfg)
+    except _FIT_ERRORS as exc:
+        plain, error = None, exc
+    rescued = None if rescue is None else rescue.finish()
+    outcomes = [out for out in (plain, rescued) if out is not None]
     if not outcomes:
-        raise errors[0]
+        raise error
     best = int(np.argmin(_trimmed_objectives(
         pts, np.stack([out[0].values for out in outcomes]), half)))
     model, inliers, iterations, converged = outcomes[best]

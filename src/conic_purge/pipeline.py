@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 import contextvars
-import functools
-import os
 import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from . import proximity
+from . import _cores, proximity
 from .errors import ConicPurgeError, typed_number
 from .geometry import (ConicCoeffs, QuadricCoeffs, ellipse_from_conic,
                        ellipsoid_from_quadric, nonoverlap_ratio)
@@ -88,38 +85,6 @@ def model_params_from_coeffs(model):
     return ellipsoid_from_quadric(model)
 
 
-@functools.cache
-def _openblas_threads():
-    """The thread-count getter of the OpenBLAS bundled with numpy's wheels,
-    or None when numpy bundles none (another BLAS, or a source build)."""
-    import ctypes
-    libs = (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")
-    for lib in sorted(libs):
-        dll = ctypes.CDLL(str(lib))
-        for name in ("scipy_openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
-            getter = getattr(dll, name, None)
-            if getter is not None:
-                getter.restype, getter.argtypes = ctypes.c_int, []
-                return getter
-    return None
-
-
-def _spare_core() -> bool:
-    """Whether the BLAS leaves one of this process's CPUs free for the
-    spectrum's worker: numpy's OpenBLAS runs on fewer threads than there
-    are usable CPUs.  On one CPU, or with OpenBLAS on as many threads as
-    CPUs (its default), the worker only competes with the caller, and the
-    overlap measured slower than the serial stages; with a BLAS whose
-    threads cannot be read the stages stay serial."""
-    getter = _openblas_threads()
-    if getter is None:
-        return False
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return getter() < cpus
-
-
 def _overlaps(pts: np.ndarray, refine_cfg: RefineConfig) -> bool:
     """Whether the two stages should overlap on ``pts``: a core is spare,
     and ``pts`` pass the checks the proximity stage makes before its graph
@@ -131,15 +96,15 @@ def _overlaps(pts: np.ndarray, refine_cfg: RefineConfig) -> bool:
         _dim_tools(pts, refine_cfg.min_points)
     except ValueError:
         return False
-    return _spare_core()
+    return _cores.spare_core()
 
 
 def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
                             refine_cfg: RefineConfig, seed: int,
                             detect_all: bool):
     """``spectrum_of_points`` on a worker thread while this thread computes
-    ``rescue_start`` and then ``eigenvector_flag_report``; returns the
-    spectrum, the report and refine's keywords.
+    refine's rescue trajectory and then ``eigenvector_flag_report``;
+    returns the spectrum, the report and refine's keywords.
 
     The eigensolve releases the GIL and the rescue is Python-heavy, so
     this split, not the reverse, keeps both cores busy.  The worker hands
@@ -153,7 +118,12 @@ def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
     joined before anything is returned or raised, so only a verified
     spectrum leaves this function.  Errors keep the serial order: the
     worker's (the check's ``ConvergenceFailure`` included) wins over the
-    report's.  A rescue that raised is left to refine, which computes it
+    report's.  The rescue trajectory is started here
+    (:func:`~conic_purge.modelfit.rescue_start`), and its classification
+    loop, which needs no labels either, runs here too when the spectrum
+    has not been handed over by then; otherwise refine runs it.  A loop
+    whose fit fails is a rescue without an outcome, as in refine.  A
+    rescue that raised anything else is left to refine, which computes it
     again and raises in its own order.
     """
     # refuses points as the worker's first step would, before it starts
@@ -187,7 +157,12 @@ def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
         if halves is not None:
             halves.build(0)
         try:
-            given = {"rescue": rescue_start(pts, refine_cfg)}
+            rescue = rescue_start(pts, refine_cfg)
+            # the rescue's loop only while the worker has not handed the
+            # spectrum over; after that it would delay the report
+            if not handed.is_set():
+                rescue.finish()
+            given = {"rescue": rescue}
         except Exception:
             given = {}
         handed.wait()
@@ -234,21 +209,23 @@ def detect_points(points: np.ndarray, stage: str = "both",
     same spectrum and report, so it solves the spectrum once.
 
     Stage "both" solves the spectrum on a worker thread while the caller
-    computes refine's rescue start
-    (:func:`~conic_purge.modelfit.rescue_start`), which needs no labels,
-    and then builds the report while the worker verifies the eigenpairs,
-    when numpy's OpenBLAS leaves one of the process's CPUs free (it runs
-    on fewer threads than there are usable CPUs); otherwise the stages
-    run one after the other.  From ``SPLIT_MIN_POINTS`` points on, the
-    caller first builds half of the graph with the worker, computes the
-    rescue start during the eigensolve, and after its report takes row
-    blocks of the eigenpair check; the worker is still the only thread
-    started.  Either way the outcome, the spectrum and
-    report handed to ``on_report`` and any error are those of the serial
-    stages: the thread is joined before ``on_report`` is called, so the
+    computes refine's rescue trajectory
+    (:func:`~conic_purge.modelfit.rescue_start`), which needs no labels:
+    its start, and its classification loop when the spectrum is not
+    handed over first.  The caller then builds the report while the
+    worker verifies the eigenpairs.  This happens when numpy's OpenBLAS
+    leaves one of the process's CPUs free (it runs on fewer threads than
+    there are usable CPUs); otherwise the stages run one after the other.
+    From ``SPLIT_MIN_POINTS`` points on, the caller first builds half of
+    the graph with the worker, computes the rescue trajectory during the
+    eigensolve, and after its report takes row blocks of the eigenpair
+    check; the worker is still the only thread started.  Either way the
+    outcome, the spectrum and report handed to ``on_report`` and any
+    error are those of the serial stages: the thread is joined before ``on_report`` is called, so the
     hook only sees a verified spectrum, and before this returns or
     raises.  When they overlap, ``timings_ms["proximity_ms"]`` covers the
-    rescue start too, and ``"model_ms"`` the rest of refine.
+    caller's part of the rescue trajectory too (its start, and its loop
+    when run there), and ``"model_ms"`` the rest of refine.
     """
     pts = np.asarray(points, dtype=float)
     eligibility = eligibility or EligibilityConfig()

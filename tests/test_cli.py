@@ -416,8 +416,8 @@ class TestDetect:
                                   scale, message):
         # finite coordinates whose squared distances overflow, or are
         # distinct but underflow, exit 2 with no numpy warning
-        from conic_purge import cli, pipeline
-        monkeypatch.setattr(pipeline, "_spare_core", lambda: spare)
+        from conic_purge import _cores, cli
+        monkeypatch.setattr(_cores, "spare_core", lambda: spare)
         t = np.linspace(0.0, 2.0 * math.pi, 60, endpoint=False)
         data = tmp_path / "data.csv"
         write_dataset_csv(data, np.c_[3.0 * np.cos(t), np.sin(t)] * scale)
@@ -435,8 +435,8 @@ class TestDetect:
                                          spare):
         # a spectrum that fails its residual check exits 2; the dumps,
         # which would be made from it, are not written
-        from conic_purge import cli, pipeline, spectral
-        monkeypatch.setattr(pipeline, "_spare_core", lambda: spare)
+        from conic_purge import _cores, cli, spectral
+        monkeypatch.setattr(_cores, "spare_core", lambda: spare)
         monkeypatch.setattr(spectral, "RESIDUAL_RTOL", 0.0)
         cfg = FREEZE_SCENARIOS["typical2d"]
         data = tmp_path / "data.csv"
@@ -483,7 +483,7 @@ class TestDetect:
         # overlapped or not, one spectrum and at most one detector run per
         # eligible vector serve the dumps and the stage, and the dumps
         # leave the outputs alone
-        from conic_purge import cli, pipeline, proximity
+        from conic_purge import _cores, cli, proximity
         data = tmp_path / "data.csv"
         assert cli.main(["generate", "--config", str(config_path),
                          "--out", str(data)]) == 0
@@ -504,7 +504,7 @@ class TestDetect:
         modes = [[], ["--stage", "proximity"], ["--stage", "model"],
                  ["--baseline", "ransac", "--k", "50"]]
         for spare in (True, False):
-            monkeypatch.setattr(pipeline, "_spare_core", lambda: spare)
+            monkeypatch.setattr(_cores, "spare_core", lambda: spare)
             for mode in modes:
                 outs = {}
                 for dumps in [(), ("spectrum",), ("eligible",),
@@ -537,7 +537,7 @@ class TestDetect:
         # stage "both" with both dumps, the spectrum solved on a worker
         # beside the rescue start or on the caller before it: the same
         # labels, model and dumps, byte for byte, and no thread left over
-        from conic_purge import cli, pipeline, proximity
+        from conic_purge import _cores, cli, proximity
         cfg = FREEZE_SCENARIOS.get(scenario, LARGE_SPECTRUM_SCENARIO)
         data = make_dataset(cfg)
         csv = tmp_path / "data.csv"
@@ -557,7 +557,7 @@ class TestDetect:
         monkeypatch.setattr(threading, "Thread", Recorded)
         outputs = {}
         for spare in (True, False):
-            monkeypatch.setattr(pipeline, "_spare_core", lambda: spare)
+            monkeypatch.setattr(_cores, "spare_core", lambda: spare)
             solved_on.clear()
             started.clear()
             before = threading.active_count()
@@ -582,9 +582,9 @@ class TestDetect:
                                                   spare):
         # a run that fails in refine exits 2 and still leaves both dumps,
         # with the bytes of a run that succeeds
-        from conic_purge import cli, pipeline
+        from conic_purge import _cores, cli, pipeline
         from conic_purge.errors import DegenerateConfiguration
-        monkeypatch.setattr(pipeline, "_spare_core", lambda: spare)
+        monkeypatch.setattr(_cores, "spare_core", lambda: spare)
         cfg = FREEZE_SCENARIOS["typical2d"]
         data = make_dataset(cfg)
         csv = tmp_path / "data.csv"

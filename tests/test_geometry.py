@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,7 +16,7 @@ from conic_purge import (ConicCoeffs, EllipseParams, EllipsoidParams,
                          ellipse_from_eccentricity,
                          ellipsoid_from_quadric, nonoverlap_ratio,
                          quadric_from_ellipsoid, sampson_distance)
-from conic_purge import geometry
+from conic_purge import _cores, geometry
 from conic_purge.geometry import (_MC_CHUNK, _coeffs_from_matrix, _interior,
                                   _matrix_from_coeffs,
                                   _monte_carlo_counts, _normalize_coeff_rows,
@@ -679,18 +681,128 @@ class TestCellTable:
         assert geometry._cell_table.cache_info().hits == 0
 
     def test_interrupted_fill_is_redone(self):
-        geometry._cell_table.cache_clear()
-
+        # with the chunks drawn ahead or not: the draw-ahead worker is
+        # stopped and joined, and the table stays unfilled
         def fail(e, pts):
             raise KeyboardInterrupt
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "ellipsoid_contains", fail)
-            with pytest.raises(KeyboardInterrupt):
-                _monte_carlo_counts(*self.PAIR, 1_000_000, 5)
-        assert _table(1_000_000, 5).counts is None
-        assert nonoverlap_ratio(*self.PAIR, seed=5) == \
-            ref.nonoverlap_ratio(*self.PAIR, seed=5)
+        for spare in (True, False):
+            geometry._cell_table.cache_clear()
+            before = threading.active_count()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_cores, "spare_core", lambda: spare)
+                mp.setattr(geometry, "ellipsoid_contains", fail)
+                with pytest.raises(KeyboardInterrupt):
+                    _monte_carlo_counts(*self.PAIR, 1_000_000, 5)
+            assert threading.active_count() == before
+            assert _table(1_000_000, 5).counts is None
+            assert nonoverlap_ratio(*self.PAIR, seed=5) == \
+                ref.nonoverlap_ratio(*self.PAIR, seed=5)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs; on exit none is left."""
+    threads = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    before = threading.active_count()
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    yield threads
+    assert threading.active_count() == before
+    assert not any(t.is_alive() for t in threads)
+
+
+class _Failing:
+    """A generator stand-in whose draw number ``fail_at`` raises."""
+
+    def __init__(self, fail_at: int):
+        self.calls, self.fail_at = 0, fail_at
+
+    def random(self, out):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError("planted draw")
+        out[...] = 0.5
+        return out
+
+
+class TestDrawAhead:
+    """With a spare core the Monte Carlo chunks are drawn ahead on one
+    worker thread: the chunks, the counts and a passed Generator's end
+    state are those of the inline draw, and no thread outlives a call."""
+
+    PAIR = _ellipsoid_pair(np.random.default_rng(12), "near")
+    SAMPLES = [1, _MC_CHUNK, _MC_CHUNK + 1, 2 * _MC_CHUNK + 1,
+               geometry._MC_RING * _MC_CHUNK,
+               geometry._MC_RING * _MC_CHUNK + 123, 20 * _MC_CHUNK + 5]
+
+    @staticmethod
+    def _chunks(seed, samples):
+        with contextlib.closing(geometry._drawn_chunks(
+                np.random.default_rng(seed), samples)) as chunks:
+            return [(start, u.copy()) for start, u in chunks]
+
+    @pytest.mark.parametrize("samples", SAMPLES)
+    @pytest.mark.parametrize("spare", [True, False])
+    def test_chunks_are_one_draw(self, monkeypatch, started, spare, samples):
+        monkeypatch.setattr(_cores, "spare_core", lambda: spare)
+        chunks = self._chunks(3, samples)
+        assert [start for start, _ in chunks] == \
+            list(range(0, samples, _MC_CHUNK))
+        assert all(len(u) == _MC_CHUNK for _, u in chunks[:-1])
+        assert np.array_equal(np.concatenate([u for _, u in chunks]),
+                              np.random.default_rng(3).random((samples, 3)))
+        assert len(started) == int(spare and samples > _MC_CHUNK)
+
+    @pytest.mark.parametrize("samples", SAMPLES + [1_000_000])
+    @pytest.mark.parametrize("seed", ["int", "generator"])
+    def test_counts_and_generator_state(self, monkeypatch, started, samples,
+                                        seed):
+        results = {}
+        for spare in (True, False):
+            monkeypatch.setattr(_cores, "spare_core", lambda: spare)
+            for cold in (True, False):
+                if cold:
+                    geometry._cell_table.cache_clear()
+                rng = np.random.default_rng(8)
+                counts = _monte_carlo_counts(
+                    *self.PAIR, samples, 8 if seed == "int" else rng)
+                results[spare, cold] = counts, rng.bit_generator.state
+        assert len(set(map(repr, results.values()))) == 1
+        if seed == "generator":
+            after = np.random.default_rng(8)
+            after.random((samples, 3))
+            assert results[True, True][1] == after.bit_generator.state
+        assert len(started) == 2 * int(samples > _MC_CHUNK)
+
+    @pytest.mark.parametrize("fail_at", [1, 2, geometry._MC_RING + 2])
+    def test_worker_error_is_raised_here(self, monkeypatch, started,
+                                         fail_at):
+        monkeypatch.setattr(_cores, "spare_core", lambda: True)
+        with pytest.raises(RuntimeError, match="planted draw"):
+            list(geometry._drawn_chunks(_Failing(fail_at), 10 * _MC_CHUNK))
+        assert len(started) == 1
+
+    @pytest.mark.parametrize("taken", [0, 1, geometry._MC_RING + 1])
+    def test_closing_early_stops_the_worker(self, monkeypatch, started,
+                                            taken):
+        monkeypatch.setattr(_cores, "spare_core", lambda: True)
+        chunks = geometry._drawn_chunks(np.random.default_rng(0),
+                                        20 * _MC_CHUNK)
+        for _ in range(taken):
+            next(chunks)
+        chunks.close()
+        assert len(started) == int(taken > 0)
+
+    def test_no_spare_core_starts_no_thread(self, monkeypatch, started):
+        monkeypatch.setattr(_cores, "spare_core", lambda: False)
+        nonoverlap_ratio(*self.PAIR)
+        assert started == []
 
 
 class TestNonoverlapMemory:

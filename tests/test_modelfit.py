@@ -1010,8 +1010,8 @@ class TestRescueSamples:
 
 
 class TestRescueStart:
-    """A rescue start handed to refine gives the bits of the one refine
-    computes itself."""
+    """A rescue trajectory handed to refine, finished beforehand or not,
+    gives the bits of the one refine computes itself."""
 
     CASES = {**REFINE_CASES,
              **{f"freeze-{name}": cfg
@@ -1021,13 +1021,79 @@ class TestRescueStart:
     def test_given_rescue_is_computed_rescue(self, case):
         cfg = self.CASES[case]
         data = make_dataset(cfg)
-        rescue = modelfit.rescue_start(data.points, cfg.refine)
-        given = functools.partial(refine, rescue=rescue)
         everything = DetectionLabels(np.zeros(len(data.points), dtype=bool),
                                      "model")
         for initial in (planted_labels(data, cfg.seed), everything):
-            assert refine_outcome(given, data.points, initial, cfg.refine) \
-                == refine_outcome(refine, data.points, initial, cfg.refine)
+            expected = refine_outcome(refine, data.points, initial,
+                                      cfg.refine)
+            for finished in (False, True):
+                rescue = modelfit.rescue_start(data.points, cfg.refine)
+                if finished:
+                    rescue.finish()
+                given = functools.partial(refine, rescue=rescue)
+                assert refine_outcome(given, data.points, initial,
+                                      cfg.refine) == expected
+
+    def test_the_loop_runs_once(self, monkeypatch):
+        data = make_dataset(REFINE_CASES["c7-ellipsoid"])
+        rescue = modelfit.rescue_start(data.points)
+        outcome = rescue.finish()
+        assert outcome is not None and rescue.finish() is outcome
+        monkeypatch.setattr(modelfit, "_multistart_concentrate", None)
+        starts = []
+        original = modelfit._classification_loop
+        monkeypatch.setattr(
+            modelfit, "_classification_loop",
+            lambda pts, start, *args: starts.append(start)
+            or original(pts, start, *args))
+        initial = planted_labels(data, 4)
+        refine(data.points, initial, rescue=rescue)
+        assert len(starts) == 1
+        assert np.array_equal(starts[0], initial.inlier)
+
+    @pytest.mark.parametrize("error", [DegenerateConfiguration,
+                                       NotAnEllipse, NotAnEllipsoid])
+    @pytest.mark.parametrize("finished", [False, True])
+    def test_fit_error_in_the_loop_is_no_rescue(self, monkeypatch, error,
+                                                finished):
+        # the rescue loop's fit fails: refine keeps the plain trajectory,
+        # whether it or the caller ran the loop, as refine alone does
+        data = make_dataset(REFINE_CASES["c5-m90"])
+        initial = planted_labels(data, 2)
+        rescue_mask = modelfit.rescue_start(data.points).start
+        original = modelfit._classification_loop
+
+        def failing(pts, start, *args):
+            if np.array_equal(start, rescue_mask):
+                raise error("planted")
+            return original(pts, start, *args)
+
+        monkeypatch.setattr(modelfit, "_classification_loop", failing)
+        rescue = modelfit.rescue_start(data.points)
+        if finished:
+            assert rescue.finish() is None
+        given = refine_outcome(functools.partial(refine, rescue=rescue),
+                               data.points, initial, None)
+        assert given == refine_outcome(refine, data.points, initial, None)
+        assert given == refine_outcome(functools.partial(refine, rescue=None),
+                                       data.points, initial, None)
+
+    def test_other_errors_leave_it_unfinished(self, monkeypatch):
+        data = make_dataset(REFINE_CASES["c3-typical"])
+        initial = planted_labels(data, 3)
+        expected = refine_outcome(refine, data.points, initial, None)
+        rescue = modelfit.rescue_start(data.points)
+        original = modelfit._classification_loop
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(modelfit, "_classification_loop", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            rescue.finish()
+        monkeypatch.setattr(modelfit, "_classification_loop", original)
+        assert refine_outcome(functools.partial(refine, rescue=rescue),
+                              data.points, initial, None) == expected
 
     def test_none_is_no_rescue(self, monkeypatch):
         data = make_dataset(REFINE_CASES["c5-m90"])
@@ -1037,6 +1103,7 @@ class TestRescueStart:
         monkeypatch.setattr(modelfit, "_multistart_concentrate",
                             lambda *args: None)
         assert given == refine_outcome(refine, data.points, initial, None)
+        assert modelfit.rescue_start(data.points).finish() is None
 
     def test_a_given_rescue_is_not_recomputed(self, monkeypatch):
         data = make_dataset(REFINE_CASES["c3-typical"])

@@ -11,17 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conic_purge import (ConicCoeffs, ConicPurgeError, ConvergenceFailure,
-                         DegenerateBandwidth, EllipsoidParams,
+                         DegenerateBandwidth, DegenerateConfiguration,
+                         EllipsoidParams, NotAnEllipsoid,
                          ExperimentConfig, QuadricCoeffs, RefineConfig,
                          TooFewPoints, detect_points,
                          ellipse_from_eccentricity, make_dataset, refine,
                          run_experiment)
-from conic_purge import modelfit, pipeline, proximity, spectral
+from conic_purge import _cores, modelfit, pipeline, proximity, spectral
 from conic_purge.pipeline import (PIPELINES, DetectionOutcome, RunRecord,
                                   sweep_configs, sweep_trial_seed)
 from conic_purge.proximity import proximity_stage
 
-from conftest import FREEZE_SCENARIOS
+from conftest import FREEZE_SCENARIOS, random_rotation
 
 
 TYPICAL = ExperimentConfig(model=ellipse_from_eccentricity(5.0, 0.95),
@@ -146,7 +147,7 @@ class TestOverlap:
     def spare_core(self, monkeypatch):
         # the overlap runs only where the BLAS leaves a CPU free, which
         # depends on the machine; these tests are about the overlap itself
-        monkeypatch.setattr(pipeline, "_spare_core", lambda: True)
+        monkeypatch.setattr(_cores, "spare_core", lambda: True)
 
     @pytest.mark.parametrize("scenario", sorted(FREEZE_SCENARIOS))
     def test_matches_serial(self, scenario, threads, solved_on):
@@ -345,6 +346,129 @@ class TestOverlap:
             quiet(detect_points, pts, "both")
         assert len(threads) == 1
 
+    @pytest.mark.parametrize("n_outliers, seed, rotated", [
+        (50, 1, False), (50, 2, True), (150, 3, True), (0, 4, False),
+        (10, 5, True)])
+    def test_matches_serial_in_3d(self, n_outliers, seed, rotated, threads,
+                                  solved_on):
+        base = FREEZE_SCENARIOS["ellipsoid3d"]
+        model = base.model
+        if rotated:
+            model = EllipsoidParams(model.center + 1.0, model.semi_axes,
+                                    random_rotation(np.random.default_rng(seed)))
+        cfg = dataclasses.replace(base, model=model, n_outliers=n_outliers,
+                                  seed=seed)
+        pts = make_dataset(cfg).points
+        assert overlapped_outcome(pts, seed=seed) == \
+            serial_outcome(pts, seed=seed)
+        assert len(threads) == 1
+        assert solved_on[0][0] is threads[0]
+
+    @staticmethod
+    def _loops(monkeypatch, fail=None):
+        """Record each ``_classification_loop`` call as whether refine was
+        running, and set the returned event at the first; ``fail(start)``
+        may raise in place of the loop."""
+        calls, in_refine, entered = [], [], threading.Event()
+        original_loop = modelfit._classification_loop
+        original_refine = pipeline.refine
+
+        def loop(pts, start, *args):
+            calls.append(bool(in_refine))
+            entered.set()
+            if fail is not None:
+                fail(start)
+            return original_loop(pts, start, *args)
+
+        def refine_(*args, **kwargs):
+            in_refine.append(True)
+            return original_refine(*args, **kwargs)
+
+        monkeypatch.setattr(modelfit, "_classification_loop", loop)
+        monkeypatch.setattr(pipeline, "refine", refine_)
+        return calls, entered
+
+    @staticmethod
+    def _solve_after(monkeypatch, event):
+        """The worker solves the spectrum only once ``event`` is set."""
+        original = proximity.spectrum_of_points
+
+        def waiting(*args, **kwargs):
+            assert event.wait(timeout=60), "the caller ran no rescue loop"
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(proximity, "spectrum_of_points", waiting)
+
+    def test_rescue_loop_runs_beside_the_solve(self, monkeypatch, threads):
+        # the spectrum waits for the rescue's loop, so the caller must run
+        # the loop itself before the hand-off; refine then runs only the
+        # plain trajectory
+        cfg = FREEZE_SCENARIOS["ellipsoid3d"]
+        pts = make_dataset(cfg).points
+        expected = serial_outcome(pts, seed=cfg.seed)
+        calls, entered = self._loops(monkeypatch)
+        self._solve_after(monkeypatch, entered)
+        assert overlapped_outcome(pts, seed=cfg.seed) == expected
+        assert calls == [False, True]
+
+    def test_rescue_loop_left_to_refine_after_the_hand_off(self, monkeypatch,
+                                                           threads):
+        # the rescue start waits until the spectrum is solved: the caller
+        # leaves the loop to refine, which runs it after the plain one
+        cfg = FREEZE_SCENARIOS["ellipsoid3d"]
+        pts = make_dataset(cfg).points
+        expected = serial_outcome(pts, seed=cfg.seed)
+        solved = threading.Event()
+        original_solve = proximity.spectrum_of_points
+        original_start = pipeline.rescue_start
+
+        def solve(*args, **kwargs):
+            try:
+                return original_solve(*args, **kwargs)
+            finally:
+                solved.set()
+
+        def start_late(*args):
+            assert solved.wait(timeout=60)
+            return original_start(*args)
+
+        monkeypatch.setattr(proximity, "spectrum_of_points", solve)
+        monkeypatch.setattr(pipeline, "rescue_start", start_late)
+        calls, _ = self._loops(monkeypatch)
+        assert overlapped_outcome(pts, seed=cfg.seed) == expected
+        assert calls == [True, True]
+
+    @pytest.mark.parametrize("error", [DegenerateConfiguration,
+                                       NotAnEllipsoid, RuntimeError])
+    def test_rescue_loop_errors(self, monkeypatch, threads, error):
+        # the rescue's loop fails on the caller: a fit error is a rescue
+        # without an outcome, and anything else is raised by refine after
+        # the plain trajectory, as serially
+        cfg = FREEZE_SCENARIOS["ellipsoid3d"]
+        pts = make_dataset(cfg).points
+        rescue_mask = modelfit.rescue_start(pts).start
+
+        def fail(start):
+            if np.array_equal(start, rescue_mask):
+                raise error("planted loop")
+
+        calls, entered = self._loops(monkeypatch, fail)
+        if error is RuntimeError:
+            with pytest.raises(RuntimeError, match="planted loop"):
+                serial_outcome(pts, seed=cfg.seed)
+        else:
+            expected = serial_outcome(pts, seed=cfg.seed)
+        calls.clear()
+        entered.clear()
+        self._solve_after(monkeypatch, entered)
+        if error is RuntimeError:
+            with pytest.raises(RuntimeError, match="planted loop"):
+                quiet(detect_points, pts, "both", seed=cfg.seed)
+            assert calls == [False, True, True]
+        else:
+            assert overlapped_outcome(pts, seed=cfg.seed) == expected
+            assert calls == [False, True]
+
     @pytest.mark.parametrize("points, refine_cfg", [
         (np.ones((11, 2)), None),
         (np.where(np.arange(40)[:, None] == 7, np.nan, 1.0)
@@ -386,7 +510,7 @@ class TestOverlap:
         assert threads == []
 
     def test_no_spare_core_runs_serially(self, monkeypatch, threads):
-        monkeypatch.setattr(pipeline, "_spare_core", lambda: False)
+        monkeypatch.setattr(_cores, "spare_core", lambda: False)
         cfg = FREEZE_SCENARIOS["ellipsoid3d"]
         pts = make_dataset(cfg).points
         assert overlapped_outcome(pts, seed=cfg.seed) == \
@@ -400,7 +524,7 @@ class TestOverlap:
                                                solved_on):
         # the hook gets the one spectrum and report the stage uses, before
         # refine runs, with the core spare (spectrum on the worker) or not
-        monkeypatch.setattr(pipeline, "_spare_core", lambda: spare)
+        monkeypatch.setattr(_cores, "spare_core", lambda: spare)
         cfg = FREEZE_SCENARIOS["typical2d"]
         pts = make_dataset(cfg).points
         events = []
@@ -466,7 +590,7 @@ class TestSplit:
 
     @pytest.fixture(autouse=True)
     def split_on(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "_spare_core", lambda: True)
+        monkeypatch.setattr(_cores, "spare_core", lambda: True)
         monkeypatch.setattr(pipeline, "SPLIT_MIN_POINTS", proximity.MIN_POINTS)
         monkeypatch.setattr(spectral, "BLOCK_ENTRIES", 999)  # many blocks
 
@@ -612,14 +736,14 @@ class TestSpareCore:
         (1, {0, 1}, True), (1, {0}, False), (2, {0, 1}, False),
         (2, {0, 1, 2}, True), (None, {0, 1}, False)])
     def test_blas_threads_against_cpus(self, monkeypatch, blas, cpus, spare):
-        monkeypatch.setattr(pipeline, "_openblas_threads",
+        monkeypatch.setattr(_cores, "openblas_threads",
                             lambda: None if blas is None else lambda: blas)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
                             raising=False)
-        assert pipeline._spare_core() is spare
+        assert _cores.spare_core() is spare
 
     def test_reads_the_running_blas(self):
-        getter = pipeline._openblas_threads()
+        getter = _cores.openblas_threads()
         if getter is None:
             pytest.skip("numpy bundles no OpenBLAS here")
         assert getter() >= 1
@@ -654,6 +778,29 @@ class TestRunExperiment:
             record = run_experiment(cfg)
         assert record.nonoverlap == float("inf")
         assert record.proximity_labels is None
+
+    @pytest.mark.parametrize("seed", [103, 1, 2, 3])
+    def test_ellipsoid_records_with_and_without_a_spare_core(
+            self, monkeypatch, seed):
+        # the overlapped stages and the drawn-ahead scoring give the
+        # records of the serial ones, which perfbench does not measure
+        cfg = dataclasses.replace(FREEZE_SCENARIOS["ellipsoid3d"], seed=seed)
+        records = []
+        for spare in (True, False):
+            monkeypatch.setattr(_cores, "spare_core", lambda: spare)
+            before = threading.active_count()
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "flag budget|no eligible",
+                                        RuntimeWarning)
+                records.append(run_experiment(cfg))
+            assert threading.active_count() == before
+        overlapped, serial = [
+            (rec.final_labels.outlier.tobytes(), tuple(rec.final_labels.stage),
+             rec.proximity_labels.outlier.tobytes(), rec.model_json,
+             rec.nonoverlap, rec.precision, rec.recall, rec.f1)
+            for rec in records]
+        assert overlapped == serial
+        assert np.isfinite(overlapped[4])
 
     def test_all_pipelines_run(self):
         for pipeline in PIPELINES:
