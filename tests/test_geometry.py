@@ -799,11 +799,6 @@ class TestDrawAhead:
         chunks.close()
         assert len(started) == int(taken > 0)
 
-    def test_no_spare_core_starts_no_thread(self, monkeypatch, started):
-        monkeypatch.setattr(_cores, "spare_core", lambda: False)
-        nonoverlap_ratio(*self.PAIR)
-        assert started == []
-
 
 class TestNonoverlapMemory:
     """Scoring builds neither the full 2-D grid nor the 3-D point array."""
