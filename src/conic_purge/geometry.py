@@ -378,25 +378,80 @@ def ellipsoid_from_quadric(q: QuadricCoeffs) -> EllipsoidParams:
     return EllipsoidParams(center[0], axes[0], rot)
 
 
-def _conic_residual_and_grad(points: np.ndarray, values: np.ndarray):
-    x, y = points[:, 0], points[:, 1]
-    a, b, c, d, e, f = np.moveaxis(values, -1, 0)[..., None]
-    res = a * x * x + b * x * y + c * y * y + d * x + e * y + f
-    gx = 2.0 * a * x + b * y + d
-    gy = b * x + 2.0 * c * y + e
-    return res, np.hypot(gx, gy)
+def _residual_and_grad(points: np.ndarray, values: np.ndarray):
+    """Algebraic residuals of (n, d) points against a (6,)/(10,) model or
+    an (S, 6)/(S, 10) stack, and the components of their gradients: each
+    caller picks the norm.
 
-
-def _quadric_residual_and_grad(points: np.ndarray, values: np.ndarray):
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    For a conic, res = a x x + b x y + c y y + d x + e y + f, gx = 2 a x +
+    b y + d and gy = b x + 2 c y + e; for a quadric, res = q0 x x + q1 y y
+    + q2 z z + q3 x y + q4 x z + q5 y z + q6 x + q7 y + q8 z + q9, gx =
+    2 q0 x + q3 y + q4 z + q6, gy = 2 q1 y + q3 x + q5 z + q7 and gz =
+    2 q2 z + q4 x + q5 y + q8.  Each product and sum is taken left to right
+    (2 a x as (2 a) x), so the bits are those of the written expressions;
+    the terms go through one buffer, and a product shared by the residual
+    and a gradient component is formed once.
+    """
     q = np.moveaxis(values, -1, 0)[..., None]
-    res = (q[0] * x * x + q[1] * y * y + q[2] * z * z
-           + q[3] * x * y + q[4] * x * z + q[5] * y * z
-           + q[6] * x + q[7] * y + q[8] * z + q[9])
-    gx = 2.0 * q[0] * x + q[3] * y + q[4] * z + q[6]
-    gy = 2.0 * q[1] * y + q[3] * x + q[5] * z + q[7]
-    gz = 2.0 * q[2] * z + q[4] * x + q[5] * y + q[8]
-    return res, np.sqrt(gx * gx + gy * gy + gz * gz)
+    if values.shape[-1] == 6:
+        x, y = points[:, 0], points[:, 1]
+        res = q[0] * x
+        res *= x
+        gy = q[1] * x
+        term = gy * y
+        res += term
+        _add_product(res, term, q[2], y, y)
+        _add_product(res, term, q[3], x)
+        _add_product(res, term, q[4], y)
+        res += q[5]
+        gx = (2.0 * q[0]) * x
+        _add_product(gx, term, q[1], y)
+        gx += q[3]
+        _add_product(gy, term, 2.0 * q[2], y)
+        gy += q[4]
+        return res, (gx, gy)
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    res = q[0] * x
+    res *= x
+    term = q[1] * y
+    term *= y
+    res += term
+    _add_product(res, term, q[2], z, z)
+    gx, gy, gz = (2.0 * q[0]) * x, (2.0 * q[1]) * y, (2.0 * q[2]) * z
+    # q3 x, q4 x and q5 y join a gradient component, then the residual
+    for coeff, u, grad, v in ((q[3], x, gy, y), (q[4], x, gz, z),
+                              (q[5], y, gz, z)):
+        _add_product(grad, term, coeff, u)
+        term *= v
+        res += term
+    for coeff, u in ((q[6], x), (q[7], y), (q[8], z)):
+        _add_product(res, term, coeff, u)
+    res += q[9]
+    _add_product(gx, term, q[3], y)
+    _add_product(gx, term, q[4], z)
+    gx += q[6]
+    _add_product(gy, term, q[5], z)
+    gy += q[7]
+    gz += q[8]
+    return res, (gx, gy, gz)
+
+
+def _add_product(total, term, coeff, u, v=None) -> None:
+    """total += coeff * u [* v], formed in the buffer ``term``."""
+    np.multiply(coeff, u, out=term)
+    if v is not None:
+        term *= v
+    total += term
+
+
+def _squared_norm(grad) -> np.ndarray:
+    """gx*gx + gy*gy [+ gz*gz], added left to right; squares the later
+    components in place."""
+    out = grad[0] * grad[0]
+    for g in grad[1:]:
+        g *= g
+        out += g
+    return out
 
 
 def signed_residuals(points, model) -> np.ndarray:
@@ -405,7 +460,9 @@ def signed_residuals(points, model) -> np.ndarray:
     Negative inside the model surface, positive outside (for the canonical
     sign convention).  Entries where the gradient vanishes are +/-inf.
     ``model`` may also be an (S, 6) or (S, 10) stack of coefficient
-    vectors; the result is then (S, n), one row per model.
+    vectors; the result is then (S, n), one row per model.  The gradient
+    norm is ``hypot`` for conics and the square root of the summed
+    squares for quadrics.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if isinstance(model, (ConicCoeffs, QuadricCoeffs)):
@@ -416,13 +473,14 @@ def signed_residuals(points, model) -> np.ndarray:
         raise ValueError("model must have 6 (conic) or 10 (quadric) coefficients")
     if pts.shape[1] != (2 if values.shape[-1] == 6 else 3):
         raise ValueError("point dimension does not match the model")
-    if values.shape[-1] == 6:
-        res, grad = _conic_residual_and_grad(pts, values)
-    else:
-        res, grad = _quadric_residual_and_grad(pts, values)
-    out = np.full(res.shape, np.inf)
-    np.divide(res, grad, out=out, where=grad > 0.0)
-    out[(grad == 0.0) & (res < 0.0)] = -np.inf
+    res, grad = _residual_and_grad(pts, values)
+    norm = np.hypot(*grad) if len(grad) == 2 else np.sqrt(_squared_norm(grad))
+    inside = (norm == 0.0) & (res < 0.0)
+    # the entries without a positive norm are set below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.divide(res, norm, out=res)
+    out[~(norm > 0.0)] = np.inf
+    out[inside] = -np.inf
     return out
 
 

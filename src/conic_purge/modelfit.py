@@ -20,7 +20,8 @@ from .errors import (DegenerateConfiguration, NoValidModel, NotAnEllipse,
                      NotAnEllipsoid, TooFewPoints, typed_number)
 from .geometry import (ConicCoeffs, QuadricCoeffs, _coeffs_from_matrix,
                        _interior, _is_ellipse, _matrix_from_coeffs,
-                       _normalize_coeff_rows, signed_residuals)
+                       _normalize_coeff_rows, _residual_and_grad,
+                       _squared_norm, signed_residuals)
 from .proximity import DetectionLabels
 
 __all__ = [
@@ -261,15 +262,17 @@ def _median_distance(pts, model, mask) -> float:
     return float(np.median(np.abs(signed_residuals(pts, model))[mask]))
 
 
-def _classification_loop(pts, start, fitter, min_points, cfg):
+def _classification_loop(pts, start, fitter, min_points, cfg, model=None):
     """Spec loop: classify all points against the threshold, refit, repeat.
 
-    Starts from the fit of the ``start`` mask, whose residuals also seed
-    the first threshold estimate; successive classifications are compared
-    to each other, with ``start`` counting as the zeroth.  Cycles resolve
-    to the iterate with the smallest median inlier residual.
+    Starts from ``model``, the fit of the ``start`` mask (fitted here when
+    None), whose residuals also seed the first threshold estimate;
+    successive classifications are compared to each other, with ``start``
+    counting as the zeroth.  Cycles resolve to the iterate with the
+    smallest median inlier residual.
     """
-    model = fitter(pts[start])
+    if model is None:
+        model = fitter(pts[start])
     inliers = start
     history = [(inliers, model)]
     converged = False
@@ -367,6 +370,10 @@ _MULTISTART_SAMPLES = 60
 # temporary of the residual kernel is ~64 KiB, small enough to stay in the
 # L2 cache next to the (iterations, n) distance array at any n
 _BLOCK_ENTRIES = 1 << 13
+# relative slack of vanilla_ransac's conic distances, 2^13 u (derived there)
+_CONSENSUS_MARGIN = 2.0 ** -40
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
 
 
 def _minimal_samples(n: int, size: int, seed: int, count: int) -> np.ndarray:
@@ -398,8 +405,18 @@ def _model_type(pts: np.ndarray):
     return ConicCoeffs if pts.shape[1] == 2 else QuadricCoeffs
 
 
+def _model_of_row(row: np.ndarray):
+    """The model whose coefficients are ``row``, a row of
+    :func:`_fit_direct_batch`: the public fit of the same sample, bit for
+    bit.  The constructor would normalize the row again, which may move its
+    last bits."""
+    model = object.__new__(ConicCoeffs if row.shape[0] == 6 else QuadricCoeffs)
+    object.__setattr__(model, "values", row)
+    return model
+
+
 def _multistart_concentrate(pts, min_points, half):
-    """Start mask of the rescue trajectory: the best trimmed half-set.
+    """Start of the rescue trajectory: the best trimmed half-set and its fit.
 
     Two concentration steps per seeded random minimal sample, then full
     concentration from the best one: the classic way to reach the global
@@ -411,7 +428,9 @@ def _multistart_concentrate(pts, min_points, half):
     concentrated as one stack by :func:`_concentrate`, the kernel the
     full concentration runs on its one row; the earliest smallest trimmed
     objective wins.  Returns the final half-set of ``half`` points as a
-    mask, or None when no sample fits or the best one's first refit fails.
+    mask and the concentration's last fit, the fit of that half-set in
+    index order, or None when no sample fits or the best one's first
+    refit fails.
     """
     values, ok = _fit_direct_batch(pts[_rescue_samples(len(pts), min_points)])
     if not ok.any():
@@ -422,12 +441,12 @@ def _multistart_concentrate(pts, min_points, half):
     best = int(np.argmin(objective))
     if objective[best] == np.inf:
         return None
-    _, core = _concentrate(pts, values[best:best + 1], half, 30)
+    values, core = _concentrate(pts, values[best:best + 1], half, 30)
     if core[0, 0] < 0:
         return None
     start = np.zeros(len(pts), dtype=bool)
     start[core[0]] = True
-    return start
+    return start, _model_of_row(values[0])
 
 
 _UNSET = object()  # refine's ``rescue`` when the caller has none
@@ -441,19 +460,19 @@ def _trim_size(pts: np.ndarray, min_points: int) -> int:
 class RescueTrajectory:
     """:func:`refine`'s rescue trajectory on one set of points.
 
-    ``start`` is the best trimmed half-set of
-    :func:`_multistart_concentrate` as a mask, or None when there is none.
-    The trajectory's classification loop from it runs on the first
-    :meth:`finish`, by whoever calls it first: a caller with time to spare
-    or refine.
+    ``found`` is what :func:`_multistart_concentrate` returned: the best
+    trimmed half-set as a mask with its fit, or None.  ``start`` is that
+    mask, or None when there is none.  The trajectory's classification
+    loop runs from the fit on the first :meth:`finish`, by whoever calls
+    it first: a caller with time to spare or refine.
     """
 
     __slots__ = ("start", "_loop_args", "_outcome")
 
-    def __init__(self, start, pts, fitter, min_points: int,
+    def __init__(self, found, pts, fitter, min_points: int,
                  cfg: RefineConfig):
-        self.start = start
-        self._loop_args = (pts, start, fitter, min_points, cfg)
+        self.start, model = (None, None) if found is None else found
+        self._loop_args = (pts, self.start, fitter, min_points, cfg, model)
         self._outcome = _UNSET
 
     def finish(self):
@@ -488,9 +507,9 @@ def rescue_start(points: np.ndarray,
     cfg = cfg or RefineConfig()
     pts = np.asarray(points, dtype=float)
     fitter, min_points = _dim_tools(pts, cfg.min_points)
-    start = _multistart_concentrate(pts, min_points,
+    found = _multistart_concentrate(pts, min_points,
                                     _trim_size(pts, min_points))
-    return RescueTrajectory(start, pts, fitter, min_points, cfg)
+    return RescueTrajectory(found, pts, fitter, min_points, cfg)
 
 
 def refine(points: np.ndarray, initial: DetectionLabels,
@@ -502,7 +521,8 @@ def refine(points: np.ndarray, initial: DetectionLabels,
     from the one-sample fit of its start mask.  The plain one starts from
     the initial inliers.  The rescue guards against fits captured by
     structured contamination: it starts from the half-set that seeded
-    random minimal-sample fits concentrate on (see :func:`rescue_start`).
+    random minimal-sample fits concentrate on (see :func:`rescue_start`),
+    whose fit the concentration already made.
     The result whose model has the smallest trimmed residual sum wins, the
     plain trajectory breaking ties, which keeps re-running refine on its
     own output a no-op.  When the start fit of one trajectory fails, the
@@ -546,28 +566,87 @@ def refine(points: np.ndarray, initial: DetectionLabels,
                      iterations, converged)
 
 
+def _cheap_distances(pts, values, out) -> np.ndarray:
+    """|res| / sqrt(g'g) of each (S, m) model row and point into ``out``.
+
+    The residuals and gradients are the bits :func:`signed_residuals`
+    takes; it divides by the same norm for quadrics and by hypot(gx, gy)
+    for conics.  Returns a mask of the rows with an entry where g'g is not
+    a finite normal number (zero, subnormal, infinite or NaN) or the
+    distance is not finite: only elsewhere does :func:`vanilla_ransac`'s
+    margin hold.
+    """
+    res, grad = _residual_and_grad(pts, values)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        norm = _squared_norm(grad)
+        normal = (norm.min(axis=1) >= _TINY) & (norm.max(axis=1) <= _HUGE)
+        np.sqrt(norm, out=norm)
+        np.abs(res, out=out)
+        out /= norm
+    return ~(normal & (out.max(axis=1) <= _HUGE))
+
+
+def _band(t: float, margin: float) -> tuple[float, float]:
+    """(lo, hi) around a threshold t: a cheap distance at or below lo is an
+    exact one at or below t, and one above hi an exact one above t."""
+    slack = margin * _TINY
+    return t * (1.0 - margin) - slack, t * (1.0 + margin) + slack
+
+
 def vanilla_ransac(points: np.ndarray, iterations: int = 1000,
                    inlier_threshold: float | None = None, rng_seed: int = 0,
                    tau_scale: float = 3.0) -> FitResult:
     """Classic consensus baseline: best of ``iterations`` minimal samples.
 
     Every trial fits a random minimal sample; the model with the largest
-    consensus set wins (earliest trial breaking ties) and is refit on that
-    set.  Consensus needs one threshold shared by all trials for counts to
-    be comparable: when none is given it is tau_scale robust standard
-    deviations, with the scale calibrated from the best (smallest) median
-    absolute residual any trial achieved; a given threshold must be
-    positive and finite.  Each trial's sample is the one its own seeded
-    child generator draws; all of them are computed together
-    (:func:`_minimal_samples`) and fitted as one batch.  The distances are
-    written in blocks of about 8k entries.  A trial's median is taken
+    consensus set wins (Fischler & Bolles 1981; the earliest trial breaks
+    ties) and is refit on that set.  Consensus needs one threshold shared
+    by all trials for counts to be comparable: when none is given it is
+    tau_scale robust standard deviations, with the scale calibrated from
+    the best (smallest) median absolute residual any trial achieved; a
+    given threshold must be positive and finite.  Each trial's sample is
+    the one its own seeded child generator draws; all of them are computed
+    together (:func:`_minimal_samples`) and fitted as one batch.  The
+    distances are |:func:`signed_residuals`|.  A trial's median is taken
     only when it can lower the best median so far: a trial with at most
     (n - 1) // 2 distances at or below it has a larger lower-middle order
     statistic, so a larger (or NaN) median.  Rejected trials and an
-    explicit threshold take no median.  None of this changes the samples,
-    the threshold, the counts or the tie-breaks.  Raises NoValidModel when
-    no valid trial has a point within the threshold: every median NaN, or
-    a given threshold below every distance.
+    explicit threshold take no median.  Raises NoValidModel when no valid
+    trial has a point within the threshold: every median NaN, or a given
+    threshold below every distance.
+
+    The distance pass, in blocks of about 8k entries, writes the cheap
+    A = |res| / sqrt(g'g) (:func:`_cheap_distances`) and computes the
+    exact D = |res / hypot(gx, gy)| of a trial, a whole row at a time,
+    only where a decision needs it.  The margin delta = 2^-40 follows from
+    the rounding bounds (Higham 2002, ch. 3).  With u = 2^-53, where g'g
+    is a normal number and A is finite:
+
+    - the summed squares are within 4u of their exact value (a subnormal
+      square is off by at most u tiny), and their root within 3u of the
+      exact norm G;
+    - a hypot within k ulps is within 2k u of G;
+    - rounding each quotient once more, |A - D| <= (2k + 6) u max(A, D)
+      + 2^-1073.
+
+    delta = 8192 u covers any hypot within 2000 ulps (glibc's is within
+    one), and the absolute slack delta tiny = 2^-1062 covers the last
+    term.  So for any threshold t, A <= t (1 - delta) - delta tiny proves
+    D <= t and A > t (1 + delta) + delta tiny proves D > t
+    (:func:`_band`), the rounding of both bounds included.  A row with an
+    entry where g'g is not normal or A is not finite gets D in the pass.
+    For quadrics signed_residuals divides by the same norm, so A is D, the
+    margin is 0 and nothing is recomputed.
+
+    The decisions: a block's median candidates are its accepted rows with
+    more than (n - 1) // 2 entries at or below the best median's upper
+    bound (every accepted row while no median is taken), and each
+    candidate's exact row takes the test above and gives its median.  A
+    trial's count is its number of entries at or below the threshold's
+    lower bound, recounted from its exact row when an entry lies between
+    the two bounds, and the winner's mask comes from its exact row.  So
+    the samples, the threshold, the counts, the tie-breaks and the
+    refusals are those of the exact distances, bit for bit.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -583,8 +662,27 @@ def vanilla_ransac(points: np.ndarray, iterations: int = 1000,
     values, ok = _fit_direct_batch(pts[samples])
     if not ok.any():
         raise NoValidModel("every minimal sample was degenerate")
+    margin = _CONSENSUS_MARGIN if pts.shape[1] == 2 else 0.0
     distances = np.empty((iterations, n))
     low = (n - 1) // 2
+
+    def exact_rows(rows: np.ndarray) -> np.ndarray:
+        """The exact distances of the trials ``rows``: the pass's own where
+        the margin is 0."""
+        if not margin:
+            return distances[rows]
+        out = signed_residuals(pts, values[rows])
+        return np.abs(out, out=out)
+
+    def lowest_median(rows: np.ndarray, best: float) -> float:
+        """The smaller of ``best`` and the exact medians of those trials
+        ``rows`` with more than ``low`` exact distances at or below it (all
+        of them while ``best`` is NaN)."""
+        exact = exact_rows(rows)
+        if not math.isnan(best):
+            exact = exact[np.count_nonzero(exact <= best, axis=1) > low]
+        return float(np.fmin.reduce(np.median(exact, axis=1), initial=best))
+
     # NaN until a median is taken: fmin skips NaN medians, and when all of
     # them are NaN the threshold is NaN, as a min over every trial would be
     best_med = math.nan
@@ -592,20 +690,30 @@ def vanilla_ransac(points: np.ndarray, iterations: int = 1000,
     for start in range(0, iterations, step):
         block = slice(start, start + step)
         dist = distances[block]
-        np.abs(signed_residuals(pts, values[block]), out=dist)
+        uncertified = _cheap_distances(pts, values[block], dist)
+        uncertified &= ok[block]
+        if uncertified.any():
+            dist[uncertified] = np.abs(signed_residuals(
+                pts, values[block][uncertified]))
         if inlier_threshold is not None:
             continue
         rows = ok[block]
         if not math.isnan(best_med):
-            rows = rows & (np.count_nonzero(dist <= best_med, axis=1) > low)
+            upper = _band(best_med, margin)[1]
+            rows = rows & (np.count_nonzero(dist <= upper, axis=1) > low)
         if rows.any():
-            best_med = float(np.fmin.reduce(
-                np.median(dist[rows], axis=1), initial=best_med))
+            best_med = lowest_median(np.flatnonzero(rows) + start, best_med)
     if inlier_threshold is not None:
         tau = inlier_threshold
     else:
         tau = max(tau_scale * MAD_TO_SIGMA * best_med, _TAU_FLOOR)
-    counts = np.where(ok, np.count_nonzero(distances <= tau, axis=1), -1)
+    lower, upper = _band(tau, margin)
+    counts = np.count_nonzero(distances <= lower, axis=1)
+    unsure = np.flatnonzero(
+        ok & (np.count_nonzero(distances <= upper, axis=1) > counts))
+    if unsure.size:
+        counts[unsure] = np.count_nonzero(exact_rows(unsure) <= tau, axis=1)
+    counts[~ok] = -1
     best = int(np.argmax(counts))
     if counts[best] == 0:
         if math.isnan(tau):
@@ -613,7 +721,7 @@ def vanilla_ransac(points: np.ndarray, iterations: int = 1000,
                                "point lies within the inlier threshold")
         raise NoValidModel(f"no point lies within the inlier threshold "
                            f"{tau:g} of any trial's model")
-    best_mask = distances[best] <= tau
+    best_mask = exact_rows(np.array([best]))[0] <= tau
     best_model = _model_type(pts)(values[best])
     if counts[best] >= min_points:
         try:

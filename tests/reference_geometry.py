@@ -17,6 +17,12 @@ copied verbatim with the four helpers it calls.
 ``_normalize_coeffs`` is the coefficient normaliser as it was before it
 became the one-row case of the stacked one, copied verbatim: it takes
 the norm of one row with ``np.linalg.norm``.
+
+``signed_residuals`` is the gradient-normalized residual as it was before
+its kernel returned the gradient components and its divide lost the
+``where`` mask: it fills an array with +inf and divides only where the
+gradient norm is positive.  It is copied verbatim with its two residual
+kernels.
 """
 
 import math
@@ -207,3 +213,51 @@ def _normalize_coeffs(values: np.ndarray) -> np.ndarray:
                 values = -values
             break
     return values
+
+
+def _conic_residual_and_grad(points: np.ndarray, values: np.ndarray):
+    x, y = points[:, 0], points[:, 1]
+    a, b, c, d, e, f = np.moveaxis(values, -1, 0)[..., None]
+    res = a * x * x + b * x * y + c * y * y + d * x + e * y + f
+    gx = 2.0 * a * x + b * y + d
+    gy = b * x + 2.0 * c * y + e
+    return res, np.hypot(gx, gy)
+
+
+def _quadric_residual_and_grad(points: np.ndarray, values: np.ndarray):
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    q = np.moveaxis(values, -1, 0)[..., None]
+    res = (q[0] * x * x + q[1] * y * y + q[2] * z * z
+           + q[3] * x * y + q[4] * x * z + q[5] * y * z
+           + q[6] * x + q[7] * y + q[8] * z + q[9])
+    gx = 2.0 * q[0] * x + q[3] * y + q[4] * z + q[6]
+    gy = 2.0 * q[1] * y + q[3] * x + q[5] * z + q[7]
+    gz = 2.0 * q[2] * z + q[4] * x + q[5] * y + q[8]
+    return res, np.sqrt(gx * gx + gy * gy + gz * gz)
+
+
+def signed_residuals(points, model) -> np.ndarray:
+    """Gradient-normalized algebraic residuals, keeping the sign.
+
+    Negative inside the model surface, positive outside (for the canonical
+    sign convention).  Entries where the gradient vanishes are +/-inf.
+    ``model`` may also be an (S, 6) or (S, 10) stack of coefficient
+    vectors; the result is then (S, n), one row per model.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if isinstance(model, (ConicCoeffs, QuadricCoeffs)):
+        values = model.values
+    else:
+        values = np.asarray(model, dtype=float)
+    if values.ndim not in (1, 2) or values.shape[-1] not in (6, 10):
+        raise ValueError("model must have 6 (conic) or 10 (quadric) coefficients")
+    if pts.shape[1] != (2 if values.shape[-1] == 6 else 3):
+        raise ValueError("point dimension does not match the model")
+    if values.shape[-1] == 6:
+        res, grad = _conic_residual_and_grad(pts, values)
+    else:
+        res, grad = _quadric_residual_and_grad(pts, values)
+    out = np.full(res.shape, np.inf)
+    np.divide(res, grad, out=out, where=grad > 0.0)
+    out[(grad == 0.0) & (res < 0.0)] = -np.inf
+    return out

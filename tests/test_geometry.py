@@ -186,6 +186,73 @@ class TestSignedResidualStack:
             signed_residuals(np.zeros((4, 2)), np.zeros((3, 10)))
 
 
+@st.composite
+def residual_cases(draw):
+    """Points and an (S, 6) or (S, 10) model stack for signed_residuals.
+
+    Random rows with some replaced: zero rows, rows with a NaN or an
+    infinite coefficient, a circle or sphere centred on the point at the
+    origin (zero gradient, negative residual), a degenerate x^2 row (zero
+    gradient and zero residual there), and a row whose residual at the
+    origin is -0.0; the points may be scaled until the squares overflow or
+    underflow.
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    width = 6 if dim == 2 else 10
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count = draw(st.integers(1, 12))
+    models = rng.normal(size=(count, width)) * 10.0 ** rng.uniform(
+        -3.0, 3.0, (count, 1))
+    squares = np.zeros(width)
+    squares[:dim] = 1.0
+    negative_zero = -np.abs(rng.normal(size=width)) - 0.5
+    negative_zero[-1] = -0.0
+    special = {"zero": np.zeros(width), "circle": squares - np.eye(width)[-1],
+               "x^2": np.eye(width)[0], "-0": negative_zero}
+    for i in range(count):
+        kind = draw(st.sampled_from(["random"] * 4 + sorted(special)
+                                    + ["NaN", "inf", "-inf"]))
+        if kind in special:
+            models[i] = special[kind]
+        elif kind != "random":
+            models[i, rng.integers(width)] = float(kind)
+    n = draw(st.integers(1, 40))
+    pts = rng.normal(0.0, 3.0, (n, dim))
+    pts[0] = 0.0
+    pts *= 2.0 ** draw(st.sampled_from([0, 0, -300, -600, 300, 600]))
+    return pts, models
+
+
+class TestSignedResidualsMatchReference:
+    """The unmasked divide with its +/-inf fixes gives the bits of the
+    masked divide it replaced, for stacks and single models."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=residual_cases())
+    def test_bit_identical(self, case):
+        pts, models = case
+        # (a NaN's sign may differ between a stack row and the same model
+        # alone, in both implementations)
+        with np.errstate(all="ignore"):
+            assert signed_residuals(pts, models).tobytes() == \
+                ref.signed_residuals(pts, models).tobytes()
+            for model in models:
+                assert signed_residuals(pts, model).tobytes() == \
+                    ref.signed_residuals(pts, model).tobytes()
+
+    def test_special_entries(self):
+        # zero gradient: -inf inside (negative residual), +inf where the
+        # residual is 0 too; a -0.0 residual keeps its sign
+        pts = np.zeros((1, 2))
+        circle = np.array([1.0, 0.0, 1.0, 0.0, 0.0, -1.0])
+        square = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        negative_zero = np.array([-1.0, -1.0, -1.0, -1.0, -1.0, -0.0])
+        out = signed_residuals(pts, np.array([circle, square,
+                                              negative_zero]))[:, 0]
+        assert out[0] == -math.inf and out[1] == math.inf
+        assert out[2] == 0.0 and math.copysign(1.0, out[2]) == -1.0
+
+
 class TestNonoverlapRatio:
     def test_identical_is_zero(self):
         for e in (EllipseParams(1.0, 2.0, 3.0, 2.0, 0.4),

@@ -501,7 +501,7 @@ class TestRefine:
         with pytest.raises(NotAnEllipsoid):
             fit_ellipsoid_direct(pts[initial.inlier])
         result = refine(pts, initial)
-        rescue = modelfit._multistart_concentrate(
+        rescue, _ = modelfit._multistart_concentrate(
             pts, modelfit.MIN_POINTS_ELLIPSOID, 50)
         assert self.result_trajectory(result) == self.trajectory(pts, rescue)
         assert result.converged
@@ -509,8 +509,9 @@ class TestRefine:
 
     def test_plain_stands_when_the_rescue_start_fit_fails(self, monkeypatch):
         pts, truth, failing = self.missed_outliers_scene(1)
+        # a start without its fit: the loop fits it, and that fails
         monkeypatch.setattr(modelfit, "_multistart_concentrate",
-                            lambda *args: failing.inlier)
+                            lambda *args: (failing.inlier, None))
         result = refine(pts, DetectionLabels(truth, "proximity"))
         assert self.result_trajectory(result) == self.trajectory(pts, ~truth)
         # with both start fits failing, the plain one's error is raised
@@ -686,9 +687,11 @@ def ransac_cases(draw):
 
 
 class TestRansacMatchesReference:
-    """One fit batch, distance blocks of about 8k entries and only the
-    medians that can lower the threshold: the outputs and refusals stay
-    those of the per-block, every-median implementation, bit for bit."""
+    """One fit batch, distance blocks of about 8k entries, only the
+    medians that can lower the threshold and cheap distances that decide
+    only what they certify: the outputs and refusals stay those of the
+    per-block, every-median implementation on exact distances, bit for
+    bit."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=ransac_cases(), entries=st.sampled_from([1, 150, None]))
@@ -744,6 +747,229 @@ class TestRansacMatchesReference:
         assert outcome == (NoValidModel, "no point lies within the inlier "
                            "threshold 1e-300 of any trial's model")
         assert matches_reference(outcome, case)
+
+    @staticmethod
+    def distances(pts, iterations, seed):
+        """The cheap and the exact distances of each trial, which trials
+        were accepted (planted fits included) and which rows the cheap
+        pass cannot certify."""
+        size = modelfit._dim_tools(pts, None)[1]
+        samples = modelfit._minimal_samples(len(pts), size, seed, iterations)
+        values, ok = modelfit._fit_direct_batch(pts[samples])
+        cheap = np.empty((iterations, len(pts)))
+        with np.errstate(all="ignore"):
+            uncertified = modelfit._cheap_distances(pts, values, cheap)
+            exact = np.abs(signed_residuals(pts, values))
+        return cheap, exact, ok, uncertified
+
+    @staticmethod
+    def exact_rows(monkeypatch):
+        """A list that counts the rows vanilla_ransac asks
+        signed_residuals for."""
+        rows = []
+
+        def counted(pts, values):
+            rows.append(len(values))
+            return signed_residuals(pts, values)
+
+        monkeypatch.setattr(modelfit, "signed_residuals", counted)
+        return rows
+
+    @staticmethod
+    def check(case, entries):
+        with mock.patch.object(modelfit, "_BLOCK_ENTRIES",
+                               entries or modelfit._BLOCK_ENTRIES):
+            outcome = ransac_outcome(vanilla_ransac, **case)
+        assert matches_reference(outcome, case)
+        return outcome
+
+    @pytest.mark.parametrize("entries", [1, 150, None])
+    def test_threshold_at_an_exact_distance(self, entries):
+        # thresholds inside the band of the winner's cheap distances: the
+        # exact distance of a point whose cheap one lies above it, and just
+        # below the exact distance of one whose cheap one lies below
+        pts = make_dataset(FREEZE_SCENARIOS["ransac2d"]).points
+        cheap, exact, ok, _ = self.distances(pts, 200, 5)
+        best = np.argmax(np.where(ok, (exact <= 0.3).sum(axis=1), -1))
+        gap = np.abs(exact[best] - 0.3)
+        above = np.flatnonzero(cheap[best] > exact[best])
+        below = np.flatnonzero(cheap[best] < exact[best])
+        assert above.size and below.size
+        for tau in (exact[best, above[np.argmin(gap[above])]],
+                    np.nextafter(exact[best, below[np.argmin(gap[below])]],
+                                 0.0)):
+            self.check(dict(points=pts, iterations=200,
+                            inlier_threshold=float(tau), rng_seed=5),
+                       entries)
+
+    @staticmethod
+    def plant(monkeypatch, change):
+        """Trial fits changed in place by ``change(values, ok)`` in
+        vanilla_ransac and the reference alike (the one-row refit is left
+        alone)."""
+        def planted(samples):
+            values, ok = _fit_direct_batch(samples)
+            change(values, ok)
+            return values, ok
+
+        monkeypatch.setattr(modelfit, "_fit_direct_batch", planted)
+        monkeypatch.setattr(reference_ransac, "_fit_direct_batch", planted)
+
+    @staticmethod
+    def record_thresholds(monkeypatch):
+        """A list of the thresholds vanilla_ransac bounds: the best
+        medians so far, then the consensus threshold."""
+        thresholds = []
+        band = modelfit._band
+        monkeypatch.setattr(modelfit, "_band", lambda t, margin: (
+            thresholds.append(t), band(t, margin))[1])
+        return thresholds
+
+    @pytest.mark.parametrize("entries", [1, 150, None])
+    def test_point_at_the_centre_of_a_circle(self, entries, monkeypatch):
+        # every fifth trial's model is planted as an exact circle about
+        # the origin, where one point lies: a zero gradient there
+        rng = np.random.default_rng(4)
+        ring = ellipse_samples(EllipseParams(0.0, 0.0, 1.0, 1.0, 0.0), 60,
+                               jitter=0.01, rng=rng)
+        pts = np.vstack([ring, np.zeros((1, 2)),
+                         rng.uniform(-2.0, 2.0, (20, 2))])
+        circle = np.array([1.0, 0.0, 1.0, 0.0, 0.0, -1.0]) / math.sqrt(3.0)
+
+        def circles(values, ok):
+            values[::5], ok[::5] = circle, True
+
+        self.plant(monkeypatch, circles)
+        out = np.empty((2, len(pts)))
+        assert modelfit._cheap_distances(
+            pts, np.array([circle, circle * 2.0]), out).all()
+        for threshold in (None, 0.02):
+            self.check(dict(points=pts, iterations=100,
+                            inlier_threshold=threshold, rng_seed=8),
+                       entries)
+
+    @pytest.mark.parametrize("entries", [1, 150, None])
+    @pytest.mark.parametrize("points_power, fits_power", [(-240, -600),
+                                                          (240, 600)])
+    def test_squares_that_overflow_or_underflow(self, entries, points_power,
+                                                fits_power, monkeypatch):
+        # fits of points scaled beyond about 2^+-260 are refused, and those
+        # of points scaled by 2^+-240 keep their squares normal; every other
+        # fit scaled by 2^+-600 has squares that overflow to inf or
+        # underflow to 0 where hypot's do not
+        pts = make_dataset(FREEZE_SCENARIOS["ransac2d"]).points
+        scale = 2.0 ** points_power
+        assert self.distances(pts * scale, 150, 6)[2].any()
+        for threshold in (None, 0.3 * scale):
+            self.check(dict(points=pts * scale, iterations=150,
+                            inlier_threshold=threshold, rng_seed=6), entries)
+
+        def scaled(values, ok):
+            values[::2] *= 2.0 ** fits_power
+
+        self.plant(monkeypatch, scaled)
+        _, _, ok, uncertified = self.distances(pts, 150, 6)
+        assert uncertified[::2].all() and ok[::2].any()
+        assert not (uncertified & ok)[1::2].any()
+        for threshold in (None, 0.3):
+            self.check(dict(points=pts, iterations=150,
+                            inlier_threshold=threshold, rng_seed=6), entries)
+
+    @pytest.mark.parametrize("entries", [1, 150, None])
+    def test_threshold_is_the_every_median_threshold(self, entries,
+                                                     monkeypatch):
+        # the calibrated threshold is the one of every trial's exact
+        # median, bit for bit
+        pts = make_dataset(FREEZE_SCENARIOS["ransac2d"]).points
+        thresholds = self.record_thresholds(monkeypatch)
+        _, exact, ok, _ = self.distances(pts, 300, 11)
+        best_med = np.fmin.reduce(np.median(exact[ok], axis=1))
+        self.check(dict(points=pts, iterations=300, inlier_threshold=None,
+                        rng_seed=11), entries)
+        assert thresholds[-1] == max(3.0 * modelfit.MAD_TO_SIGMA * best_med,
+                                     modelfit._TAU_FLOOR)
+
+    @classmethod
+    def synthetic(cls, monkeypatch, exact, factor):
+        """vanilla_ransac and the reference on a table of exact distances:
+        trial i fits the circle x^2 + y^2 = i + 1, whose exact distances
+        are row i of ``exact`` and whose cheap ones are that row times
+        ``factor(row)``.  Returns the thresholds vanilla_ransac bounds."""
+        iterations = exact.shape[0]
+        circles = np.zeros((iterations, 6))
+        circles[:, [0, 2]] = 1.0
+        circles[:, 5] = -1.0 - np.arange(iterations)
+
+        def trials(values):
+            return np.rint(-np.asarray(values)[..., 5] - 1.0).astype(int)
+
+        def fitted(samples):
+            return circles[:len(samples)].copy(), np.ones(len(samples), bool)
+
+        def cheap(pts, values, out):
+            out[:] = exact[trials(values)]
+            out *= factor(out)
+            return np.zeros(len(out), dtype=bool)
+
+        for module in (modelfit, reference_ransac):
+            monkeypatch.setattr(module, "_fit_direct_batch", fitted)
+            monkeypatch.setattr(module, "signed_residuals",
+                                lambda pts, values: exact[trials(values)])
+        monkeypatch.setattr(modelfit, "_cheap_distances", cheap)
+        return cls.record_thresholds(monkeypatch)
+
+    @pytest.mark.parametrize("entries", [1, 150, None])
+    def test_decisions_hold_within_the_bound(self, entries, monkeypatch):
+        # cheap distances 2^-42 off the exact ones, as far as a hypot
+        # within 1000 ulps could put them, on the side that misleads
+        pts = ellipse_samples(EllipseParams(0.0, 0.0, 3.0, 2.0, 0.3), 21)
+        step = 2.0 ** -42
+        # medians 1 - i 2^-46 (11th of 21 entries): each trial lowers the
+        # best median, by less than the error of its cheap distances
+        profile = np.concatenate([np.linspace(0.2, 0.9, 10), [1.0],
+                                  np.linspace(1.1, 3.0, 10)])
+        rows = (1.0 - np.arange(60) * 2.0 ** -46)[:, None] * profile
+        rows = np.random.default_rng(1).permuted(rows, axis=1)
+        thresholds = self.synthetic(monkeypatch, rows,
+                                    lambda row: 1.0 + step)
+        self.check(dict(points=pts, iterations=60, inlier_threshold=None,
+                        rng_seed=0), entries)
+        assert thresholds[-1] == 3.0 * modelfit.MAD_TO_SIGMA * np.median(
+            rows[-1])
+        # at the threshold 1: trial 0 counts 9; trial 1 counts 10, one of
+        # them at 1 exactly, and wins; trial 2 counts 10 other points, and
+        # one just above 1 whose cheap distance lies below it
+        rows = np.full((3, 21), 2.0)
+        rows[:2, :9] = 0.5
+        rows[1, 9] = 1.0
+        rows[2, 11:] = 0.5
+        rows[2, 10] = 1.0 + 2.0 ** -50
+        self.synthetic(monkeypatch, rows,
+                       lambda row: np.where(row <= 1.0, 1.0 + step,
+                                            1.0 - step))
+        outcome = self.check(dict(points=pts, iterations=3,
+                                  inlier_threshold=1.0, rng_seed=0), entries)
+        assert outcome[0] == (np.arange(21) >= 10).tobytes()
+
+    @pytest.mark.parametrize("entries", [1, 150, None])
+    def test_quadrics_recompute_nothing(self, entries, monkeypatch):
+        # the cheap distance is the exact one: margin 0
+        pts = make_dataset(FREEZE_SCENARIOS["ellipsoid3d"]).points
+        rows = self.exact_rows(monkeypatch)
+        for threshold in (None, 0.3):
+            self.check(dict(points=pts, iterations=300,
+                            inlier_threshold=threshold, rng_seed=3),
+                       entries)
+        assert rows == []
+
+    @pytest.mark.parametrize("entries", [1, 150, None])
+    def test_fewer_exact_rows_than_trials(self, entries, monkeypatch):
+        pts = make_dataset(FREEZE_SCENARIOS["ransac2d"]).points
+        rows = self.exact_rows(monkeypatch)
+        self.check(dict(points=pts, iterations=1000, inlier_threshold=None,
+                        rng_seed=101), entries)
+        # the medians' candidates, the rows recounted and the winner's mask
+        assert 0 < sum(rows) < 1000
 
     def test_no_inlier_is_a_recorded_failure(self, monkeypatch):
         # a NaN scale makes the threshold NaN, as NaN medians do:
@@ -1033,6 +1259,32 @@ class TestRescueStart:
                 given = functools.partial(refine, rescue=rescue)
                 assert refine_outcome(given, data.points, initial,
                                       cfg.refine) == expected
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_loop_starts_from_the_concentration_fit(self, case,
+                                                    monkeypatch):
+        # the start's fit is the public fit of its half-set, bit for bit,
+        # and the loop does not fit that half-set again
+        pts = make_dataset(self.CASES[case]).points
+        fitter, min_points = modelfit._dim_tools(pts, None)
+        start, model = modelfit._multistart_concentrate(
+            pts, min_points, modelfit._trim_size(pts, min_points))
+        refit = fitter(pts[start])
+        assert type(model) is type(refit)
+        assert model.values.tobytes() == refit.values.tobytes()
+        fitted = []
+        name = fitter.__name__
+        monkeypatch.setattr(modelfit, name, lambda sample: (
+            fitted.append(sample), fitter(sample))[1])
+        outcome = modelfit.rescue_start(pts).finish()
+        assert not any(np.array_equal(sample, pts[start])
+                       for sample in fitted)
+        monkeypatch.setattr(modelfit, name, fitter)
+        loop = modelfit._classification_loop(pts, start, fitter, min_points,
+                                             RefineConfig())
+        assert outcome[0].values.tobytes() == loop[0].values.tobytes()
+        assert [np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                for a, b in zip(outcome[1:], loop[1:])] == [True] * 3
 
     def test_the_loop_runs_once(self, monkeypatch):
         data = make_dataset(REFINE_CASES["c7-ellipsoid"])
