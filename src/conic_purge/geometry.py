@@ -111,7 +111,7 @@ def _normalize_coeff_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the first entry above _SIGN_EPS in magnitude, or entry 0 when none
     # is, made positive; negation flips a sign as multiplying by -1 does
     lead = values[np.arange(values.shape[0]),
-                  np.argmax(np.abs(values) > _SIGN_EPS, axis=1)]
+                  (np.abs(values) > _SIGN_EPS).argmax(axis=1)]
     np.negative(values, out=values, where=(lead < -_SIGN_EPS)[:, None])
     return values, valid
 
@@ -392,7 +392,7 @@ def _residual_and_grad(points: np.ndarray, values: np.ndarray):
     the terms go through one buffer, and a product shared by the residual
     and a gradient component is formed once.
     """
-    q = np.moveaxis(values, -1, 0)[..., None]
+    q = values.T[..., None]  # coefficient first, for one row or a stack
     if values.shape[-1] == 6:
         x, y = points[:, 0], points[:, 1]
         res = q[0] * x

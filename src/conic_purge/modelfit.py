@@ -78,6 +78,15 @@ class FitResult:
     converged: bool
 
 
+# (first, second) coordinate of each quadratic monomial, in the column
+# order of the design matrices of _conic_batch and _quadric_batch
+_MONOMIALS = {2: ((0, 0), (0, 1), (1, 1)),
+              3: ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))}
+_EYES = {3: np.eye(3), 4: np.eye(4)}
+# the conic's reduced matrix: rows 2, 1 and 0 of m, halved, negated, halved
+_REDUCE = np.array([[0.5], [-1.0], [0.5]])
+
+
 def _denormalize_quadratic(coeff_mat: np.ndarray, mean: np.ndarray,
                            scale: np.ndarray) -> np.ndarray:
     """Map quadratic-form matrices of normalized points to world coordinates.
@@ -86,33 +95,37 @@ def _denormalize_quadratic(coeff_mat: np.ndarray, mean: np.ndarray,
     by the (S, d) means and divided by the (S,) scales.
     """
     dim = coeff_mat.shape[-1] - 1
-    t = np.eye(dim + 1) / scale[:, None, None]
+    t = _EYES[dim + 1] / scale[:, None, None]
     t[:, dim, dim] = 1.0
     t[:, :dim, dim] = -mean / scale[:, None]
     return np.swapaxes(t, 1, 2) @ coeff_mat @ t
 
 
-def _conic_batch(u: np.ndarray):
-    """Ellipse-specific fits of normalized (S, n, 2) samples.
+def _conic_batch(design: np.ndarray):
+    """Ellipse-specific fits of (S, n, 6) design matrices.
 
-    The numerically stable split of the scatter matrix of
-    (x^2, xy, y^2, x, y, 1) under the constraint 4AC - B^2 = 1.  Returns
-    the normalized-frame quadratic-form matrices and a mask of the samples
-    with an admissible solution.
+    Row i of a sample's matrix is (x^2, xy, y^2, x, y, 1) at its i-th
+    normalized point.  The numerically stable split of its scatter matrix
+    under the constraint 4AC - B^2 = 1.  Returns the normalized-frame
+    quadratic-form matrices and a mask of the samples with an admissible
+    solution.
     """
-    x, y = u[..., 0], u[..., 1]
-    d1 = np.stack([x * x, x * y, y * y], axis=-1)
-    d2 = np.stack([x, y, np.ones_like(x)], axis=-1)
+    d1, d2 = design[..., :3], design[..., 3:]
     s1 = np.swapaxes(d1, 1, 2) @ d1
     s2 = np.swapaxes(d1, 1, 2) @ d2
     s3 = np.swapaxes(d2, 1, 2) @ d2
     # a stacked solve fails as a whole on one exactly singular block; the
     # LU of slogdet flags the same blocks, which get a harmless stand-in
     ok = np.linalg.slogdet(s3)[0] != 0.0
-    s3[~ok] = np.eye(3)
+    s3[~ok] = _EYES[3]
     t_mat = -np.linalg.solve(s3, np.swapaxes(s2, 1, 2))
     m = s1 + s2 @ t_mat
-    m_reduced = np.stack([m[:, 2] / 2.0, -m[:, 1], m[:, 0] / 2.0], axis=1)
+    m_reduced = m[:, ::-1] * _REDUCE
+    # and a stacked eig on one block with an entry that is not finite
+    # (from a nearly singular scatter block, which the LU passes)
+    finite = np.isfinite(m_reduced).all(axis=(1, 2))
+    m_reduced[~finite] = _EYES[3]
+    ok &= finite
     evals, evecs = np.linalg.eig(m_reduced)
     vecs = np.real(evecs)
     cond = 4.0 * vecs[:, 0] * vecs[:, 2] - vecs[:, 1] ** 2
@@ -120,22 +133,19 @@ def _conic_batch(u: np.ndarray):
     admissible &= cond > 0.0
     ok &= admissible.any(axis=1)
     # the earliest of the largest admissible eigenvectors
-    best = np.argmax(np.where(admissible, cond, -np.inf), axis=1)
+    best = np.where(admissible, cond, -np.inf).argmax(axis=1)
     a1 = vecs[np.arange(len(vecs)), :, best]
     a2 = (t_mat @ a1[..., None])[..., 0]
     return _matrix_from_coeffs(np.concatenate([a1, a2], axis=1)), ok
 
 
-def _quadric_batch(u: np.ndarray):
-    """Unit-norm quadric fits of normalized (S, n, 3) samples.
+def _quadric_batch(design: np.ndarray):
+    """Unit-norm quadric fits of (S, n, 10) design matrices.
 
-    The smallest right singular vector of the design matrix of
-    (x^2, y^2, z^2, xy, xz, yz, x, y, z, 1); the mask keeps the samples
-    whose solution is unique (rank 9).
+    Row i of a sample's matrix is (x^2, y^2, z^2, xy, xz, yz, x, y, z, 1)
+    at its i-th normalized point.  The smallest right singular vector; the
+    mask keeps the samples whose solution is unique (rank 9).
     """
-    x, y, z = u[..., 0], u[..., 1], u[..., 2]
-    design = np.stack([x * x, y * y, z * z, x * y, x * z, y * z,
-                       x, y, z, np.ones_like(x)], axis=-1)
     # with fewer than 10 rows the null vector is only in the full basis
     _, svals, vt = np.linalg.svd(design, full_matrices=design.shape[1] < 10)
     ok = ~((svals[:, 0] == 0.0) | (svals[:, 8] < 1e-10 * svals[:, 0]))
@@ -152,19 +162,33 @@ def _fit_direct_raw(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and a mask of the samples that are not all one point and pass the
     admissibility (conic) or rank (quadric) test.
     """
-    conic = samples.shape[2] == 2
-    if samples.shape[1] < (MIN_POINTS_ELLIPSE if conic
-                           else MIN_POINTS_ELLIPSOID):
+    count, n, dim = samples.shape
+    conic = dim == 2
+    if n < (MIN_POINTS_ELLIPSE if conic else MIN_POINTS_ELLIPSOID):
         raise TooFewPoints("a direct fit needs at least 5 (2-D) or 9 (3-D) "
                            "points per sample")
+    monomials = _MONOMIALS[dim]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mean = samples.mean(axis=1)
+        # np.mean(axis=1) adds each sample's points in turn along a strided
+        # axis; down the rows of the (n, S * dim) transpose these are the
+        # same additions in the same order, in long inner loops
+        mean = np.add.reduce(samples.transpose(1, 0, 2).reshape(n, -1),
+                             axis=0)
+        mean = (mean / n).reshape(count, dim)
         shifted = samples - mean[:, None, :]
-        scale = np.sqrt(np.mean(shifted ** 2, axis=(1, 2)))
+        # np.mean(shifted ** 2, axis=(1, 2)): one pairwise sum per sample
+        scale = np.add.reduce((shifted * shifted).reshape(count, -1), axis=1)
+        scale = np.sqrt(scale / (n * dim))
         spread = scale != 0.0
         scale[~spread] = 1.0
-        mat, ok = (_conic_batch if conic else _quadric_batch)(
-            shifted / scale[:, None, None])
+        # the design matrices: the quadratic monomials, the coordinates, 1
+        design = np.empty((count, n, len(monomials) + dim + 1))
+        u = np.divide(shifted, scale[:, None, None],
+                      out=design[..., len(monomials):-1])
+        design[..., -1] = 1.0
+        for col, (i, j) in enumerate(monomials):
+            np.multiply(u[..., i], u[..., j], out=design[..., col])
+        mat, ok = (_conic_batch if conic else _quadric_batch)(design)
         w = _denormalize_quadratic(mat, mean, scale)
     return _coeffs_from_matrix(w), ok & spread
 
@@ -245,6 +269,25 @@ def _dim_tools(pts: np.ndarray, min_points: int | None):
     return fitter, min_points
 
 
+def _median(sample: np.ndarray) -> float:
+    """``np.median`` of a nonempty 1-D float sample, bit for bit.
+
+    The middle value, or the mean of the two middle values as np.mean
+    adds them to 0.0 and divides, so a -0.0 comes out as 0.0; NaN when
+    the sample holds a NaN, which the partition puts last.
+    """
+    n = sample.shape[0]
+    mid = n // 2
+    part = sample.copy()
+    part.partition((mid - 1, mid, n - 1) if n % 2 == 0 else (mid, n - 1))
+    last = float(part[n - 1])
+    if last != last:
+        return last
+    if n % 2:
+        return 0.0 + float(part[mid])
+    return (0.0 + float(part[mid - 1]) + float(part[mid])) / 2.0
+
+
 def _robust_inlier_mask(signed: np.ndarray, reference: np.ndarray,
                         tau_scale: float) -> tuple[np.ndarray, float]:
     """Threshold |residual - center| at tau_scale robust standard deviations.
@@ -252,14 +295,14 @@ def _robust_inlier_mask(signed: np.ndarray, reference: np.ndarray,
     Center and scale come from the reference residuals (the current
     inliers), using the median and the scaled median absolute deviation.
     """
-    center = float(np.median(reference))
-    scale = float(np.median(np.abs(reference - center)))
+    center = _median(reference)
+    scale = _median(np.abs(reference - center))
     tau = max(tau_scale * MAD_TO_SIGMA * scale, _TAU_FLOOR)
     return np.abs(signed - center) <= tau, tau
 
 
 def _median_distance(pts, model, mask) -> float:
-    return float(np.median(np.abs(signed_residuals(pts, model))[mask]))
+    return _median(np.abs(signed_residuals(pts, model))[mask])
 
 
 def _classification_loop(pts, start, fitter, min_points, cfg, model=None):
@@ -347,14 +390,39 @@ def _concentrate(pts, values, half: int, steps: int):
     return values, cores
 
 
+def _half_sets(dist: np.ndarray, half: int) -> np.ndarray:
+    """Ascending indexes of the ``half`` smallest entries of each (rows, n)
+    row, ties going to the lower index and NaN sorting last: the
+    ``np.sort(np.argsort(dist, axis=1, kind="stable")[:, :half], axis=1)``
+    it stands for.
+
+    Each row keeps the entries that are not above its ``half``-th smallest
+    value v, found by partition; NaN entries are kept too (NaN > v is
+    false), and every entry when v is NaN.  So every row keeps at least
+    ``half``, and exactly the stable sort's ``half`` unless v is tied or a
+    NaN is in the row; then the stable sort decides the whole block.
+    """
+    rows, n = dist.shape
+    part = dist.copy()
+    part.partition(half - 1, axis=1)
+    keep = dist > part[:, half - 1:half]
+    np.logical_not(keep, out=keep)
+    flat = keep.ravel().nonzero()[0]
+    if flat.size != rows * half:
+        return np.sort(np.argsort(dist, axis=1, kind="stable")[:, :half],
+                       axis=1)
+    tight = flat.reshape(rows, half)
+    tight -= np.arange(0, rows * n, n)[:, None]
+    return tight
+
+
 def _concentrate_rows(pts, values, cores, steps: int) -> None:
     """:func:`_concentrate` on one row block, in place on its views."""
     half = cores.shape[1]
     active = np.arange(values.shape[0])
     for _ in range(steps):
-        dist = np.abs(signed_residuals(pts, values[active]))
-        tight = np.sort(np.argsort(dist, axis=1, kind="stable")[:, :half],
-                        axis=1)
+        res = signed_residuals(pts, values[active])
+        tight = _half_sets(np.abs(res, out=res), half)
         moved = (tight != cores[active]).any(axis=1)
         active, tight = active[moved], tight[moved]
         if active.size == 0:

@@ -282,7 +282,6 @@ def _detect_rows(values: np.ndarray, gamma: float, max_iter: int,
         last = np.zeros(live.size, dtype=np.intp)  # pass whose range ends
         excluded = np.zeros(live.size, dtype=bool)
         active = np.arange(live.size)
-        bounds = np.empty((2, m))
         for step in range(max_iter):
             if not active.size:
                 break
@@ -297,14 +296,12 @@ def _detect_rows(values: np.ndarray, gamma: float, max_iter: int,
             # sub-noise variation around the interval must not protrude
             pad = _FLAT_RTOL * _first_max(1.0, np.abs(lo), np.abs(hi))
             lo, hi = lo - pad, hi + pad
-            # searchsorted's positions, counted over every row at once; a
-            # NaN bound sorts after every value
-            rows = live[active]
-            bounds[:, rows] = lo, hi
-            start = np.where(np.isnan(lo), n,
-                             (s < bounds[0, :, None]).sum(axis=1)[rows])
-            stop = np.where(np.isnan(hi), n,
-                            (s <= bounds[1, :, None]).sum(axis=1)[rows])
+            # searchsorted's positions, counted over the active rows at
+            # once (all of s, uncopied, while every row is live and
+            # active); a NaN bound sorts after every value
+            rows = s if active.size == m else s[live[active]]
+            start = np.where(np.isnan(lo), n, (rows < lo[:, None]).sum(axis=1))
+            stop = np.where(np.isnan(hi), n, (rows <= hi[:, None]).sum(axis=1))
             empty = stop <= start
             if step == 0:
                 inside = (every >= start[:, None]) & (every < stop[:, None])
@@ -327,6 +324,7 @@ def _detect_rows(values: np.ndarray, gamma: float, max_iter: int,
 
         # a row's inliers are the values within its last range's ends; a
         # row with no range keeps every value
+        bounds = np.empty((2, m))
         bounds[0], bounds[1] = -np.inf, np.inf
         kept = np.flatnonzero(~excluded)
         if kept.size:

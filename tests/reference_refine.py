@@ -14,21 +14,136 @@ by a test of its own.  One later change is applied to the copy: when the
 plain trajectory's start fit fails, ``refine`` returns the rescue
 trajectory's result instead of raising, and raises only when there is no
 rescue trajectory either.
+
+The stacked fit (``_fit_direct_raw`` with the kernels it calls) and the
+threshold and cycle medians (``_robust_inlier_mask``,
+``_median_distance``) are copied verbatim from the version that still
+built its design matrices with ``np.stack`` and took ``np.median``, so
+they keep checking ``modelfit`` after it cut their per-call work.
 """
 
 import numpy as np
 
 from conic_purge.errors import (DegenerateConfiguration, NotAnEllipse,
                                 NotAnEllipsoid, TooFewPoints)
-from conic_purge.geometry import _SIGN_EPS, _interior, _is_ellipse
+from conic_purge.geometry import (_SIGN_EPS, _coeffs_from_matrix, _interior,
+                                  _is_ellipse, _matrix_from_coeffs)
 from conic_purge.modelfit import (_CYCLE_WINDOW, _MULTISTART_SAMPLES,
-                                  _MULTISTART_SEED, FitResult, RefineConfig,
-                                  _dim_tools, _fit_direct_raw,
-                                  _median_distance, _model_type,
-                                  _robust_inlier_mask, signed_residuals)
+                                  _MULTISTART_SEED, _TAU_FLOOR, MAD_TO_SIGMA,
+                                  MIN_POINTS_ELLIPSE, MIN_POINTS_ELLIPSOID,
+                                  FitResult, RefineConfig, _dim_tools,
+                                  _model_type, signed_residuals)
 from conic_purge.proximity import DetectionLabels
 
 from reference_draws import _minimal_samples
+
+
+def _denormalize_quadratic(coeff_mat: np.ndarray, mean: np.ndarray,
+                           scale: np.ndarray) -> np.ndarray:
+    """Map quadratic-form matrices of normalized points to world coordinates.
+
+    The (S, d+1, d+1) homogeneous matrices were fitted to points shifted
+    by the (S, d) means and divided by the (S,) scales.
+    """
+    dim = coeff_mat.shape[-1] - 1
+    t = np.eye(dim + 1) / scale[:, None, None]
+    t[:, dim, dim] = 1.0
+    t[:, :dim, dim] = -mean / scale[:, None]
+    return np.swapaxes(t, 1, 2) @ coeff_mat @ t
+
+
+def _conic_batch(u: np.ndarray):
+    """Ellipse-specific fits of normalized (S, n, 2) samples.
+
+    The numerically stable split of the scatter matrix of
+    (x^2, xy, y^2, x, y, 1) under the constraint 4AC - B^2 = 1.  Returns
+    the normalized-frame quadratic-form matrices and a mask of the samples
+    with an admissible solution.
+    """
+    x, y = u[..., 0], u[..., 1]
+    d1 = np.stack([x * x, x * y, y * y], axis=-1)
+    d2 = np.stack([x, y, np.ones_like(x)], axis=-1)
+    s1 = np.swapaxes(d1, 1, 2) @ d1
+    s2 = np.swapaxes(d1, 1, 2) @ d2
+    s3 = np.swapaxes(d2, 1, 2) @ d2
+    # a stacked solve fails as a whole on one exactly singular block; the
+    # LU of slogdet flags the same blocks, which get a harmless stand-in
+    ok = np.linalg.slogdet(s3)[0] != 0.0
+    s3[~ok] = np.eye(3)
+    t_mat = -np.linalg.solve(s3, np.swapaxes(s2, 1, 2))
+    m = s1 + s2 @ t_mat
+    m_reduced = np.stack([m[:, 2] / 2.0, -m[:, 1], m[:, 0] / 2.0], axis=1)
+    evals, evecs = np.linalg.eig(m_reduced)
+    vecs = np.real(evecs)
+    cond = 4.0 * vecs[:, 0] * vecs[:, 2] - vecs[:, 1] ** 2
+    admissible = ~(np.abs(evals.imag) > 1e-8 * (1.0 + np.abs(evals.real)))
+    admissible &= cond > 0.0
+    ok &= admissible.any(axis=1)
+    # the earliest of the largest admissible eigenvectors
+    best = np.argmax(np.where(admissible, cond, -np.inf), axis=1)
+    a1 = vecs[np.arange(len(vecs)), :, best]
+    a2 = (t_mat @ a1[..., None])[..., 0]
+    return _matrix_from_coeffs(np.concatenate([a1, a2], axis=1)), ok
+
+
+def _quadric_batch(u: np.ndarray):
+    """Unit-norm quadric fits of normalized (S, n, 3) samples.
+
+    The smallest right singular vector of the design matrix of
+    (x^2, y^2, z^2, xy, xz, yz, x, y, z, 1); the mask keeps the samples
+    whose solution is unique (rank 9).
+    """
+    x, y, z = u[..., 0], u[..., 1], u[..., 2]
+    design = np.stack([x * x, y * y, z * z, x * y, x * z, y * z,
+                       x, y, z, np.ones_like(x)], axis=-1)
+    # with fewer than 10 rows the null vector is only in the full basis
+    _, svals, vt = np.linalg.svd(design, full_matrices=design.shape[1] < 10)
+    ok = ~((svals[:, 0] == 0.0) | (svals[:, 8] < 1e-10 * svals[:, 0]))
+    return _matrix_from_coeffs(vt[:, -1]), ok
+
+
+def _fit_direct_raw(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direct fits of an (S, n, 2) or (S, n, 3) stack, before normalization.
+
+    Each sample is shifted to its centroid and scaled to unit RMS
+    coordinate, fitted by :func:`_conic_batch` or :func:`_quadric_batch`
+    and mapped back to world coordinates, read through geometry's
+    coefficient table.  Returns the (S, 6) or (S, 10) coefficient rows
+    and a mask of the samples that are not all one point and pass the
+    admissibility (conic) or rank (quadric) test.
+    """
+    conic = samples.shape[2] == 2
+    if samples.shape[1] < (MIN_POINTS_ELLIPSE if conic
+                           else MIN_POINTS_ELLIPSOID):
+        raise TooFewPoints("a direct fit needs at least 5 (2-D) or 9 (3-D) "
+                           "points per sample")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mean = samples.mean(axis=1)
+        shifted = samples - mean[:, None, :]
+        scale = np.sqrt(np.mean(shifted ** 2, axis=(1, 2)))
+        spread = scale != 0.0
+        scale[~spread] = 1.0
+        mat, ok = (_conic_batch if conic else _quadric_batch)(
+            shifted / scale[:, None, None])
+        w = _denormalize_quadratic(mat, mean, scale)
+    return _coeffs_from_matrix(w), ok & spread
+
+
+def _robust_inlier_mask(signed: np.ndarray, reference: np.ndarray,
+                        tau_scale: float) -> tuple[np.ndarray, float]:
+    """Threshold |residual - center| at tau_scale robust standard deviations.
+
+    Center and scale come from the reference residuals (the current
+    inliers), using the median and the scaled median absolute deviation.
+    """
+    center = float(np.median(reference))
+    scale = float(np.median(np.abs(reference - center)))
+    tau = max(tau_scale * MAD_TO_SIGMA * scale, _TAU_FLOOR)
+    return np.abs(signed - center) <= tau, tau
+
+
+def _median_distance(pts, model, mask) -> float:
+    return float(np.median(np.abs(signed_residuals(pts, model))[mask]))
 
 
 def _normalize_coeff_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -430,6 +430,25 @@ class TestDetect:
         assert "DegenerateBandwidth" in err and message in err
         assert not any(path.exists() for path in outputs)
 
+    @pytest.mark.parametrize("args, error", [
+        (["--stage", "model"], "DegenerateConfiguration"),
+        (["--baseline", "ransac", "--k", "150"], "NoValidModel")],
+        ids=["model", "ransac"])
+    def test_points_too_small_to_square_exit_2(self, tmp_path, capsys, args,
+                                               error):
+        # scaled by 2^-540, every conic fit of the scene is refused (its
+        # reduced matrix is not finite), so the model stage and RANSAC end
+        # in their numerical errors, not in numpy's LinAlgError
+        from conic_purge import cli
+        data = tmp_path / "data.csv"
+        write_dataset_csv(data, make_dataset(
+            FREEZE_SCENARIOS["ransac2d"]).points * 2.0 ** -540)
+        argv = ["detect", "--data", str(data), *args,
+                "--out-labels", str(tmp_path / "labels.csv"),
+                "--out-model", str(tmp_path / "model.json")]
+        assert cli.main(argv) == 2
+        assert f"error: {error}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("spare", [True, False])
     def test_failed_check_writes_no_dump(self, tmp_path, monkeypatch, capsys,
                                          spare):

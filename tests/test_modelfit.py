@@ -309,6 +309,154 @@ class TestFitDirectBatch:
         with pytest.raises(TooFewPoints):
             _fit_direct_batch(np.zeros((3, 8, 3)))
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([2, 3]),
+           count=st.sampled_from([1, 2, 7, 60]), extra=st.integers(0, 200),
+           kind=st.sampled_from(["near", "near", "scatter", "coincident",
+                                 "flat"]))
+    def test_raw_fit_is_the_frozen_kernel(self, seed, dim, count, extra,
+                                          kind):
+        # the stacked fit without its per-call stacks, identity and
+        # strided mean: every row's raw coefficients and mask, rejected
+        # rows too, are those of the np.stack version, bit for bit
+        n = (5 if dim == 2 else 9) + extra
+        rng = np.random.default_rng(seed)
+        samples = near_model_stack(seed, count, n, dim)
+        if kind == "scatter":
+            samples = rng.normal(size=samples.shape)
+        elif kind == "coincident":
+            samples[count // 2] = rng.normal(size=dim)
+        elif kind == "flat":
+            samples[count // 2, :, -1] = 0.5 * samples[count // 2, :, 0] + 1.0
+        raw, ok = modelfit._fit_direct_raw(samples)
+        expected, expected_ok = reference_refine._fit_direct_raw(samples)
+        assert np.array_equal(ok, expected_ok)
+        assert raw.tobytes() == expected.tobytes()
+
+
+def tiny_scene() -> np.ndarray:
+    """The ransac2d freeze scene scaled by 2^-540: its points square to
+    subnormals or zero, and the conic fits' reduced matrices to values
+    that are not finite."""
+    return make_dataset(FREEZE_SCENARIOS["ransac2d"]).points * 2.0 ** -540
+
+
+class TestPointsTooSmallToSquare:
+    """A conic fit whose reduced matrix is not finite is refused, as one
+    with a singular scatter block is, rather than failing the stacked
+    eigensolve for every row of its stack."""
+
+    def test_public_fit_refuses(self):
+        with pytest.raises(DegenerateConfiguration):
+            fit_ellipse_direct(tiny_scene()[:100])
+
+    def test_ransac_finds_no_model(self):
+        with pytest.raises(NoValidModel):
+            vanilla_ransac(tiny_scene(), iterations=150)
+
+    def test_rescue_has_no_start_and_refine_refuses(self):
+        pts = tiny_scene()
+        assert modelfit.rescue_start(pts).start is None
+        with pytest.raises(DegenerateConfiguration):
+            refine(pts, DetectionLabels(np.zeros(len(pts), dtype=bool),
+                                        "model"))
+
+    def test_other_rows_keep_their_bits(self):
+        bad = tiny_scene()[:100]
+        # the np.stack version's stacked eig refused the whole stack
+        with pytest.raises(np.linalg.LinAlgError):
+            reference_refine._fit_direct_raw(bad[None])
+        good = near_model_stack(11, 8, 100, 2)
+        mixed = np.concatenate([good[:3], bad[None], good[3:]])
+        keep = np.arange(len(mixed)) != 3
+        raw, ok = modelfit._fit_direct_raw(mixed)
+        expected, expected_ok = reference_refine._fit_direct_raw(good)
+        assert not ok[3] and np.array_equal(ok[keep], expected_ok)
+        assert raw[keep].tobytes() == expected.tobytes()
+        values, ok = _fit_direct_batch(mixed)
+        clean, clean_ok = _fit_direct_batch(good)
+        assert np.array_equal(ok[keep], clean_ok) and clean_ok.any()
+        assert values[keep].tobytes() == clean.tobytes()
+        assert not values[3].any()
+
+
+def stable_half_sets(dist: np.ndarray, half: int) -> np.ndarray:
+    """The C-step's half-sets as a stable sort picks them."""
+    return np.sort(np.argsort(dist, axis=1, kind="stable")[:, :half], axis=1)
+
+
+class TestSelectionAndMedian:
+    """The C-step's half-set selection and the loop's medians, pinned to
+    the numpy expressions they replace."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rows=st.integers(1, 90), n=st.integers(1, 800),
+           seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["distinct", "tied", "special"]),
+           nan_rows=st.booleans(), data=st.data())
+    def test_half_sets_are_the_stable_selection(self, rows, n, seed, kind,
+                                                nan_rows, data):
+        half = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        if kind == "distinct":
+            dist = rng.random((rows, n))
+        elif kind == "tied":
+            # few values: ties at the half-th value in most rows
+            dist = rng.integers(0, 4, (rows, n)).astype(float)
+        else:
+            dist = rng.choice([0.0, 0.5, 1.0, np.inf, np.nan], (rows, n))
+        if nan_rows:
+            dist[rng.random(rows) < 0.3] = np.nan
+        before = dist.copy()
+        tight = modelfit._half_sets(dist, half)
+        expected = stable_half_sets(dist, half)
+        assert tight.dtype == expected.dtype
+        assert np.array_equal(tight, expected)
+        assert np.array_equal(dist, before, equal_nan=True)
+
+    @pytest.mark.parametrize("shape", [(60, 150), (1, 150), (20, 800)])
+    def test_half_sets_with_one_tie_at_the_cut(self, shape):
+        # one row's half-th value repeated past the cut: only the lower
+        # index joins that row's half-set
+        rng = np.random.default_rng(shape[0])
+        dist = rng.random(shape)
+        half = (shape[1] + 1) // 2
+        row = dist[-1]
+        row[np.argsort(row)[half]] = np.sort(row)[half - 1]
+        assert np.array_equal(modelfit._half_sets(dist, half),
+                              stable_half_sets(dist, half))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
+                         1.5, -1.5])), min_size=1, max_size=41))
+    def test_median_is_numpy_median(self, values):
+        sample = np.array(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf
+            expected = np.median(sample)
+        got = modelfit._median(sample)
+        assert type(got) is float
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == expected.tobytes()
+        assert np.array_equal(sample, np.array(values), equal_nan=True)
+
+    @pytest.mark.parametrize("values", [
+        [-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, -0.0, -0.0],
+        [1.0, math.nan], [math.nan], [math.inf, -math.inf],
+        [1.7e308, 1.7e308], [2.0, 1.0, 4.0, 3.0]])
+    def test_median_edge_cases(self, values):
+        sample = np.array(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = np.median(sample)
+        got = modelfit._median(sample)
+        assert np.float64(got).tobytes() == expected.tobytes() or (
+            math.isnan(got) and math.isnan(expected))
+
 
 class TestRefine:
     def test_noiseless_fixpoint_in_one_iteration(self, rng):
@@ -1145,7 +1293,7 @@ class TestConcentrationKernel:
         values, ok = _fit_direct_batch(pts[samples])
         assume(ok.any())
         values = values[ok]
-        half = (n + 1) // 2
+        half = modelfit._trim_size(pts, size)
         blocks = modelfit._row_blocks(len(values), n)
         assert [i for b in blocks for i in range(len(values))[b]] == \
             list(range(len(values)))
