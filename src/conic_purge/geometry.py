@@ -13,7 +13,6 @@ import contextlib
 import functools
 import math
 import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -746,10 +745,12 @@ def _drawn_chunks(rng: np.random.Generator, samples: int):
     3))``, and is valid until the next chunk is asked for.
 
     With a spare core (:func:`conic_purge._cores.spare_core`) and more
-    than one chunk, one worker thread draws the chunks ahead, each with
-    one ``rng.random(out=...)``, which releases the GIL, into a ring of
-    ``_MC_RING`` buffers made here; it is handed the next buffer to fill,
-    and hands back each filled one, through two ``queue.SimpleQueue``.
+    than one chunk, a :class:`~conic_purge._cores.Worker` draws the
+    chunks ahead, each with one ``rng.random(out=...)``, which releases
+    the GIL, into a ring of ``_MC_RING`` buffers made here; it is handed
+    the next buffer to fill, and hands back each filled one, or its
+    error, through two ``queue.SimpleQueue``.  A draw's error is raised
+    here when its chunk is asked for, as the inline draw would raise it.
     Otherwise each chunk is drawn here, into one buffer.  The draws, and
     so the generator's end state after the last chunk, are the same
     either way.  Closing the generator, early or at the end, tells the
@@ -770,14 +771,12 @@ def _drawn_chunks(rng: np.random.Generator, samples: int):
             while (out := to_fill.get()) is not None:
                 rng.random(out=out)
                 filled.put(out)
-        except BaseException as exc:  # handed to the caller, raised there
+        except BaseException as exc:  # raised where its chunk is asked for
             filled.put(exc)
 
     for i, buf in enumerate(ring):
         to_fill.put(buf[:sizes[i]])
-    worker = threading.Thread(target=draw_ahead)
-    worker.start()
-    try:
+    with _cores.Worker(draw_ahead, stop=lambda: to_fill.put(None)):
         for i in range(len(sizes)):
             out = filled.get()
             if isinstance(out, BaseException):
@@ -786,9 +785,6 @@ def _drawn_chunks(rng: np.random.Generator, samples: int):
             # the caller is done with chunk i: its buffer takes chunk i + R
             if i + len(ring) < len(sizes):
                 to_fill.put(ring[i % len(ring)][:sizes[i + len(ring)]])
-    finally:
-        to_fill.put(None)
-        worker.join()
 
 
 def _monte_carlo_counts(fit: EllipsoidParams, truth: EllipsoidParams,
@@ -885,10 +881,12 @@ def nonoverlap_ratio(fit, truth, resolution: int = 512,
     margin for rounding, is counted from a cached per-cell count of the
     draws, and only the points of the other cells (about one in seven for
     a close fit) are tested.  Where numpy's OpenBLAS leaves a CPU free, a
-    worker thread draws the chunks ahead while the caller counts, and is
-    joined before this returns or raises.  The values, and the end state
-    of a Generator passed as ``seed``, are those of testing every cell
-    (every point) of one draw at once.
+    worker thread, started by the helper of every overlap
+    (:class:`~conic_purge._cores.Worker`), draws the chunks ahead while
+    the caller counts, and is stopped and joined before this returns or
+    raises.  The values, and the end state of a Generator passed as
+    ``seed``, are those of testing every cell (every point) of one draw
+    at once.
     Identical models give exactly 0, disjoint models (area_fit +
     area_truth) / area_truth.
     """

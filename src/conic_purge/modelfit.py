@@ -219,6 +219,8 @@ def _fit_one(points, dim: int) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ValueError(f"expected an (n, {dim}) point array")
+    if not np.isfinite(pts).all():
+        raise ValueError("coordinates must be finite")
     raw, ok = _fit_direct_raw(pts[None])
     if not ok[0]:
         raise DegenerateConfiguration(
@@ -232,7 +234,8 @@ def fit_ellipse_direct(points: np.ndarray) -> ConicCoeffs:
 
     Minimizes the algebraic residual under the ellipse-specific constraint
     4AC - B^2 = 1 (the one-sample case of the stacked kernel); returns a
-    true ellipse or raises DegenerateConfiguration.
+    true ellipse or raises DegenerateConfiguration.  Points that are not
+    finite raise ValueError.
     """
     coeffs = ConicCoeffs(_fit_one(points, 2))
     if not coeffs.is_ellipse:
@@ -244,7 +247,8 @@ def fit_ellipsoid_direct(points: np.ndarray) -> QuadricCoeffs:
     """Least-squares unit-norm quadric fit of (n, 3) points, n >= 9.
 
     Raises DegenerateConfiguration when the quadric is not unique (e.g.
-    coplanar points) and NotAnEllipsoid when it is another surface.
+    coplanar points) and NotAnEllipsoid when it is another surface;
+    points that are not finite raise ValueError.
     """
     coeffs = QuadricCoeffs(_fit_one(points, 3))
     if not coeffs.is_ellipsoid:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import contextvars
-import threading
+import queue
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -102,9 +101,10 @@ def _overlaps(pts: np.ndarray, refine_cfg: RefineConfig) -> bool:
 def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
                             refine_cfg: RefineConfig, seed: int,
                             detect_all: bool):
-    """``spectrum_of_points`` on a worker thread while this thread computes
-    refine's rescue trajectory and then ``eigenvector_flag_report``;
-    returns the spectrum, the report and refine's keywords.
+    """``spectrum_of_points`` on a :class:`~conic_purge._cores.Worker`
+    while this thread computes refine's rescue trajectory and then
+    ``eigenvector_flag_report``; returns the spectrum, the report and
+    refine's keywords.
 
     The eigensolve releases the GIL and the rescue is Python-heavy, so
     this split, not the reverse, keeps both cores busy.  The worker hands
@@ -129,60 +129,42 @@ def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
     # refuses points as the worker's first step would, before it starts
     halves = (RowHalves(pts, eligibility.bandwidth_rank)
               if pts.shape[0] >= SPLIT_MIN_POINTS else None)
-    solved = {}
-    handed = threading.Event()
-
-    def hand_off(spectrum):
-        solved["spectrum"] = spectrum
-        handed.set()
+    # the spectrum once solved, or None once the worker ends without one
+    handed = queue.SimpleQueue()
 
     def solve():
         try:
             if halves is None:
-                proximity.spectrum_of_points(pts, eligibility,
-                                             on_solved=hand_off)
-            else:
-                proximity.generalized_eigs(halves.build(1),
-                                           on_solved=hand_off, halves=halves)
-        except BaseException as exc:  # handed to the caller, re-raised there
-            solved["error"] = exc
+                return proximity.spectrum_of_points(pts, eligibility,
+                                                    on_solved=handed.put)
+            return proximity.generalized_eigs(halves.build(1),
+                                              on_solved=handed.put)
         finally:
-            handed.set()  # a failure before the hand-off must not block
+            handed.put(None)  # a failure before the hand-off must not block
 
-    worker = threading.Thread(target=contextvars.copy_context().run,
-                              args=(solve,))
-    worker.start()
-    report = failed = None
-    try:
+    report = None
+    stop = None if halves is None else halves.release
+    with _cores.Worker(solve, stop=stop) as worker:
         if halves is not None:
             halves.build(0)
         try:
             rescue = rescue_start(pts, refine_cfg)
             # the rescue's loop only while the worker has not handed the
             # spectrum over; after that it would delay the report
-            if not handed.is_set():
+            if handed.empty():
                 rescue.finish()
             given = {"rescue": rescue}
         except Exception:
             given = {}
-        handed.wait()
-        if "spectrum" in solved:
+        spectrum = handed.get()
+        if spectrum is not None:
             try:
                 report = proximity.eigenvector_flag_report(
-                    solved["spectrum"], eligibility, seed, detect_all)
-            except Exception as exc:  # raised unless the worker failed
-                failed = exc
-            if halves is not None:
-                halves.check()
-    finally:
-        if halves is not None:
-            halves.release()
-        worker.join()
-    if "error" in solved:
-        raise solved.pop("error")
-    if failed is not None:
-        raise failed
-    return solved["spectrum"], report, given
+                    spectrum, eligibility, seed, detect_all)
+            finally:
+                if halves is not None:
+                    halves.check(spectrum)
+    return worker.result, report, given
 
 
 def detect_points(points: np.ndarray, stage: str = "both",
@@ -208,24 +190,28 @@ def detect_points(points: np.ndarray, stage: str = "both",
     every eligible vector, not only the trusted ones.  The stage uses that
     same spectrum and report, so it solves the spectrum once.
 
-    Stage "both" solves the spectrum on a worker thread while the caller
-    computes refine's rescue trajectory
+    Stage "both" solves the spectrum on a worker thread, started by the
+    helper of every overlap (:class:`~conic_purge._cores.Worker`), while
+    the caller computes refine's rescue trajectory
     (:func:`~conic_purge.modelfit.rescue_start`), which needs no labels:
-    its start, and its classification loop when the spectrum is not
-    handed over first.  The caller then builds the report while the
-    worker verifies the eigenpairs.  This happens when numpy's OpenBLAS
-    leaves one of the process's CPUs free (it runs on fewer threads than
-    there are usable CPUs); otherwise the stages run one after the other.
-    From ``SPLIT_MIN_POINTS`` points on, the caller first builds half of
-    the graph with the worker, computes the rescue trajectory during the
-    eigensolve, and after its report takes row blocks of the eigenpair
-    check; the worker is still the only thread started.  Either way the
-    outcome, the spectrum and report handed to ``on_report`` and any
-    error are those of the serial stages: the thread is joined before ``on_report`` is called, so the
-    hook only sees a verified spectrum, and before this returns or
-    raises.  When they overlap, ``timings_ms["proximity_ms"]`` covers the
-    caller's part of the rescue trajectory too (its start, and its loop
-    when run there), and ``"model_ms"`` the rest of refine.
+    its start, and its classification loop when the spectrum is not handed
+    over first.  The caller then builds the report while the worker
+    verifies the eigenpairs.  This happens when numpy's OpenBLAS leaves
+    one of the process's CPUs free (it runs on fewer threads than there
+    are usable CPUs); otherwise the stages run one after the other.  From
+    ``SPLIT_MIN_POINTS`` points on, the caller first runs the graph passes
+    over one row half while the worker runs them over the other, computes
+    the rescue trajectory during the eigensolve, and after its report
+    takes row blocks of the eigenpair check
+    (:class:`~conic_purge.spectral.RowHalves`); the worker is still the
+    only thread started.  Either way the outcome, the spectrum and report
+    handed to ``on_report`` and any error are those of the serial stages:
+    the worker's error wins over the caller's, and the worker is joined
+    before ``on_report`` is called, so the hook only sees a verified
+    spectrum, and before this returns or raises.  When they overlap,
+    ``timings_ms["proximity_ms"]`` covers the caller's part of the rescue
+    trajectory too (its start, and its loop when run there), and
+    ``"model_ms"`` the rest of refine.
     """
     pts = np.asarray(points, dtype=float)
     eligibility = eligibility or EligibilityConfig()

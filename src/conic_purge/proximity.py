@@ -460,10 +460,12 @@ def spectrum_of_points(points: np.ndarray,
                        ) -> Spectrum:
     """Heat-kernel graph spectrum of a point set (the stage's front half).
 
-    ``on_solved`` goes to :func:`~conic_purge.spectral.generalized_eigs`,
-    which hands it the spectrum before verifying its eigenpairs.  Large
-    point sets in the overlapped pipeline stages build the same graph on
-    two threads instead (:class:`~conic_purge.spectral.RowHalves`), with
+    This is the one-thread driver of the graph passes: each public
+    function runs its row-range passes over all rows.  ``on_solved`` goes
+    to :func:`~conic_purge.spectral.generalized_eigs`, which hands it the
+    spectrum before verifying its eigenpairs.  Large point sets in the
+    overlapped pipeline stages run the same passes on two threads over
+    row halves instead (:class:`~conic_purge.spectral.RowHalves`), with
     the same spectrum and errors bit for bit.
     """
     cfg = cfg or EligibilityConfig()

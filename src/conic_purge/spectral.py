@@ -7,6 +7,7 @@ generalized problem  L f = lambda D f.
 
 from __future__ import annotations
 
+import queue
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -66,6 +67,22 @@ class LaplacianPair:
         _check_degrees(deg)
         object.__setattr__(self, "laplacian", lap)
         object.__setattr__(self, "degrees", deg)
+
+    def _symmetric_form(self, inv_root: np.ndarray) -> np.ndarray:
+        """0.5 (S + S^T), S = D^{-1/2} L D^{-1/2}: the scaling and
+        symmetric passes over all rows."""
+        k = len(self.degrees)
+        scaled = np.empty((k, k))
+        _scaled_rows(self.laplacian, inv_root, scaled, 0, k)
+        sym = np.empty((k, k))
+        _symmetric_rows(scaled, sym, 0, k)
+        return sym
+
+    def _residuals(self, spectrum: Spectrum,
+                   scratch: np.ndarray) -> tuple[float, float]:
+        """The residual check over all rows (:func:`_residual_rows`)."""
+        return _residual_rows(self.laplacian, self.degrees, spectrum, 0,
+                              len(self.degrees), scratch)
 
 
 @dataclass(frozen=True)
@@ -240,7 +257,7 @@ def _symmetric_rows(scaled: np.ndarray, out: np.ndarray, first: int,
 
 def generalized_eigs(lp: LaplacianPair, *,
                      on_solved: Callable[[Spectrum], None] | None = None,
-                     halves: RowHalves | None = None) -> Spectrum:
+                     ) -> Spectrum:
     """Full spectrum of  L f = lambda D f  via the symmetric reduction.
 
     The problem is rescaled with D^{-1/2} to a standard symmetric one,
@@ -263,45 +280,33 @@ def generalized_eigs(lp: LaplacianPair, *,
     The check only reads it, and the same object is returned once it
     passes.
 
-    ``halves``, the :class:`RowHalves` whose ``build(1)`` returned ``lp``,
-    supplies the symmetric form the two threads built, and splits the
-    check into row blocks that the other thread may share
-    (:meth:`RowHalves.check`); the result and any error are the same.
+    A pair that :class:`RowHalves` built brings the symmetric form its
+    two threads built, and splits the check into row blocks that the
+    other thread may share (:meth:`RowHalves.check`); the result and any
+    error are the same.
 
     Four K x K float64 arrays are live at most, L included, besides what
-    eigh allocates internally; the inputs are not modified.  With
-    ``halves`` three are (L, the symmetric form, reused as the check's
-    scratch, and the vectors), and each check block adds a product of
-    ``BLOCK_ENTRIES`` entries per thread.
+    eigh allocates internally; the inputs are not modified.  For a pair
+    that :class:`RowHalves` built three are (L, the symmetric form,
+    reused as the check's scratch, and the vectors), and each check block
+    adds a product of ``BLOCK_ENTRIES`` entries per thread.
     """
     lap, deg = lp.laplacian, lp.degrees
     k = lap.shape[0]
     if k > MAX_POINTS:
         raise ValueError(f"K={k} exceeds the configured cap of {MAX_POINTS}")
     inv_root = 1.0 / np.sqrt(deg)
-    if halves is None:
-        scaled = np.empty((k, k))
-        _scaled_rows(lap, inv_root, scaled, 0, k)
-        sym = np.empty((k, k))
-        _symmetric_rows(scaled, sym, 0, k)
-        del scaled
-    else:
-        sym = halves.symmetric
+    sym = lp._symmetric_form(inv_root)
     evals, vectors = np.linalg.eigh(sym)
     vectors *= inv_root[:, None]
     # max-norm 1 with the largest-magnitude entry exactly +1
     peak = np.argmax(np.abs(vectors, out=sym), axis=0)
     vectors /= vectors[peak, np.arange(k)]
     spectrum = Spectrum(evals, vectors)
-    if halves is not None:
-        halves.solved(lp, spectrum, sym)
     if on_solved is not None:
         on_solved(spectrum)
-    if halves is None:
-        # sym's buffer is reused for |L|, L' and D F diag(λ)
-        row_sum, worst = _residual_rows(lap, deg, spectrum, 0, k, sym)
-    else:
-        row_sum, worst = halves.verify()
+    # sym's buffer is reused for |L|, L' and D F diag(λ)
+    row_sum, worst = lp._residuals(spectrum, sym)
     limit = RESIDUAL_RTOL * row_sum + k * np.finfo(float).tiny
     if worst > limit:
         raise ConvergenceFailure(
@@ -331,27 +336,30 @@ class RowHalves:
     """The graph and the residual check of ``spectrum_of_points`` on one
     point set, shared by two threads, with the bits of one thread.
 
-    The thread that makes it (part 0, the lower rows) calls
-    ``build(0)`` and, once the spectrum is solved, ``check()``; the other
-    (part 1) calls ``generalized_eigs(build(1), halves=...)``, which
-    solves and verifies the eigenpairs.  Making it refuses the points as
-    ``pairwise_distances`` would.
+    The thread that makes it (part 0, the lower rows) calls ``build(0)``
+    and, once the spectrum is handed over, ``check(spectrum)``; the other
+    (part 1) calls ``generalized_eigs(build(1))``, which solves and
+    verifies the eigenpairs.  Part 1 runs on a
+    :class:`~conic_purge._cores.Worker` whose ``stop`` is ``release``.
+    Making it refuses the points as ``pairwise_distances`` would.
 
-    The graph is built in passes over row halves with a barrier between
-    passes: distances; the bandwidth, which part 1 selects from the whole
-    matrix; the kernel; the degrees, by column halves; the Laplacian and
-    D^{-1/2} L D^{-1/2}; and its symmetric part.  One K x K buffer holds
-    the distances, then the weights, then L, and the symmetric form takes
-    two more, one of which is released before the solve, so no more
-    arrays are live than on one thread.  Part 1 allocates all three, so
-    they come from its malloc arena, as on one thread; from part 0's,
-    large2d_cli's peak RSS rose by up to 4 MiB.  Each entry undergoes the
-    operations of the serial functions in the same order: the kernel and
-    the scaling are elementwise, and a column sum adds the column's
-    entries top to bottom whichever other columns are summed with it.
-    An error in either part goes to part 1, which raises the one the
-    serial functions would meet first: of the earliest pass, and of part
-    0 before part 1 within a pass.
+    The graph is built by the ordered list of row-range passes that the
+    serial functions run over all rows (:meth:`_passes`): distances; the
+    bandwidth, which part 1 selects from the whole matrix; the kernel;
+    the degrees, by column halves; the Laplacian; D^{-1/2} L D^{-1/2};
+    and its symmetric part.  Each part runs them over its row half, with
+    a barrier after each pass.  One K x K buffer holds the distances,
+    then the weights, then L, and the symmetric form takes two more, one
+    of which is released before the solve, so no more arrays are live
+    than on one thread.  Part 1 allocates all three, so they come from
+    its malloc arena, as on one thread; from part 0's, large2d_cli's peak
+    RSS rose by up to 4 MiB.  Each entry undergoes the operations of the
+    serial functions in the same order: the kernel and the scaling are
+    elementwise, and a column sum adds the column's entries top to bottom
+    whichever other columns are summed with it.  A part that fails a pass
+    still meets the other at its barrier, and then both stop; part 1
+    raises the error the serial functions would meet first: of that
+    pass, part 0's before its own.
 
     The check is split into blocks of rows (``BLOCK_ENTRIES`` entries
     each), taken in turn by whichever thread is free; each row's products
@@ -369,114 +377,115 @@ class RowHalves:
             raise ValueError("rank multiplier must be >= 1")
         self._rank = rank_multiplier
         self._halves = ((0, k // 2), (k // 2, k))
-        self._barrier = threading.Barrier(2)
+        # the parts' errors, and for each pass both have ended whether
+        # either failed it: the barrier notes that before it lets them go
+        # on, so an error recorded in the next pass does not count yet.
+        # Its action holds no reference to self, which would keep the
+        # K x K buffers alive until a garbage collection
+        errors, ended = {}, []
+        self._errors, self._ended = errors, ended
+        self._barrier = threading.Barrier(
+            2, action=lambda: ended.append(bool(errors)))
+        self._part0_built = False
         self._degrees = np.empty(k)
         self._t = None
-        # the K x K buffers, allocated by part 1 in build
+        # the K x K buffers, allocated by part 1 in its passes
         self._graph = self._scaled = self.symmetric = None
-        self._errors: dict = {}
-        self._part0_built = threading.Event()
         self._blocks = _row_blocks(k, 0, k)
-        self._claimed = 0
-        self._done = threading.Condition()
-        self._results: dict = {}
-        self._solved = None
+        # the check's blocks, then one None that ends each part's share
+        self._unchecked = queue.SimpleQueue()
+        for block in [*range(len(self._blocks)), None, None]:
+            self._unchecked.put(block)
+        self._checked = queue.SimpleQueue()
 
-    def build(self, part: int) -> LaplacianPair | None:
-        """Part ``part``'s half of the graph.  Part 1 waits for part 0 and
-        returns the Laplacian pair, or raises the first error of either
-        part; part 0 returns None and leaves its errors to part 1."""
+    def _passes(self, part: int):
+        """Part ``part``'s graph passes, in order; each ``yield`` ends one."""
         first, end = self._halves[part]
         k = self._pts.shape[0]
-        step = 0
+        if part == 1:  # see the class docstring on the arena
+            self._graph = np.zeros((k, k))
+        yield
+        _distance_rows(self._pts, self._graph, first, end)
+        yield
+        if part == 1:  # the ranked distance, from the whole matrix
+            self._t = select_bandwidth(self._graph, self._rank)
+        yield
+        _kernel_rows(self._graph, self._t, first, end)
+        yield
+        if part == 1:
+            self._scaled = np.empty((k, k))
+            self.symmetric = np.empty((k, k))
+        _degree_columns(self._graph, self._degrees, first, end)
+        yield
+        _check_degrees(self._degrees)
+        _laplacian_rows(self._graph, self._degrees, first, end)
+        yield
+        _scaled_rows(self._graph, 1.0 / np.sqrt(self._degrees), self._scaled,
+                     first, end)
+        yield
+        _symmetric_rows(self._scaled, self.symmetric, first, end)
+        yield
+
+    def build(self, part: int) -> LaplacianPair | None:
+        """Part ``part``'s half of the graph.  Part 1 returns the Laplacian
+        pair, or raises the first error of either part; part 0 returns
+        None and leaves its errors to part 1."""
         try:
-            if part == 1:  # see the class docstring on the arena
-                self._graph = np.zeros((k, k))
-            self._barrier.wait()
-            g = self._graph
-            _distance_rows(self._pts, g, first, end)
-            self._barrier.wait()
-            step = 1
-            if part == 1:  # the ranked distance, from the whole matrix
-                self._t = select_bandwidth(g, self._rank)
-            self._barrier.wait()
-            step = 2
-            _kernel_rows(g, self._t, first, end)
-            self._barrier.wait()
-            step = 3
-            if part == 1:
-                self._scaled = np.empty((k, k))
-                self.symmetric = np.empty((k, k))
-            deg = self._degrees
-            _degree_columns(g, deg, first, end)
-            self._barrier.wait()
-            step = 4
-            _check_degrees(deg)
-            step = 5
-            _laplacian_rows(g, deg, first, end)
-            _scaled_rows(g, 1.0 / np.sqrt(deg), self._scaled, first, end)
-            self._barrier.wait()
-            _symmetric_rows(self._scaled, self.symmetric, first, end)
-            self._barrier.wait()
-        except threading.BrokenBarrierError:
-            pass  # the other part failed; its error is recorded
-        except BaseException as exc:
-            self._errors[step, part] = exc
-            self._barrier.abort()
-        finally:
-            if part == 0:
-                self._part0_built.set()
+            for _ in self._passes(part):
+                self._barrier.wait()
+                if self._ended[-1]:
+                    break
+        except BaseException as exc:  # raised by part 1 below
+            self._errors[part] = exc
+            self._barrier.wait()  # where the other part ends this pass
         if part == 0:
+            self._part0_built = True
             return None
-        self._part0_built.wait()
         self._scaled = None  # released before the solve
         if self._errors:
             raise self._errors[min(self._errors)]
-        return LaplacianPair(self._graph, self._degrees)
+        return _HalvedPair(self._graph, self._degrees, halves=self)
 
     def release(self) -> None:
-        """Part 0 is done with the graph, or gives up on it before
-        ``build(0)``: part 1 waits for it no longer."""
-        if not self._part0_built.is_set():
-            self._errors.setdefault(
-                (-1, 0), RuntimeError("part 0 left the graph unbuilt"))
+        """Part 0 leaves.  Had it not finished ``build(0)``, part 1 stops
+        waiting for it at a barrier and raises BrokenBarrierError."""
+        if not self._part0_built:
             self._barrier.abort()
-            self._part0_built.set()
 
-    def solved(self, lp: LaplacianPair, spectrum: Spectrum,
-               scratch: np.ndarray) -> None:
-        """Hand the solved spectrum over for the check; ``scratch`` is a
-        K x K buffer whose rows the check may overwrite."""
-        self._solved = (lp.laplacian, lp.degrees, spectrum, scratch)
-
-    def check(self) -> None:
-        """Check row blocks until none is left; errors go to part 1."""
-        lap, deg, spectrum, scratch = self._solved
-        while True:
-            with self._done:
-                block = self._claimed
-                self._claimed += 1
-            if block >= len(self._blocks):
-                return
+    def check(self, spectrum: Spectrum) -> None:
+        """Check row blocks of ``spectrum`` until none is left; the results
+        and errors go to part 1.  Each part calls it once."""
+        for block in iter(self._unchecked.get, None):
             try:
-                result = _residual_rows(lap, deg, spectrum,
-                                        *self._blocks[block], scratch)
-            except BaseException as exc:
+                result = _residual_rows(self._graph, self._degrees, spectrum,
+                                        *self._blocks[block], self.symmetric)
+            except BaseException as exc:  # raised by part 1 in verify
                 result = exc
-            with self._done:
-                self._results[block] = result
-                self._done.notify_all()
+            self._checked.put((block, result))
 
-    def verify(self) -> tuple[float, float]:
+    def verify(self, spectrum: Spectrum) -> tuple[float, float]:
         """Part 1: check blocks, wait for the last, and return the largest
         row sum and residual, or raise the lowest block's error."""
-        self.check()
-        with self._done:
-            self._done.wait_for(
-                lambda: len(self._results) == len(self._blocks))
-        results = [self._results[b] for b in range(len(self._blocks))]
+        self.check(spectrum)
+        results = [result for _, result in
+                   sorted(self._checked.get() for _ in self._blocks)]
         for result in results:
             if isinstance(result, BaseException):
                 raise result
         row_sums, worsts = np.array(results).T
         return float(row_sums.max()), float(worsts.max())
+
+
+@dataclass(frozen=True)
+class _HalvedPair(LaplacianPair):
+    """The Laplacian pair of a :class:`RowHalves`, whose two threads built
+    its symmetric form and share its residual check."""
+
+    halves: RowHalves
+
+    def _symmetric_form(self, inv_root: np.ndarray) -> np.ndarray:
+        return self.halves.symmetric
+
+    def _residuals(self, spectrum: Spectrum,
+                   scratch: np.ndarray) -> tuple[float, float]:
+        return self.halves.verify(spectrum)

@@ -71,6 +71,13 @@ class TestFitEllipseDirect:
         with pytest.raises(TooFewPoints):
             fit_ellipse_direct(np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, rng, bad):
+        pts = rng.normal(size=(50, 2))
+        pts[17, 1] = bad
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            fit_ellipse_direct(pts)
+
     def test_always_returns_ellipse(self, rng):
         # scattered points still produce a valid (if useless) ellipse
         for _ in range(10):
@@ -115,6 +122,13 @@ class TestFitEllipsoidDirect:
         flat[:, 2] = 1.0
         with pytest.raises(DegenerateConfiguration):
             fit_ellipsoid_direct(flat)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, rng, bad):
+        pts = ellipsoid_samples(random_axis_ellipsoid(), 50)
+        pts[17, 1] = bad
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            fit_ellipsoid_direct(pts)
 
     def test_non_ellipsoid_reported(self, rng):
         # points on a hyperbolic sheet z^2 = 1 + x^2 + y^2

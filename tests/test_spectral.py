@@ -1,4 +1,4 @@
-import contextvars
+import gc
 import math
 import threading
 import time
@@ -16,6 +16,7 @@ from conic_purge import (ConvergenceFailure, DegenerateBandwidth,
                          ellipse_from_eccentricity, generalized_eigs,
                          graph_laplacian, heat_kernel_weights, make_dataset,
                          pairwise_distances, select_bandwidth)
+from conic_purge import _cores
 from conic_purge import spectral as spectral_mod
 from conic_purge.spectral import (MAX_POINTS, RESIDUAL_RTOL, SQUARE_MARGIN,
                                   LaplacianPair)
@@ -452,29 +453,20 @@ def spectrum_in_halves(pts, rank=4, caller_checks=True):
 
     def solve():
         try:
-            out["returned"] = generalized_eigs(halves.build(1),
-                                               on_solved=hand_off,
-                                               halves=halves)
-        except Exception as exc:
-            out["error"] = exc
+            return generalized_eigs(halves.build(1), on_solved=hand_off)
         finally:
             handed.set()
 
-    worker = threading.Thread(target=contextvars.copy_context().run,
-                              args=(solve,))
-    worker.start()
     try:
-        halves.build(0)
-        handed.wait()
-        if caller_checks and "spectrum" in out:
-            halves.check()
-    finally:
-        halves.release()
-        worker.join()
-    if "error" in out:
-        return type(out["error"]), str(out["error"])
-    assert out["returned"] is out["spectrum"]
-    return out["returned"]
+        with _cores.Worker(solve, stop=halves.release) as worker:
+            halves.build(0)
+            handed.wait()
+            if caller_checks and "spectrum" in out:
+                halves.check(out["spectrum"])
+    except Exception as exc:
+        return type(exc), str(exc)
+    assert worker.result is out["spectrum"]
+    return worker.result
 
 
 def spectrum_on_one_thread(pts, rank=4, reference=False):
@@ -586,12 +578,46 @@ class TestRowHalves:
             assert isinstance(serial, tuple)
             assert spectrum_in_halves(pts) == serial
 
+    @pytest.mark.parametrize("slow_part", [0, 1])
+    def test_lower_half_error_wins_within_a_pass(self, monkeypatch,
+                                                 slow_part):
+        # both halves fail the kernel pass, whichever fails first in time:
+        # the lower half's error is raised, the one the serial row order
+        # meets first, and no later pass runs
+        later = []
+
+        def fails(w, t, first, end):
+            if (first == 0) == (slow_part == 0):
+                time.sleep(0.05)
+            raise RuntimeError(f"kernel rows from {first}")
+
+        monkeypatch.setattr(spectral_mod, "_kernel_rows", fails)
+        monkeypatch.setattr(spectral_mod, "_degree_columns",
+                            lambda *args: later.append(args))
+        pts = np.random.default_rng(2).normal(size=(40, 2))
+        assert spectrum_in_halves(pts) == spectrum_on_one_thread(pts) == \
+            (RuntimeError, "kernel rows from 0")
+        assert later == []
+
     def test_refuses_what_distances_refuse(self):
         for pts in (np.ones((1, 2)), np.full((6, 2), np.nan)):
             with pytest.raises((TooFewPoints, ValueError)) as caught:
                 spectral_mod.RowHalves(pts, 4)
             with pytest.raises(caught.type, match=str(caught.value)):
                 pairwise_distances(pts)
+
+    def test_freed_without_a_garbage_collection(self):
+        # nothing holds the halves in a reference cycle, so their K x K
+        # buffers go with the last reference, not at the next collection
+        pts = np.random.default_rng(4).normal(size=(60, 2))
+        gc.collect()
+        gc.disable()
+        try:
+            spectrum_in_halves(pts)
+            assert not any(isinstance(obj, spectral_mod.RowHalves)
+                           for obj in gc.get_objects())
+        finally:
+            gc.enable()
 
     def test_spectrum_memory(self):
         # as on one thread (test_proximity's test_spectrum_memory): the
