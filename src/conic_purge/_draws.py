@@ -20,11 +20,12 @@ order, so every sample is the same bit for bit:
   draws again;
 - ``choice``'s Floyd sampling (Bentley & Floyd 1987), where a value drawn
   before is replaced by the step's upper end, then the Fisher-Yates
-  shuffle of the sample; or, for ``n > 10000`` and ``size > n // 50``,
-  its partial Fisher-Yates shuffle of the whole population.
+  shuffle of the sample.
 
 Every trial draws in lockstep with the others; only the rare rejected
-Lemire draws are redrawn for a subset of rows.
+Lemire draws are redrawn for a subset of rows.  That covers the draws
+whose bounds fit 32 bits and for which ``choice`` takes Floyd's route;
+every other draw is numpy's own, one child generator per trial.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ _LOW32 = np.uint64(_M32)
 # choice's switch from Floyd's algorithm to a tail shuffle of arange(n)
 _FLOYD_MAX_N = 10000
 _TAIL_CUTOFF = 50
-# population entries per block of rows in the tail shuffle
-_TAIL_ENTRIES = 1 << 20
 
 
 def _hash(value: np.ndarray, const: int, mult: int):
@@ -165,43 +164,26 @@ class _Pcg64Rows:
         return out
 
     def bounded(self, high: int) -> np.ndarray:
-        """``random_bounded_uint64(0, high)`` without masking, for every row.
-
-        Lemire's multiply-shift on 32-bit words up to ``high < 2**32 - 1``
-        and on 64-bit words above; ``high`` of 0 draws nothing and
-        ``2**32 - 1`` takes one word as it is.
-        """
+        """``random_bounded_uint64(0, high)`` without masking, for every row
+        and ``high < 2**32 - 1``: Lemire's multiply-shift on 32-bit words;
+        ``high`` of 0 draws nothing."""
         if high == 0:
             return np.zeros(len(self.rows), dtype=np.uint64)
-        if high == _M32:
-            return self.next32(self.rows)
-        excl = high + 1
-        wide = high > _M32
-        threshold = np.uint64((2 ** (64 if wide else 32) - excl) % excl)
+        excl = np.uint64(high + 1)
+        threshold = np.uint64((2 ** 32 - high - 1) % (high + 1))
         out = np.empty(len(self.rows), dtype=np.uint64)
         pending = self.rows
         while pending.size:
-            if wide:
-                value, leftover = _mul64(self.next64(pending), np.uint64(excl))
-            else:
-                product = self.next32(pending) * np.uint64(excl)
-                value, leftover = product >> np.uint64(32), product & _LOW32
-            out[pending] = value
-            pending = pending[leftover < threshold]
+            product = self.next32(pending) * excl
+            out[pending] = product >> np.uint64(32)
+            pending = pending[(product & _LOW32) < threshold]
         return out
 
 
-def _shuffle(streams: _Pcg64Rows, idx: np.ndarray, first: int) -> None:
-    """choice's ``_shuffle_int``: swap each column from the last down to
-    ``first`` with a uniformly drawn column at or before it, row-wise."""
-    for i in range(idx.shape[1] - 1, first - 1, -1):
-        j = streams.bounded(i).astype(np.intp)
-        swapped = idx[streams.rows, j]
-        idx[streams.rows, j] = idx[:, i]
-        idx[:, i] = swapped
-
-
 def _floyd(streams: _Pcg64Rows, n: int, size: int) -> np.ndarray:
+    """choice's Floyd sampling, then its ``_shuffle_int`` of the sample:
+    each column from the last down to the second swaps with a uniformly
+    drawn column at or before it, row-wise."""
     idx = np.empty((len(streams.rows), size), dtype=np.int64)
     for t, j in enumerate(range(n - size, n)):
         value = streams.bounded(j).astype(np.int64)
@@ -209,61 +191,38 @@ def _floyd(streams: _Pcg64Rows, n: int, size: int) -> np.ndarray:
         # earlier step could draw
         drawn = (idx[:, :t] == value[:, None]).any(axis=1)
         idx[:, t] = np.where(drawn, j, value)
-    _shuffle(streams, idx, 1)
+    for i in range(size - 1, 0, -1):
+        j = streams.bounded(i).astype(np.intp)
+        swapped = idx[streams.rows, j]
+        idx[streams.rows, j] = idx[:, i]
+        idx[:, i] = swapped
     return idx
-
-
-def _tail_shuffle(streams: _Pcg64Rows, n: int, size: int) -> np.ndarray:
-    idx = np.tile(np.arange(n, dtype=np.int64), (len(streams.rows), 1))
-    _shuffle(streams, idx, max(n - size, 1))
-    return idx[:, n - size:]
 
 
 def seeded_choices(n: int, size: int, seed: int, count: int) -> np.ndarray:
     """(count, size) int64 samples without replacement from ``range(n)``.
 
     Row i is ``default_rng(child_i).choice(n, size, replace=False)`` for
-    the children of ``SeedSequence(seed).spawn(count)``, bit for bit, and
-    the arguments are refused as numpy refuses them: a negative seed with
-    ``ValueError``, a seed or size that is not an integer with
-    ``TypeError``, a population that is not an integer, empty, or smaller
-    than ``size`` with ``ValueError``.  Floyd's duplicate check compares
-    each value with the row's earlier ones, so time grows as
-    ``count * size**2``; the tail-shuffle branch holds blocks of about
-    2**20 population entries.
+    the children of ``SeedSequence(seed).spawn(count)``, bit for bit.
+    Computed here for an integer seed >= 0 and 0 < size <= n < 2**32 where
+    choice takes Floyd's route (n <= 10000 or size <= n // 50); Floyd's
+    duplicate check compares each value with the row's earlier ones, so
+    time grows as ``count * size**2``.  Any other draw is numpy's own, one
+    trial at a time, and numpy refuses what it refuses.
     """
     try:
-        seed = operator.index(seed)
+        n_int, size_int, seed_int = map(operator.index, (n, size, seed))
+        floyd = (seed_int >= 0 and 0 < size_int <= n_int <= _M32
+                 and (n_int <= _FLOYD_MAX_N
+                      or size_int <= n_int // _TAIL_CUTOFF))
     except TypeError:
-        raise TypeError(f"seed must be an integer, not {seed!r}") from None
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    entropy = []
-    while True:  # numpy's little-endian uint32 words of the seed
-        entropy.append(seed & _M32)
-        seed >>= 32
-        if seed == 0:
-            break
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError("a must be a sequence or an integer, "
-                         f"not {type(n)}") from None
-    size = operator.index(size)
-    if n <= 0 and size != 0:
-        raise ValueError("a must be a positive integer unless no samples "
-                         "are taken")
-    if size > n:
-        raise ValueError("Cannot take a larger sample than population when "
-                         "replace is False")
-    if size < 0:
-        raise ValueError("negative dimensions are not allowed")
-    out = np.empty((count, size), dtype=np.int64)
-    tail = n > _FLOYD_MAX_N and size > n // _TAIL_CUTOFF
-    block = max(1, _TAIL_ENTRIES // n) if tail else max(count, 1)
-    for start in range(0, count, block):
-        keys = np.arange(start, min(start + block, count))
-        streams = _Pcg64Rows(entropy, keys)
-        out[start:start + block] = (_tail_shuffle if tail else _floyd)(
-            streams, n, size)
-    return out
+        floyd = False
+    if not floyd:
+        return np.array([
+            np.random.default_rng(child).choice(n, size=size, replace=False)
+            for child in np.random.SeedSequence(seed).spawn(count)],
+            dtype=np.int64).reshape(count, size)
+    # numpy's little-endian uint32 words of the seed, at least one
+    entropy = [seed_int >> shift & _M32
+               for shift in range(0, max(seed_int.bit_length(), 1), 32)]
+    return _floyd(_Pcg64Rows(entropy, np.arange(count)), n_int, size_int)

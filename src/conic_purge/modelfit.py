@@ -31,7 +31,6 @@ __all__ = [
     "fit_ellipsoid_direct",
     "refine",
     "rescue_start",
-    "RescueTrajectory",
     "vanilla_ransac",
     "ransac_success_prob",
     "MIN_POINTS_ELLIPSE",
@@ -454,7 +453,8 @@ def _minimal_samples(n: int, size: int, seed: int, count: int) -> np.ndarray:
     Trial i's sample is the one of its own child generator,
     ``default_rng(SeedSequence(seed).spawn(count)[i]).choice(n, size,
     replace=False)``; :func:`seeded_choices` computes all of them together,
-    bit for bit, without building the children.
+    bit for bit, without building the children wherever the library draws
+    (numpy's own per-trial draw serves the rest).
     """
     return seeded_choices(n, size, seed, count)
 
@@ -529,59 +529,40 @@ def _trim_size(pts: np.ndarray, min_points: int) -> int:
     return max(min_points, (pts.shape[0] + 1) // 2)
 
 
-class RescueTrajectory:
-    """:func:`refine`'s rescue trajectory on one set of points.
-
-    ``found`` is what :func:`_multistart_concentrate` returned: the best
-    trimmed half-set as a mask with its fit, or None.  ``start`` is that
-    mask, or None when there is none.  The trajectory's classification
-    loop runs from the fit on the first :meth:`finish`, by whoever calls
-    it first: a caller with time to spare or refine.
-    """
-
-    __slots__ = ("start", "_loop_args", "_outcome")
-
-    def __init__(self, found, pts, fitter, min_points: int,
-                 cfg: RefineConfig):
-        self.start, model = (None, None) if found is None else found
-        self._loop_args = (pts, self.start, fitter, min_points, cfg, model)
-        self._outcome = _UNSET
-
-    def finish(self):
-        """The loop's (model, inliers, iterations, converged), computed
-        once.  None when there is no start or when the loop's fit failed
-        (DegenerateConfiguration, NotAnEllipse, NotAnEllipsoid): refine
-        treats both as no rescue outcome.  Any other error propagates and
-        leaves the trajectory unfinished."""
-        if self._outcome is _UNSET:
-            outcome = None
-            if self.start is not None:
-                try:
-                    outcome = _classification_loop(*self._loop_args)
-                except _FIT_ERRORS:
-                    pass
-            self._outcome = outcome
-        return self._outcome
+def _rescue_loop(found, pts, fitter, min_points: int, cfg: RefineConfig):
+    """The rescue trajectory's classification loop from ``found``, what
+    :func:`_multistart_concentrate` returned: the loop's (model, inliers,
+    iterations, converged), or None when there is no start or when the
+    loop's fit failed (DegenerateConfiguration, NotAnEllipse,
+    NotAnEllipsoid).  Any other error propagates."""
+    if found is None:
+        return None
+    start, model = found
+    try:
+        return _classification_loop(pts, start, fitter, min_points, cfg, model)
+    except _FIT_ERRORS:
+        return None
 
 
-def rescue_start(points: np.ndarray,
-                 cfg: RefineConfig | None = None) -> RescueTrajectory:
-    """:func:`refine`'s rescue trajectory on ``points``, started.
+def rescue_start(points: np.ndarray, cfg: RefineConfig | None = None):
+    """:func:`refine`'s rescue trajectory on ``points``, run to its end.
 
     Its start and its loop depend on the points and ``cfg`` only, never on
-    a labeling, so a caller may compute the start here, run the loop
-    (:meth:`RescueTrajectory.finish`) beside other work, and hand the
-    trajectory, finished or not, to ``refine(points, ..., cfg,
-    rescue=...)``.  Raises ValueError, as refine does, for points that are
-    not finite (n, 2) or (n, 3) rows and for a ``min_points`` below the
-    fit's minimum.
+    a labeling, so a caller may compute the rescue here, beside other
+    work, and hand what this returns to ``refine(points, ..., cfg,
+    rescue=...)``: the loop's (model, inliers, iterations, converged), or
+    None when there is no start or when the loop's fit failed, which
+    refine treats as no rescue outcome.  Any other error propagates.
+    Raises ValueError, as refine does, for points that are not finite
+    (n, 2) or (n, 3) rows and for a ``min_points`` below the fit's
+    minimum.
     """
     cfg = cfg or RefineConfig()
     pts = np.asarray(points, dtype=float)
     fitter, min_points = _dim_tools(pts, cfg.min_points)
     found = _multistart_concentrate(pts, min_points,
                                     _trim_size(pts, min_points))
-    return RescueTrajectory(found, pts, fitter, min_points, cfg)
+    return _rescue_loop(found, pts, fitter, min_points, cfg)
 
 
 def refine(points: np.ndarray, initial: DetectionLabels,
@@ -601,11 +582,11 @@ def refine(points: np.ndarray, initial: DetectionLabels,
     other's result stands alone; the plain trajectory's error is raised
     only when both fail.
 
-    The keyword-only ``rescue`` is the trajectory ``rescue_start(points,
-    cfg)`` returned, finished or not, when the caller already has it, or
-    None for no rescue; refine computes it otherwise, after its own
-    checks, and finishes it after the plain trajectory.  The result is the
-    same bits either way.
+    The keyword-only ``rescue`` is what ``rescue_start(points, cfg)``
+    returned, when the caller already has it; None is no rescue outcome.
+    Otherwise refine computes it after its own checks: the concentration
+    before the plain trajectory, the rescue's loop after it.  The result
+    is the same bits either way.
     """
     cfg = cfg or RefineConfig()
     pts = np.asarray(points, dtype=float)
@@ -617,17 +598,17 @@ def refine(points: np.ndarray, initial: DetectionLabels,
 
     # the rescue route must not depend on the starting labels, otherwise
     # re-running refine on its own output could surface new candidates
-    if rescue is _UNSET:
-        rescue = RescueTrajectory(_multistart_concentrate(pts, min_points,
-                                                          half),
-                                  pts, fitter, min_points, cfg)
+    computed = rescue is _UNSET
+    if computed:
+        found = _multistart_concentrate(pts, min_points, half)
     try:
         plain = _classification_loop(pts, initial.inlier, fitter,
                                      min_points, cfg)
     except _FIT_ERRORS as exc:
         plain, error = None, exc
-    rescued = None if rescue is None else rescue.finish()
-    outcomes = [out for out in (plain, rescued) if out is not None]
+    if computed:
+        rescue = _rescue_loop(found, pts, fitter, min_points, cfg)
+    outcomes = [out for out in (plain, rescue) if out is not None]
     if not outcomes:
         raise error
     best = int(np.argmin(_trimmed_objectives(

@@ -102,7 +102,7 @@ def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
                             refine_cfg: RefineConfig, seed: int,
                             detect_all: bool):
     """``spectrum_of_points`` on a :class:`~conic_purge._cores.Worker`
-    while this thread computes refine's rescue trajectory and then
+    while this thread runs refine's rescue trajectory and then
     ``eigenvector_flag_report``; returns the spectrum, the report and
     refine's keywords.
 
@@ -118,13 +118,11 @@ def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
     joined before anything is returned or raised, so only a verified
     spectrum leaves this function.  Errors keep the serial order: the
     worker's (the check's ``ConvergenceFailure`` included) wins over the
-    report's.  The rescue trajectory is started here
-    (:func:`~conic_purge.modelfit.rescue_start`), and its classification
-    loop, which needs no labels either, runs here too when the spectrum
-    has not been handed over by then; otherwise refine runs it.  A loop
-    whose fit fails is a rescue without an outcome, as in refine.  A
-    rescue that raised anything else is left to refine, which computes it
-    again and raises in its own order.
+    report's.  The rescue trajectory, which needs no labels, runs here to
+    its end (:func:`~conic_purge.modelfit.rescue_start`), before or after
+    the hand-off; a loop whose fit fails is a rescue without an outcome,
+    as in refine.  A rescue that raised anything else is left to refine,
+    which computes it again and raises in its own order.
     """
     # refuses points as the worker's first step would, before it starts
     halves = (RowHalves(pts, eligibility.bandwidth_rank)
@@ -148,12 +146,7 @@ def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
         if halves is not None:
             halves.build(0)
         try:
-            rescue = rescue_start(pts, refine_cfg)
-            # the rescue's loop only while the worker has not handed the
-            # spectrum over; after that it would delay the report
-            if handed.empty():
-                rescue.finish()
-            given = {"rescue": rescue}
+            given = {"rescue": rescue_start(pts, refine_cfg)}
         except Exception:
             given = {}
         spectrum = handed.get()
@@ -192,13 +185,12 @@ def detect_points(points: np.ndarray, stage: str = "both",
 
     Stage "both" solves the spectrum on a worker thread, started by the
     helper of every overlap (:class:`~conic_purge._cores.Worker`), while
-    the caller computes refine's rescue trajectory
-    (:func:`~conic_purge.modelfit.rescue_start`), which needs no labels:
-    its start, and its classification loop when the spectrum is not handed
-    over first.  The caller then builds the report while the worker
-    verifies the eigenpairs.  This happens when numpy's OpenBLAS leaves
-    one of the process's CPUs free (it runs on fewer threads than there
-    are usable CPUs); otherwise the stages run one after the other.  From
+    the caller runs refine's rescue trajectory, which needs no labels, to
+    its end (:func:`~conic_purge.modelfit.rescue_start`).  The caller then
+    builds the report while the worker verifies the eigenpairs.  This
+    happens when numpy's OpenBLAS leaves one of the process's CPUs free
+    (it runs on fewer threads than there are usable CPUs); otherwise the
+    stages run one after the other.  From
     ``SPLIT_MIN_POINTS`` points on, the caller first runs the graph passes
     over one row half while the worker runs them over the other, computes
     the rescue trajectory during the eigensolve, and after its report
@@ -209,8 +201,7 @@ def detect_points(points: np.ndarray, stage: str = "both",
     the worker's error wins over the caller's, and the worker is joined
     before ``on_report`` is called, so the hook only sees a verified
     spectrum, and before this returns or raises.  When they overlap,
-    ``timings_ms["proximity_ms"]`` covers the caller's part of the rescue
-    trajectory too (its start, and its loop when run there), and
+    ``timings_ms["proximity_ms"]`` covers the rescue trajectory too, and
     ``"model_ms"`` the rest of refine.
     """
     pts = np.asarray(points, dtype=float)

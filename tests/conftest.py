@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conic_purge import (EllipseParams, EllipsoidParams, ExperimentConfig,
-                         ellipse_from_eccentricity)
+                         ellipse_from_eccentricity, modelfit)
 
 # tests that run ``python -m conic_purge`` in a subprocess import the
 # in-tree package, as pytest itself does through its ``pythonpath`` setting
@@ -33,6 +33,15 @@ FREEZE_SCENARIOS = {
 LARGE_SPECTRUM_SCENARIO = ExperimentConfig(
     model=ellipse_from_eccentricity(5.0, 0.95), n_inliers=600,
     n_outliers=200, sigma0=0.05, sigma1=2.0, seed=6680197457481298160)
+
+
+def rescue_mask(pts: np.ndarray):
+    """The start mask of refine's rescue trajectory on ``pts`` (default
+    config), or None when it has none."""
+    _, min_points = modelfit._dim_tools(pts, None)
+    found = modelfit._multistart_concentrate(
+        pts, min_points, modelfit._trim_size(pts, min_points))
+    return None if found is None else found[0]
 
 
 def random_ellipse(rng) -> EllipseParams:

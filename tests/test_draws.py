@@ -57,6 +57,24 @@ def test_bound_edges(n, size):
     assert_matches_reference(n, size, 7, 200)
 
 
+@pytest.mark.parametrize("n, size, count", [
+    (150, 5, 60), (190, 5, 1000), (350, 9, 60), (800, 5, 60),
+    (20000, 5, 1000)])
+def test_library_draws_are_computed_together(monkeypatch, n, size, count):
+    # the rescue's and RANSAC's draws at the benchmark workloads' point
+    # counts, and a large population: none may fall back to numpy's
+    # per-trial draw, which takes ~20x as long for 1000 trials
+    expected = reference_draws._minimal_samples(n, size, 3, count)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy's per-trial draw was taken")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    monkeypatch.setattr(np.random, "SeedSequence", refused)
+    assert np.array_equal(modelfit._minimal_samples(n, size, 3, count),
+                          expected)
+
+
 @pytest.mark.parametrize("args, error", [
     ((40, 5, -1, 3), ValueError),
     ((40, 5, 5.0, 3), TypeError),

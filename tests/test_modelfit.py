@@ -32,7 +32,7 @@ import reference_fits
 import reference_ransac
 import reference_refine
 from conftest import (FREEZE_SCENARIOS, LARGE_SPECTRUM_SCENARIO,
-                      random_ellipse, random_ellipsoid)
+                      random_ellipse, random_ellipsoid, rescue_mask)
 
 
 def ellipse_samples(e, n, jitter=0.0, rng=None, offset=0.1):
@@ -370,7 +370,8 @@ class TestPointsTooSmallToSquare:
 
     def test_rescue_has_no_start_and_refine_refuses(self):
         pts = tiny_scene()
-        assert modelfit.rescue_start(pts).start is None
+        assert rescue_mask(pts) is None
+        assert modelfit.rescue_start(pts) is None
         with pytest.raises(DegenerateConfiguration):
             refine(pts, DetectionLabels(np.zeros(len(pts), dtype=bool),
                                         "model"))
@@ -1398,7 +1399,7 @@ class TestRescueSamples:
 
 
 class TestRescueStart:
-    """A rescue trajectory handed to refine, finished beforehand or not,
+    """A rescue trajectory run by ``rescue_start`` and handed to refine
     gives the bits of the one refine computes itself."""
 
     CASES = {**REFINE_CASES,
@@ -1414,13 +1415,10 @@ class TestRescueStart:
         for initial in (planted_labels(data, cfg.seed), everything):
             expected = refine_outcome(refine, data.points, initial,
                                       cfg.refine)
-            for finished in (False, True):
-                rescue = modelfit.rescue_start(data.points, cfg.refine)
-                if finished:
-                    rescue.finish()
-                given = functools.partial(refine, rescue=rescue)
-                assert refine_outcome(given, data.points, initial,
-                                      cfg.refine) == expected
+            rescue = modelfit.rescue_start(data.points, cfg.refine)
+            given = functools.partial(refine, rescue=rescue)
+            assert refine_outcome(given, data.points, initial,
+                                  cfg.refine) == expected
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_loop_starts_from_the_concentration_fit(self, case,
@@ -1438,7 +1436,7 @@ class TestRescueStart:
         name = fitter.__name__
         monkeypatch.setattr(modelfit, name, lambda sample: (
             fitted.append(sample), fitter(sample))[1])
-        outcome = modelfit.rescue_start(pts).finish()
+        outcome = modelfit.rescue_start(pts)
         assert not any(np.array_equal(sample, pts[start])
                        for sample in fitted)
         monkeypatch.setattr(modelfit, name, fitter)
@@ -1451,8 +1449,7 @@ class TestRescueStart:
     def test_the_loop_runs_once(self, monkeypatch):
         data = make_dataset(REFINE_CASES["c7-ellipsoid"])
         rescue = modelfit.rescue_start(data.points)
-        outcome = rescue.finish()
-        assert outcome is not None and rescue.finish() is outcome
+        assert rescue is not None
         monkeypatch.setattr(modelfit, "_multistart_concentrate", None)
         starts = []
         original = modelfit._classification_loop
@@ -1467,36 +1464,38 @@ class TestRescueStart:
 
     @pytest.mark.parametrize("error", [DegenerateConfiguration,
                                        NotAnEllipse, NotAnEllipsoid])
-    @pytest.mark.parametrize("finished", [False, True])
+    @pytest.mark.parametrize("by_caller", [False, True])
     def test_fit_error_in_the_loop_is_no_rescue(self, monkeypatch, error,
-                                                finished):
+                                                by_caller):
         # the rescue loop's fit fails: refine keeps the plain trajectory,
-        # whether it or the caller ran the loop, as refine alone does
+        # whether it or the caller ran the loop, as with no rescue at all
         data = make_dataset(REFINE_CASES["c5-m90"])
         initial = planted_labels(data, 2)
-        rescue_mask = modelfit.rescue_start(data.points).start
+        mask = rescue_mask(data.points)
         original = modelfit._classification_loop
 
         def failing(pts, start, *args):
-            if np.array_equal(start, rescue_mask):
+            if np.array_equal(start, mask):
                 raise error("planted")
             return original(pts, start, *args)
 
         monkeypatch.setattr(modelfit, "_classification_loop", failing)
-        rescue = modelfit.rescue_start(data.points)
-        if finished:
-            assert rescue.finish() is None
-        given = refine_outcome(functools.partial(refine, rescue=rescue),
-                               data.points, initial, None)
+        run = refine
+        if by_caller:
+            rescue = modelfit.rescue_start(data.points)
+            assert rescue is None
+            run = functools.partial(refine, rescue=rescue)
+        given = refine_outcome(run, data.points, initial, None)
         assert given == refine_outcome(refine, data.points, initial, None)
         assert given == refine_outcome(functools.partial(refine, rescue=None),
                                        data.points, initial, None)
 
-    def test_other_errors_leave_it_unfinished(self, monkeypatch):
+    def test_other_loop_errors_propagate(self, monkeypatch):
+        # an error other than a fit's leaves the caller no outcome to hand
+        # over; refine then computes its own rescue, as without a caller
         data = make_dataset(REFINE_CASES["c3-typical"])
         initial = planted_labels(data, 3)
         expected = refine_outcome(refine, data.points, initial, None)
-        rescue = modelfit.rescue_start(data.points)
         original = modelfit._classification_loop
 
         def interrupted(*args):
@@ -1504,10 +1503,15 @@ class TestRescueStart:
 
         monkeypatch.setattr(modelfit, "_classification_loop", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            rescue.finish()
+            modelfit.rescue_start(data.points)
         monkeypatch.setattr(modelfit, "_classification_loop", original)
-        assert refine_outcome(functools.partial(refine, rescue=rescue),
-                              data.points, initial, None) == expected
+        starts = []
+        original_start = modelfit._multistart_concentrate
+        monkeypatch.setattr(modelfit, "_multistart_concentrate",
+                            lambda *args: starts.append(args)
+                            or original_start(*args))
+        assert refine_outcome(refine, data.points, initial, None) == expected
+        assert len(starts) == 1
 
     def test_none_is_no_rescue(self, monkeypatch):
         data = make_dataset(REFINE_CASES["c5-m90"])
@@ -1517,7 +1521,7 @@ class TestRescueStart:
         monkeypatch.setattr(modelfit, "_multistart_concentrate",
                             lambda *args: None)
         assert given == refine_outcome(refine, data.points, initial, None)
-        assert modelfit.rescue_start(data.points).finish() is None
+        assert modelfit.rescue_start(data.points) is None
 
     def test_a_given_rescue_is_not_recomputed(self, monkeypatch):
         data = make_dataset(REFINE_CASES["c3-typical"])

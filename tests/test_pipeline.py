@@ -4,6 +4,7 @@ import sys
 import threading
 import typing
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conic_purge import (ConicCoeffs, ConicPurgeError, ConvergenceFailure,
                          DegenerateBandwidth, DegenerateConfiguration,
-                         EllipsoidParams, NotAnEllipsoid,
+                         EllipsoidParams, NotAnEllipse, NotAnEllipsoid,
                          ExperimentConfig, QuadricCoeffs, RefineConfig,
                          TooFewPoints, detect_points,
                          ellipse_from_eccentricity, make_dataset, refine,
@@ -22,7 +23,7 @@ from conic_purge.pipeline import (PIPELINES, DetectionOutcome, RunRecord,
                                   sweep_configs, sweep_trial_seed)
 from conic_purge.proximity import proximity_stage
 
-from conftest import FREEZE_SCENARIOS, random_rotation
+from conftest import FREEZE_SCENARIOS, random_rotation, rescue_mask
 
 
 TYPICAL = ExperimentConfig(model=ellipse_from_eccentricity(5.0, 0.95),
@@ -30,15 +31,48 @@ TYPICAL = ExperimentConfig(model=ellipse_from_eccentricity(5.0, 0.95),
                            sigma1=2.0, seed=17)
 
 
+@st.composite
+def scenarios(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    n_inliers = draw(st.integers(12, 300))
+    n_outliers = draw(st.integers(0, min(n_inliers, 400 - n_inliers)))
+    sigma0 = draw(st.sampled_from([0.0, 0.01, 0.1]))
+    sigma1 = draw(st.sampled_from([0.1, 1.0, 5.0]))
+    if dim == 2:
+        model = ellipse_from_eccentricity(
+            draw(st.floats(1.0, 10.0)), draw(st.floats(0.0, 0.95)))
+    else:
+        axes = np.array(sorted(draw(st.lists(st.floats(1.0, 8.0),
+                                             min_size=3, max_size=3)),
+                               reverse=True))
+        model = EllipsoidParams(np.zeros(3), axes, np.eye(3))
+    return ExperimentConfig(model=model, n_inliers=n_inliers,
+                            n_outliers=n_outliers, sigma0=sigma0,
+                            sigma1=sigma1, seed=draw(st.integers(0, 2**32)))
+
+
 class TestDetectPoints:
-    def test_stage_both_equals_chain(self):
-        data = make_dataset(TYPICAL)
-        both = detect_points(data.points, "both", seed=4)
-        prox = detect_points(data.points, "proximity", seed=4)
-        chained = detect_points(data.points, "model", seed=4,
-                                init_labels=prox.labels)
-        assert np.array_equal(both.labels.outlier, chained.labels.outlier)
-        assert np.array_equal(both.model.values, chained.model.values)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(cfg=scenarios())
+    def test_stage_both_equals_chain(self, cfg):
+        # overlapped, stage "both" hands refine the rescue the caller ran
+        # beside the eigensolve; the chained stage "model" computes its own
+        pts = make_dataset(cfg).points
+        overlap = mock.patch.object(pipeline, "_spectrum_beside_rescue",
+                                    wraps=pipeline._spectrum_beside_rescue)
+        with mock.patch.object(_cores, "spare_core", lambda: True), \
+                overlap as overlapped:
+            both = overlapped_outcome(pts, seed=cfg.seed)
+        assert overlapped.call_count == 1
+        try:
+            prox = proximity_labels(pts, cfg.seed)
+            chained = detect_points(pts, "model", seed=cfg.seed,
+                                    init_labels=prox)
+        except (ConicPurgeError, ValueError) as exc:
+            assert both == (type(exc), str(exc))
+        else:
+            assert both == (outcome_bits(prox, chained.fit),
+                            outcome_bits(chained.labels, chained.fit))
 
     def test_unknown_stage(self):
         data = make_dataset(TYPICAL)
@@ -58,6 +92,16 @@ def quiet(fn, *args, **kwargs):
         warnings.filterwarnings("ignore", "flag budget|no eligible",
                                 RuntimeWarning)
         return fn(*args, **kwargs)
+
+
+def proximity_labels(pts, seed):
+    """The labels of stage "proximity".  Its direct fit of the inliers,
+    which stage "both" does not make, is the only step that raises a fit
+    error; the labels are then read from the stage itself."""
+    try:
+        return quiet(detect_points, pts, "proximity", seed=seed).labels
+    except (DegenerateConfiguration, NotAnEllipse, NotAnEllipsoid):
+        return quiet(proximity_stage, pts, None, seed)
 
 
 def outcome_bits(labels, fit):
@@ -116,26 +160,6 @@ def solved_on(monkeypatch):
 
     monkeypatch.setattr(proximity, "spectrum_of_points", recorded)
     return ran
-
-
-@st.composite
-def scenarios(draw):
-    dim = draw(st.sampled_from([2, 3]))
-    n_inliers = draw(st.integers(12, 300))
-    n_outliers = draw(st.integers(0, min(n_inliers, 400 - n_inliers)))
-    sigma0 = draw(st.sampled_from([0.0, 0.01, 0.1]))
-    sigma1 = draw(st.sampled_from([0.1, 1.0, 5.0]))
-    if dim == 2:
-        model = ellipse_from_eccentricity(
-            draw(st.floats(1.0, 10.0)), draw(st.floats(0.0, 0.95)))
-    else:
-        axes = np.array(sorted(draw(st.lists(st.floats(1.0, 8.0),
-                                             min_size=3, max_size=3)),
-                               reverse=True))
-        model = EllipsoidParams(np.zeros(3), axes, np.eye(3))
-    return ExperimentConfig(model=model, n_inliers=n_inliers,
-                            n_outliers=n_outliers, sigma0=sigma0,
-                            sigma1=sigma1, seed=draw(st.integers(0, 2**32)))
 
 
 class TestOverlap:
@@ -411,10 +435,10 @@ class TestOverlap:
         assert overlapped_outcome(pts, seed=cfg.seed) == expected
         assert calls == [False, True]
 
-    def test_rescue_loop_left_to_refine_after_the_hand_off(self, monkeypatch,
-                                                           threads):
+    def test_caller_runs_the_rescue_loop_after_the_hand_off(
+            self, monkeypatch, threads):
         # the rescue start waits until the spectrum is solved: the caller
-        # leaves the loop to refine, which runs it after the plain one
+        # still runs the loop, and refine then runs only the plain one
         cfg = FREEZE_SCENARIOS["ellipsoid3d"]
         pts = make_dataset(cfg).points
         expected = serial_outcome(pts, seed=cfg.seed)
@@ -436,7 +460,7 @@ class TestOverlap:
         monkeypatch.setattr(pipeline, "rescue_start", start_late)
         calls, _ = self._loops(monkeypatch)
         assert overlapped_outcome(pts, seed=cfg.seed) == expected
-        assert calls == [True, True]
+        assert calls == [False, True]
 
     @pytest.mark.parametrize("error", [DegenerateConfiguration,
                                        NotAnEllipsoid, RuntimeError])
@@ -446,10 +470,10 @@ class TestOverlap:
         # the plain trajectory, as serially
         cfg = FREEZE_SCENARIOS["ellipsoid3d"]
         pts = make_dataset(cfg).points
-        rescue_mask = modelfit.rescue_start(pts).start
+        mask = rescue_mask(pts)
 
         def fail(start):
-            if np.array_equal(start, rescue_mask):
+            if np.array_equal(start, mask):
                 raise error("planted loop")
 
         calls, entered = self._loops(monkeypatch, fail)
