@@ -754,7 +754,7 @@ def _drawn_chunks(rng: np.random.Generator, samples: int):
     Otherwise each chunk is drawn here, into one buffer.  The draws, and
     so the generator's end state after the last chunk, are the same
     either way.  Closing the generator, early or at the end, tells the
-    worker to stop and joins it.
+    worker to stop and waits for it.
     """
     sizes = [3 * min(_MC_CHUNK, samples - start)
              for start in range(0, samples, _MC_CHUNK)]
@@ -881,10 +881,10 @@ def nonoverlap_ratio(fit, truth, resolution: int = 512,
     margin for rounding, is counted from a cached per-cell count of the
     draws, and only the points of the other cells (about one in seven for
     a close fit) are tested.  Where numpy's OpenBLAS leaves a CPU free, a
-    worker thread, started by the helper of every overlap
+    worker thread, a reused thread of the helper of every overlap
     (:class:`~conic_purge._cores.Worker`), draws the chunks ahead while
-    the caller counts, and is stopped and joined before this returns or
-    raises.  The values, and the end state of a Generator passed as
+    the caller counts, and is stopped and waited for before this returns
+    or raises.  The values, and the end state of a Generator passed as
     ``seed``, are those of testing every cell (every point) of one draw
     at once.
     Identical models give exactly 0, disjoint models (area_fit +

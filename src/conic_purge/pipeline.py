@@ -36,9 +36,11 @@ PIPELINES = ("two_stage", "no_elimination", "ransac")
 # build and the eigenpair check between the two threads.  Below it the
 # caller's rescue start and report take about as long as the worker's
 # graph and solve, and moving work to the caller did not pay: split,
-# detect_points ran within noise at K=150 and 2-5% faster at K=250-450
-# in 2-D, but 8% slower at K=350-400 in 3-D; from K=500 on it ran 7-11%
-# faster in both (2 CPUs, OpenBLAS on one thread; BENCH_splithalves.json)
+# detect_points ran 12% slower at K=150 and 2-8% faster at K=250-450 in
+# 2-D, but 12-17% slower at K=150-250 and within 2% at K=350-500 in 3-D;
+# from K=650 on it ran 7-9% faster in both, and 11% at K=500 in 2-D
+# (2 CPUs, OpenBLAS on one thread, worker threads reused, medians of 24
+# calls per K; BENCH_pool.json, first measured in BENCH_splithalves.json)
 SPLIT_MIN_POINTS = 500
 
 # the config fields a sweep may vary, with the cast of their grid values
@@ -114,8 +116,8 @@ def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
     the graph with the worker before computing the rescue during the
     eigensolve, and takes row blocks of the check once its report is
     made (:class:`~conic_purge.spectral.RowHalves`).  The worker runs in
-    a copy of the caller's context (its ``np.errstate`` included) and is
-    joined before anything is returned or raised, so only a verified
+    a copy of the caller's context (its ``np.errstate`` included) and has
+    ended before anything is returned or raised, so only a verified
     spectrum leaves this function.  Errors keep the serial order: the
     worker's (the check's ``ConvergenceFailure`` included) wins over the
     report's.  The rescue trajectory, which needs no labels, runs here to
@@ -183,22 +185,22 @@ def detect_points(points: np.ndarray, stage: str = "both",
     every eligible vector, not only the trusted ones.  The stage uses that
     same spectrum and report, so it solves the spectrum once.
 
-    Stage "both" solves the spectrum on a worker thread, started by the
-    helper of every overlap (:class:`~conic_purge._cores.Worker`), while
-    the caller runs refine's rescue trajectory, which needs no labels, to
-    its end (:func:`~conic_purge.modelfit.rescue_start`).  The caller then
-    builds the report while the worker verifies the eigenpairs.  This
-    happens when numpy's OpenBLAS leaves one of the process's CPUs free
-    (it runs on fewer threads than there are usable CPUs); otherwise the
-    stages run one after the other.  From
+    Stage "both" solves the spectrum on a worker thread, a reused thread
+    of the helper of every overlap (:class:`~conic_purge._cores.Worker`),
+    while the caller runs refine's rescue trajectory, which needs no
+    labels, to its end (:func:`~conic_purge.modelfit.rescue_start`).  The
+    caller then builds the report while the worker verifies the
+    eigenpairs.  This happens when numpy's OpenBLAS leaves one of the
+    process's CPUs free (it runs on fewer threads than there are usable
+    CPUs); otherwise the stages run one after the other.  From
     ``SPLIT_MIN_POINTS`` points on, the caller first runs the graph passes
     over one row half while the worker runs them over the other, computes
     the rescue trajectory during the eigensolve, and after its report
     takes row blocks of the eigenpair check
     (:class:`~conic_purge.spectral.RowHalves`); the worker is still the
-    only thread started.  Either way the outcome, the spectrum and report
+    only other thread.  Either way the outcome, the spectrum and report
     handed to ``on_report`` and any error are those of the serial stages:
-    the worker's error wins over the caller's, and the worker is joined
+    the worker's error wins over the caller's, and the worker has ended
     before ``on_report`` is called, so the hook only sees a verified
     spectrum, and before this returns or raises.  When they overlap,
     ``timings_ms["proximity_ms"]`` covers the rescue trajectory too, and

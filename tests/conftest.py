@@ -1,11 +1,12 @@
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conic_purge import (EllipseParams, EllipsoidParams, ExperimentConfig,
-                         ellipse_from_eccentricity, modelfit)
+                         _cores, ellipse_from_eccentricity, modelfit)
 
 # tests that run ``python -m conic_purge`` in a subprocess import the
 # in-tree package, as pytest itself does through its ``pythonpath`` setting
@@ -70,6 +71,34 @@ def random_ellipsoid(rng) -> EllipsoidParams:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def warm_pool():
+    """Leave a thread waiting on the worker pool's idle list, so that the
+    next overlap starts none."""
+    with _cores.Worker(lambda: None):
+        pass
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """The thread each ``_cores.Worker`` ran its work on while the test
+    runs, in the order the work started.  On exit every work has ended:
+    those threads wait on the pool's idle list again, and every thread
+    that appeared meanwhile is one of the pool's, waiting there."""
+    ran = []
+    original = _cores.Worker._run
+
+    def recorded(self, context):
+        ran.append(threading.current_thread())
+        return original(self, context)
+
+    before = set(threading.enumerate())
+    monkeypatch.setattr(_cores.Worker, "_run", recorded)
+    yield ran
+    idle = {waiting.thread for waiting in _cores._idle}
+    assert set(ran) <= idle
+    assert set(threading.enumerate()) - before <= idle
 
 
 def pytest_configure(config):

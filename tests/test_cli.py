@@ -16,7 +16,7 @@ from conic_purge.geometry import ellipse_boundary_points
 from conic_purge.proximity import DetectionLabels
 from conic_purge.synth import make_dataset, read_dataset_csv, write_dataset_csv
 
-from conftest import FREEZE_SCENARIOS, LARGE_SPECTRUM_SCENARIO
+from conftest import FREEZE_SCENARIOS, LARGE_SPECTRUM_SCENARIO, warm_pool
 
 
 def run_cli(*args, cwd=None):
@@ -462,6 +462,7 @@ class TestDetect:
         write_dataset_csv(data, make_dataset(cfg).points)
         outputs = [tmp_path / name for name in
                    ("labels.csv", "model.json", "spec.csv", "elig.csv")]
+        warm_pool()
         before = threading.active_count()
         assert cli.main(detect_argv(data, cfg.seed, *outputs)) == 2
         assert "ConvergenceFailure" in capsys.readouterr().err
@@ -552,33 +553,29 @@ class TestDetect:
 
     @pytest.mark.parametrize("scenario", ["typical2d", "large"])
     def test_overlapped_outputs_are_the_serial_bytes(self, tmp_path,
-                                                     monkeypatch, scenario):
+                                                     monkeypatch, threads,
+                                                     scenario):
         # stage "both" with both dumps, the spectrum solved on a worker
         # beside the rescue start or on the caller before it: the same
-        # labels, model and dumps, byte for byte, and no thread left over
+        # labels, model and dumps, byte for byte, and after a warm-up no
+        # thread started
         from conic_purge import _cores, cli, proximity
         cfg = FREEZE_SCENARIOS.get(scenario, LARGE_SPECTRUM_SCENARIO)
         data = make_dataset(cfg)
         csv = tmp_path / "data.csv"
         write_dataset_csv(csv, data.points, data.truth)
-        solved_on, started = [], []
+        solved_on = []
         original = proximity.generalized_eigs
         monkeypatch.setattr(
             proximity, "generalized_eigs",
             lambda lp, **hand_off: solved_on.append(
                 threading.current_thread()) or original(lp, **hand_off))
-
-        class Recorded(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Recorded)
         outputs = {}
         for spare in (True, False):
             monkeypatch.setattr(_cores, "spare_core", lambda: spare)
+            warm_pool()
             solved_on.clear()
-            started.clear()
+            threads.clear()
             before = threading.active_count()
             paths = [tmp_path / f"{spare}-{name}" for name in
                      ("labels.csv", "model.json", "spectrum.csv",
@@ -588,9 +585,8 @@ class TestDetect:
                                         RuntimeWarning)
                 assert cli.main(detect_argv(csv, cfg.seed, *paths)) == 0
             assert threading.active_count() == before
-            assert not any(t.is_alive() for t in started)
-            assert len(solved_on) == 1 and len(started) == int(spare)
-            assert solved_on[0] is (started[0] if spare
+            assert len(solved_on) == 1 and len(threads) == int(spare)
+            assert solved_on[0] is (threads[0] if spare
                                     else threading.main_thread())
             outputs[spare] = [path.read_bytes() for path in paths]
         assert outputs[True] == outputs[False]

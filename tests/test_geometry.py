@@ -25,7 +25,8 @@ from conic_purge.geometry import (_MC_CHUNK, _coeffs_from_matrix, _interior,
                                   ellipsoid_boundary_points,
                                   ellipsoid_contains, signed_residuals)
 
-from conftest import random_ellipse, random_ellipsoid, random_rotation
+from conftest import (random_ellipse, random_ellipsoid, random_rotation,
+                      warm_pool)
 
 
 UNIT_CIRCLE = EllipseParams(0.0, 0.0, 1.0, 1.0, 0.0)
@@ -755,6 +756,7 @@ class TestCellTable:
 
         for spare in (True, False):
             geometry._cell_table.cache_clear()
+            warm_pool()
             before = threading.active_count()
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(_cores, "spare_core", lambda: spare)
@@ -765,23 +767,6 @@ class TestCellTable:
             assert _table(1_000_000, 5).counts is None
             assert nonoverlap_ratio(*self.PAIR, seed=5) == \
                 ref.nonoverlap_ratio(*self.PAIR, seed=5)
-
-
-@pytest.fixture
-def started(monkeypatch):
-    """The threads started while the test runs; on exit none is left."""
-    threads = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            threads.append(self)
-            super().start()
-
-    before = threading.active_count()
-    monkeypatch.setattr(threading, "Thread", Recorded)
-    yield threads
-    assert threading.active_count() == before
-    assert not any(t.is_alive() for t in threads)
 
 
 class _Failing:
@@ -801,7 +786,8 @@ class _Failing:
 class TestDrawAhead:
     """With a spare core the Monte Carlo chunks are drawn ahead on one
     worker thread: the chunks, the counts and a passed Generator's end
-    state are those of the inline draw, and no thread outlives a call."""
+    state are those of the inline draw, and the worker thread waits for
+    the next call once a call ends."""
 
     PAIR = _ellipsoid_pair(np.random.default_rng(12), "near")
     SAMPLES = [1, _MC_CHUNK, _MC_CHUNK + 1, 2 * _MC_CHUNK + 1,
@@ -816,7 +802,7 @@ class TestDrawAhead:
 
     @pytest.mark.parametrize("samples", SAMPLES)
     @pytest.mark.parametrize("spare", [True, False])
-    def test_chunks_are_one_draw(self, monkeypatch, started, spare, samples):
+    def test_chunks_are_one_draw(self, monkeypatch, threads, spare, samples):
         monkeypatch.setattr(_cores, "spare_core", lambda: spare)
         chunks = self._chunks(3, samples)
         assert [start for start, _ in chunks] == \
@@ -824,11 +810,11 @@ class TestDrawAhead:
         assert all(len(u) == _MC_CHUNK for _, u in chunks[:-1])
         assert np.array_equal(np.concatenate([u for _, u in chunks]),
                               np.random.default_rng(3).random((samples, 3)))
-        assert len(started) == int(spare and samples > _MC_CHUNK)
+        assert len(threads) == int(spare and samples > _MC_CHUNK)
 
     @pytest.mark.parametrize("samples", SAMPLES + [1_000_000])
     @pytest.mark.parametrize("seed", ["int", "generator"])
-    def test_counts_and_generator_state(self, monkeypatch, started, samples,
+    def test_counts_and_generator_state(self, monkeypatch, threads, samples,
                                         seed):
         results = {}
         for spare in (True, False):
@@ -845,18 +831,18 @@ class TestDrawAhead:
             after = np.random.default_rng(8)
             after.random((samples, 3))
             assert results[True, True][1] == after.bit_generator.state
-        assert len(started) == 2 * int(samples > _MC_CHUNK)
+        assert len(threads) == 2 * int(samples > _MC_CHUNK)
 
     @pytest.mark.parametrize("fail_at", [1, 2, geometry._MC_RING + 2])
-    def test_worker_error_is_raised_here(self, monkeypatch, started,
+    def test_worker_error_is_raised_here(self, monkeypatch, threads,
                                          fail_at):
         monkeypatch.setattr(_cores, "spare_core", lambda: True)
         with pytest.raises(RuntimeError, match="planted draw"):
             list(geometry._drawn_chunks(_Failing(fail_at), 10 * _MC_CHUNK))
-        assert len(started) == 1
+        assert len(threads) == 1
 
     @pytest.mark.parametrize("taken", [0, 1, geometry._MC_RING + 1])
-    def test_closing_early_stops_the_worker(self, monkeypatch, started,
+    def test_closing_early_stops_the_worker(self, monkeypatch, threads,
                                             taken):
         monkeypatch.setattr(_cores, "spare_core", lambda: True)
         chunks = geometry._drawn_chunks(np.random.default_rng(0),
@@ -864,7 +850,7 @@ class TestDrawAhead:
         for _ in range(taken):
             next(chunks)
         chunks.close()
-        assert len(started) == int(taken > 0)
+        assert len(threads) == int(taken > 0)
 
 
 class TestNonoverlapMemory:

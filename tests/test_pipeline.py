@@ -23,7 +23,8 @@ from conic_purge.pipeline import (PIPELINES, DetectionOutcome, RunRecord,
                                   sweep_configs, sweep_trial_seed)
 from conic_purge.proximity import proximity_stage
 
-from conftest import FREEZE_SCENARIOS, random_rotation, rescue_mask
+from conftest import (FREEZE_SCENARIOS, random_rotation, rescue_mask,
+                      warm_pool)
 
 
 TYPICAL = ExperimentConfig(model=ellipse_from_eccentricity(5.0, 0.95),
@@ -131,23 +132,6 @@ def overlapped_outcome(pts, eligibility=None, refine_cfg=None, seed=0):
 
 
 @pytest.fixture
-def threads(monkeypatch):
-    """The threads started while the test runs; on exit none is left."""
-    started = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    before = threading.active_count()
-    monkeypatch.setattr(threading, "Thread", Recorded)
-    yield started
-    assert threading.active_count() == before
-    assert not any(t.is_alive() for t in started)
-
-
-@pytest.fixture
 def solved_on(monkeypatch):
     """The thread on which each ``spectrum_of_points`` call ran, with its
     ``np.geterr()``."""
@@ -165,7 +149,8 @@ def solved_on(monkeypatch):
 class TestOverlap:
     """Stage "both" solves the spectrum on a worker thread beside refine's
     rescue start; its outcome and errors are those of the two stages run
-    one after the other, and no thread outlives the call."""
+    one after the other, and its worker thread waits for the next call
+    once the call returns."""
 
     @pytest.fixture(autouse=True)
     def spare_core(self, monkeypatch):
@@ -187,6 +172,7 @@ class TestOverlap:
     @given(cfg=scenarios())
     def test_matches_serial_on_generated_scenarios(self, cfg):
         pts = make_dataset(cfg).points
+        warm_pool()
         before = threading.active_count()
         assert overlapped_outcome(pts, seed=cfg.seed) == \
             serial_outcome(pts, seed=cfg.seed)
@@ -222,7 +208,7 @@ class TestOverlap:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert results == {i: expected[i % 2] for i in range(6)}
-        assert len(threads) == 12
+        assert len(threads) == 6  # one worker per call
 
     def test_spectral_error_wins(self, monkeypatch, threads, solved_on):
         def fail(lp, *, on_solved=None):
@@ -346,7 +332,7 @@ class TestOverlap:
         assert not caller.is_alive()
         assert outcome == [serial_outcome(pts)]
         assert outcome[0][0] is DegenerateBandwidth
-        assert handed == [] and len(threads) == 2  # the caller, one worker
+        assert handed == [] and len(threads) == 1  # one worker
 
     def test_overflowing_distances(self, threads):
         # finite coordinates whose squared distances would overflow are
@@ -646,6 +632,7 @@ class TestSplit:
     @given(cfg=scenarios())
     def test_matches_serial_on_generated_scenarios(self, cfg):
         pts = make_dataset(cfg).points
+        warm_pool()
         before = threading.active_count()
         assert overlapped_outcome(pts, seed=cfg.seed) == \
             serial_outcome(pts, seed=cfg.seed)
@@ -745,7 +732,7 @@ class TestSplit:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert results == {i: expected[i % 2] for i in range(4)}
-        assert len(threads) == 8
+        assert len(threads) == 4  # one worker per call
 
 
 def report_bits(report):
@@ -812,6 +799,7 @@ class TestRunExperiment:
         records = []
         for spare in (True, False):
             monkeypatch.setattr(_cores, "spare_core", lambda: spare)
+            warm_pool()
             before = threading.active_count()
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "flag budget|no eligible",
