@@ -10,8 +10,8 @@ model catches subtle deviators the graph cannot see.
 
 from .errors import (ConicPurgeError, ConvergenceFailure,
                      DegenerateBandwidth, DegenerateConfiguration,
-                     LengthMismatch, NoEligibleVectors, NotAnEllipse,
-                     NotAnEllipsoid, NoValidModel, TooFewPoints, ZeroVector)
+                     LengthMismatch, NotAnEllipse, NotAnEllipsoid,
+                     NoValidModel, TooFewPoints, ZeroVector)
 from .geometry import (ConicCoeffs, EllipseParams, EllipsoidParams,
                        QuadricCoeffs, conic_from_ellipse, ellipse_from_conic,
                        ellipsoid_from_quadric, nonoverlap_ratio,
@@ -20,9 +20,7 @@ from .modelfit import (FitResult, RefineConfig, fit_ellipse_direct,
                        fit_ellipsoid_direct, ransac_success_prob, refine,
                        rescue_start, vanilla_ransac)
 from .pipeline import DetectionOutcome, RunRecord, detect_points, run_experiment
-from .proximity import (DetectionLabels, EligibilityConfig, detect_1d,
-                        high_frequency_measure, proximity_stage,
-                        select_eligible)
+from .proximity import DetectionLabels, EligibilityConfig, proximity_stage
 from .spectral import (LaplacianPair, Spectrum, generalized_eigs,
                        graph_laplacian, heat_kernel_weights,
                        pairwise_distances, select_bandwidth)
@@ -33,17 +31,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConicPurgeError", "ConvergenceFailure", "DegenerateBandwidth",
-    "DegenerateConfiguration", "LengthMismatch", "NoEligibleVectors",
-    "NotAnEllipse", "NotAnEllipsoid", "NoValidModel", "TooFewPoints",
-    "ZeroVector",
+    "DegenerateConfiguration", "LengthMismatch", "NotAnEllipse",
+    "NotAnEllipsoid", "NoValidModel", "TooFewPoints", "ZeroVector",
     "ConicCoeffs", "EllipseParams", "EllipsoidParams", "QuadricCoeffs",
     "conic_from_ellipse", "ellipse_from_conic", "ellipsoid_from_quadric",
     "quadric_from_ellipsoid", "nonoverlap_ratio", "sampson_distance",
     "FitResult", "RefineConfig", "fit_ellipse_direct", "fit_ellipsoid_direct",
     "ransac_success_prob", "refine", "rescue_start", "vanilla_ransac",
     "DetectionOutcome", "RunRecord", "detect_points", "run_experiment",
-    "DetectionLabels", "EligibilityConfig", "detect_1d",
-    "high_frequency_measure", "proximity_stage", "select_eligible",
+    "DetectionLabels", "EligibilityConfig", "proximity_stage",
     "LaplacianPair", "Spectrum", "generalized_eigs", "graph_laplacian",
     "heat_kernel_weights", "pairwise_distances", "select_bandwidth",
     "ExperimentConfig", "LabeledDataset", "detection_metrics",

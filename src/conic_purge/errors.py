@@ -37,10 +37,6 @@ class ZeroVector(ConicPurgeError):
     """A vector that must be nonzero is identically zero."""
 
 
-class NoEligibleVectors(ConicPurgeError):
-    """No eigenvector passed the low-eigenvalue / low-sign-mix filters."""
-
-
 class DegenerateConfiguration(ConicPurgeError):
     """A point configuration is rank-deficient for the requested fit."""
 

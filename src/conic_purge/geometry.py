@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _cores
-from .errors import NotAnEllipse, NotAnEllipsoid
+from .errors import NotAnEllipse, NotAnEllipsoid, typed_number
 
 __all__ = [
     "EllipseParams",
@@ -890,6 +890,8 @@ def nonoverlap_ratio(fit, truth, resolution: int = 512,
     Identical models give exactly 0, disjoint models (area_fit +
     area_truth) / area_truth.
     """
+    resolution = typed_number(int, resolution, "resolution")
+    mc_samples = typed_number(int, mc_samples, "mc_samples")
     if isinstance(fit, EllipseParams) and isinstance(truth, EllipseParams):
         if resolution < 64:
             raise ValueError("resolution must be at least 64 cells per axis")

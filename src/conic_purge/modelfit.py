@@ -701,6 +701,7 @@ def vanilla_ransac(points: np.ndarray, iterations: int = 1000,
     the samples, the threshold, the counts, the tie-breaks and the
     refusals are those of the exact distances, bit for bit.
     """
+    iterations = typed_number(int, iterations, "iterations")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if inlier_threshold is not None and not 0.0 < inlier_threshold < math.inf:

@@ -210,6 +210,8 @@ def detect_points(points: np.ndarray, stage: str = "both",
     eligibility = eligibility or EligibilityConfig()
     refine_cfg = refine_cfg or RefineConfig()
     timings: dict = {}
+    if stage not in ("proximity", "both", "model"):
+        raise ValueError(f"unknown stage {stage!r}")
 
     if ransac_k is not None:
         start = time.perf_counter()
@@ -239,11 +241,9 @@ def detect_points(points: np.ndarray, stage: str = "both",
             return DetectionOutcome(prox_labels, prox_labels, model, None,
                                     timings)
         initial = prox_labels
-    elif stage == "model":
+    else:
         initial = init_labels if init_labels is not None else \
             DetectionLabels(np.zeros(pts.shape[0], dtype=bool), "model")
-    else:
-        raise ValueError(f"unknown stage {stage!r}")
 
     start = time.perf_counter()
     fit = refine(pts, initial, refine_cfg, **given)

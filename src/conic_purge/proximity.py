@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import NoEligibleVectors, TooFewPoints, ZeroVector, typed_number
+from .errors import TooFewPoints, ZeroVector, typed_number
 from .spectral import (Spectrum, generalized_eigs, graph_laplacian,
                        heat_kernel_weights, pairwise_distances,
                        select_bandwidth)
@@ -26,10 +26,6 @@ from .spectral import (Spectrum, generalized_eigs, graph_laplacian,
 __all__ = [
     "EligibilityConfig",
     "DetectionLabels",
-    "high_frequency_measure",
-    "select_eligible",
-    "detect_1d",
-    "spike_ratio",
     "spectrum_of_points",
     "eigenvector_flag_report",
     "proximity_stage",
@@ -140,21 +136,14 @@ class DetectionLabels:
         return int(np.count_nonzero(self.outlier))
 
 
-def high_frequency_measure(vector: np.ndarray) -> float:
-    """Fraction of absolute mass cancelled by sign mixing.
+def _hf_measures(rows: np.ndarray) -> np.ndarray:
+    """High-frequency measure of each row of a C-contiguous array: the
+    fraction of absolute mass cancelled by sign mixing.
 
     (sum|v_j| - |sum v_j|) / sum|v_j|:  0 for a one-signed vector, 1 when
-    positive and negative mass balance exactly.
-    """
-    v = np.asarray(vector, dtype=float)
-    return float(_hf_measures(v.reshape(1, -1))[0])
-
-
-def _hf_measures(rows: np.ndarray) -> np.ndarray:
-    """``high_frequency_measure`` of each row of a C-contiguous array.
-
-    A row's sums are the pairwise sums numpy takes of the vector alone,
-    so each measure equals the one-vector value bit for bit.
+    positive and negative mass balance exactly.  A row's sums are the
+    pairwise sums numpy takes of the vector alone, so each measure equals
+    the one-vector value bit for bit.
     """
     total = np.abs(rows).sum(axis=1)
     if not total.all():
@@ -183,18 +172,6 @@ def _eligible(spectrum: Spectrum, cfg: EligibilityConfig):
         for _, rows in _row_chunks(spectrum.eigenvectors, below)])
     keep = hf < cfg.hf_threshold
     return below[keep], hf[keep]
-
-
-def select_eligible(spectrum: Spectrum, cfg: EligibilityConfig) -> list[int]:
-    """Indices of low-eigenvalue, low-sign-mix eigenvectors, ascending.
-
-    Raises NoEligibleVectors when nothing qualifies; callers fall back to
-    "no proximity outliers" and continue with the model stage.
-    """
-    eligible = _eligible(spectrum, cfg)[0].tolist()
-    if not eligible:
-        raise NoEligibleVectors("no eigenvector passed the eligibility filters")
-    return eligible
 
 
 def _first_max(first, *rest):
@@ -236,12 +213,16 @@ def _row_quartiles(s: np.ndarray, rows: np.ndarray, count: np.ndarray,
 
 def _detect_rows(values: np.ndarray, gamma: float, max_iter: int,
                  seeds=None, initial: np.ndarray | None = None):
-    """The quantile-interval test of :func:`detect_1d` on each row of
+    """The iterative quantile-interval outlier test on each row of
     ``values`` at once; returns the (rows, n) outlier flags and the rows
     whose interval excluded every element, ascending.
 
-    Row j starts from the random half drawn with ``seeds[j]``, or from
-    ``initial[j]`` when given.  Each row is sorted once, and the rows
+    A pass builds [mu - gamma*(mu - q1), mu + gamma*(q3 - mu)] from the
+    quartiles of a row's inliers and takes the values inside it as the
+    next inliers, to a fixpoint or ``max_iter`` passes.  A row of
+    negligible spread, or whose interval excludes every value, gets no
+    flags.  Row j starts from the random half drawn with ``seeds[j]``, or
+    from ``initial[j]`` when given.  Each row is sorted once, and the rows
     iterate together, each to its own end, so a row's flags are those of
     the test run on that row alone:
 
@@ -335,60 +316,6 @@ def _detect_rows(values: np.ndarray, gamma: float, max_iter: int,
     return flags, live[excluded]
 
 
-def _warn_excluded(stacklevel: int) -> None:
-    warnings.warn("interval excluded every element; keeping all points",
-                  RuntimeWarning, stacklevel=stacklevel + 1)
-
-
-def detect_1d(values: np.ndarray, gamma: float, rng_seed,
-              max_iter: int = 100,
-              initial_inliers: np.ndarray | None = None) -> np.ndarray:
-    """Iterative quantile-interval outlier test on a 1-D sample.
-
-    Starts from a random half of the elements (or ``initial_inliers`` when
-    given), builds the interval
-    [mu - gamma*(mu - q1), mu + gamma*(q3 - mu)] from the current inliers'
-    quartiles, reclassifies everything against it, and repeats to a
-    fixpoint (or ``max_iter``).  Returns the boolean outlier flags.
-
-    The random half is drawn from the value-sorted order, so for a fixed
-    seed the flags do not depend on how the input happens to be arranged.
-    A sample whose total spread is negligible relative to its magnitude
-    yields no flags, as does an interval that would exclude everything.
-
-    The values are sorted once.  After the first pass the inliers are an
-    interval of values, i.e. a contiguous range of the sorted order, so
-    each pass reads its quartiles from a slice.  ValueError is raised for
-    a ``gamma`` that is not a finite positive number, a ``max_iter`` that
-    is not a whole number of at least 1, values that are not a finite 1-D
-    sample, and an initial mask that is empty or of another length.
-    """
-    gamma = typed_number(float, gamma, "gamma")
-    if not 0.0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
-    max_iter = typed_number(int, max_iter, "max_iter")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("values must be a 1-D sample")
-    if v.shape[0] < 4:
-        raise TooFewPoints("need at least 4 values for quartiles")
-    if not np.isfinite(v).all():
-        raise ValueError("values must be finite")
-    initial = None
-    if initial_inliers is not None:
-        initial = np.asarray(initial_inliers, dtype=bool)
-        if initial.shape != v.shape or not initial.any():
-            raise ValueError("initial inlier mask must be nonempty over values")
-        initial = initial[None, :]
-    flags, excluded = _detect_rows(v[None, :], gamma, max_iter, [rng_seed],
-                                   initial)
-    if excluded.size:
-        _warn_excluded(stacklevel=2)
-    return flags[0]
-
-
 def _intra_class_deviation(values: np.ndarray, flags: np.ndarray) -> float:
     dev = 0.0
     for mask in (flags, ~flags):
@@ -413,7 +340,8 @@ def _detect_vectors(rows: np.ndarray, cfg: EligibilityConfig, rng_seed: int,
     flags, excluded = _detect_rows(np.repeat(rows, repeats, axis=0),
                                    cfg.gamma, cfg.max_iter, seeds)
     for _ in excluded:
-        _warn_excluded(stacklevel=3)
+        warnings.warn("interval excluded every element; keeping all points",
+                      RuntimeWarning, stacklevel=3)
     if repeats == 1:
         return list(flags)
     kept = []
@@ -427,21 +355,12 @@ def _detect_vectors(rows: np.ndarray, cfg: EligibilityConfig, rng_seed: int,
     return kept
 
 
-def spike_ratio(vector: np.ndarray) -> float:
-    """Peak-to-bulk ratio ptp/MAD; large for near-binary vectors.
-
-    An indicator-like vector keeps its bulk at one level (tiny MAD) with a
-    few protruding entries (ptp of order 1); smooth modes and noise stay
-    below ~10.
-    """
-    v = np.asarray(vector, dtype=float)
-    return float(_spike_ratios(v.reshape(1, -1))[0])
-
-
 def _spike_ratios(rows: np.ndarray) -> np.ndarray:
-    """``spike_ratio`` of each row, equal to the one-vector value bit for
-    bit: a median is read from the sorted row as ``np.median`` reads it
-    from a partition, the mean of the middle two for an even length."""
+    """Peak-to-bulk ratio ptp/MAD of each row: large for a near-binary
+    vector (its bulk at one level), below ~10 for smooth modes and noise.
+    A median is read from the sorted row as ``np.median`` reads it from a
+    partition, the mean of the middle two for an even length, so each
+    ratio equals the one-vector value bit for bit."""
     def medians(x):
         x = np.sort(x, axis=1)
         mid = x.shape[1] // 2

@@ -293,6 +293,22 @@ class TestNonoverlapRatio:
         with pytest.raises(ValueError):
             nonoverlap_ratio(UNIT_CIRCLE, UNIT_CIRCLE, resolution=32)
 
+    def test_whole_float_counts_taken_as_int(self):
+        fit = EllipseParams(0.1, 0.0, 1.2, 0.9, 0.3)
+        assert nonoverlap_ratio(fit, UNIT_CIRCLE, resolution=100.0) == \
+            nonoverlap_ratio(fit, UNIT_CIRCLE, resolution=100)
+        sphere = EllipsoidParams(np.zeros(3), np.ones(3), np.eye(3))
+        bigger = EllipsoidParams(np.zeros(3), np.full(3, 1.3), np.eye(3))
+        assert nonoverlap_ratio(bigger, sphere, mc_samples=1e6) == \
+            nonoverlap_ratio(bigger, sphere, mc_samples=1_000_000)
+
+    @pytest.mark.parametrize("value", [True, np.True_, 1_000_000.5])
+    @pytest.mark.parametrize("count", ["resolution", "mc_samples"])
+    def test_counts_must_be_whole(self, count, value):
+        with pytest.raises(ValueError,
+                           match=rf"^{count} .* is not an integer$"):
+            nonoverlap_ratio(UNIT_CIRCLE, UNIT_CIRCLE, **{count: value})
+
     def test_mixed_dimensions_rejected(self):
         sphere = EllipsoidParams(np.zeros(3), np.ones(3), np.eye(3))
         with pytest.raises(ValueError):

@@ -715,6 +715,23 @@ class TestVanillaRansac:
         with pytest.raises(NoValidModel):
             vanilla_ransac(pts, iterations=10, rng_seed=0)
 
+    def test_whole_float_iterations_taken_as_int(self, rng):
+        e = random_ellipse(rng)
+        pts = np.vstack([ellipse_samples(e, 40, jitter=0.01 * e.b, rng=rng),
+                         rng.uniform(-20, 20, (10, 2))])
+        whole = vanilla_ransac(pts, iterations=3.0, rng_seed=7)
+        count = vanilla_ransac(pts, iterations=3, rng_seed=7)
+        assert whole.iterations == 3 and type(whole.iterations) is int
+        assert whole.labels.outlier.tobytes() == count.labels.outlier.tobytes()
+        assert whole.model.values.tobytes() == count.model.values.tobytes()
+
+    @pytest.mark.parametrize("iterations", [True, np.True_, 3.5])
+    def test_iterations_must_be_whole(self, iterations, rng):
+        pts = ellipse_samples(random_ellipse(rng), 30)
+        with pytest.raises(ValueError,
+                           match=r"^iterations .* is not an integer$"):
+            vanilla_ransac(pts, iterations=iterations)
+
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_points_rejected(self, value, rng):

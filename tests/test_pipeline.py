@@ -80,11 +80,25 @@ class TestDetectPoints:
         with pytest.raises(ValueError):
             detect_points(data.points, "bogus")
 
+    def test_unknown_stage_refused_before_ransac(self):
+        data = make_dataset(TYPICAL)
+        with pytest.raises(ValueError, match="unknown stage 'bogus'"):
+            detect_points(data.points, "bogus", ransac_k=10)
+
     def test_ransac_branch(self):
         data = make_dataset(TYPICAL)
         out = detect_points(data.points, seed=1, ransac_k=100)
         assert out.proximity_labels is None
         assert out.fit.iterations == 100
+
+    @pytest.mark.parametrize("stage", ["proximity", "model", "both"])
+    def test_ransac_k_overrides_every_stage(self, stage):
+        data = make_dataset(TYPICAL)
+        out = detect_points(data.points, stage, seed=1, ransac_k=100)
+        fit = modelfit.vanilla_ransac(data.points, iterations=100, rng_seed=1)
+        assert out.proximity_labels is None
+        assert out.labels.outlier.tobytes() == fit.labels.outlier.tobytes()
+        assert out.model.values.tobytes() == fit.model.values.tobytes()
 
 
 def quiet(fn, *args, **kwargs):

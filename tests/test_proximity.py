@@ -13,14 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conic_purge import (EligibilityConfig, ExperimentConfig, NoEligibleVectors,
-                         TooFewPoints, ZeroVector, detect_1d,
-                         high_frequency_measure, make_dataset, proximity_stage,
-                         select_eligible)
+from conic_purge import (EligibilityConfig, ExperimentConfig, TooFewPoints,
+                         ZeroVector, make_dataset, proximity_stage)
 from conic_purge import proximity
 from conic_purge.geometry import EllipseParams, ellipse_boundary_points
-from conic_purge.proximity import (_row_quartiles, spectrum_of_points,
-                                   spike_ratio)
+from conic_purge.proximity import (_detect_rows, _eligible, _hf_measures,
+                                   _row_quartiles, _spike_ratios,
+                                   spectrum_of_points)
 from conic_purge.spectral import (Spectrum, generalized_eigs, graph_laplacian)
 
 import reference_proximity
@@ -48,21 +47,35 @@ def two_block_spectrum(sizes=(1, 5), coupling=1e-6) -> Spectrum:
     return generalized_eigs(graph_laplacian(w))
 
 
+def detect_one(values, gamma, seed, max_iter=100, initial_inliers=None):
+    """The stage's detector (``_detect_rows``) on one sample, started from
+    the random half drawn with ``seed`` or from ``initial_inliers``, and
+    warning as the stage does when its interval excludes every value."""
+    initial = None if initial_inliers is None \
+        else np.asarray(initial_inliers, dtype=bool)[None, :]
+    flags, excluded = _detect_rows(np.asarray(values, dtype=float)[None, :],
+                                   gamma, max_iter, [seed], initial)
+    for _ in excluded:
+        warnings.warn("interval excluded every element; keeping all points",
+                      RuntimeWarning, stacklevel=2)
+    return flags[0]
+
+
 class TestHighFrequencyMeasure:
     def test_uniform_sign_is_zero(self):
-        assert high_frequency_measure(np.ones(4)) == 0.0
+        assert _hf_measures(np.ones((1, 4)))[0] == 0.0
 
     def test_alternating_is_one(self):
-        assert high_frequency_measure(np.array([1.0, -1.0, 1.0, -1.0])) == 1.0
+        assert _hf_measures(np.array([[1.0, -1.0, 1.0, -1.0]]))[0] == 1.0
 
     def test_hand_value(self):
         # sum|v| = 3.0, |sum v| = 2.8
-        v = np.array([1.0, 1.0, 0.9, -0.1])
-        assert math.isclose(high_frequency_measure(v), (3.0 - 2.8) / 3.0)
+        v = np.array([[1.0, 1.0, 0.9, -0.1]])
+        assert math.isclose(_hf_measures(v)[0], (3.0 - 2.8) / 3.0)
 
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
-            high_frequency_measure(np.zeros(3))
+            _hf_measures(np.zeros((1, 3)))
 
 
 class TestEligibilityConfig:
@@ -101,7 +114,7 @@ class TestEligibilityConfig:
 class TestSelectEligible:
     def test_constant_vector_eligible(self):
         spec = two_block_spectrum((3, 3), coupling=0.5)  # well connected
-        eligible = select_eligible(spec, EligibilityConfig())
+        eligible = _eligible(spec, EligibilityConfig())[0].tolist()
         assert 0 in eligible
 
     def test_alternating_excluded(self):
@@ -109,36 +122,38 @@ class TestSelectEligible:
         vectors = np.column_stack([np.ones(4),
                                    np.array([1.0, -1.0, 1.0, -1.0])])
         spec = Spectrum(eigenvalues, vectors)
-        assert select_eligible(spec, EligibilityConfig()) == [0]
+        assert _eligible(spec, EligibilityConfig())[0].tolist() == [0]
 
     def test_weakly_coupled_blocks(self):
         spec = two_block_spectrum((1, 5))
         cfg = EligibilityConfig()
-        eligible = select_eligible(spec, cfg)
+        eligible = _eligible(spec, cfg)[0].tolist()
         assert eligible[:2] == [0, 1]
         assert spec.eigenvalues[1] < 1e-4  # contrast mode barely coupled
 
     def test_nothing_eligible(self):
         eigenvalues = np.array([0.2, 0.5])
         vectors = np.column_stack([np.ones(4), np.ones(4)])
-        with pytest.raises(NoEligibleVectors):
-            select_eligible(Spectrum(eigenvalues, vectors),
-                            EligibilityConfig())
+        spec = Spectrum(eigenvalues, vectors)
+        eligible, hf = _eligible(spec, EligibilityConfig())
+        assert eligible.size == 0 and hf.size == 0
+        assert proximity.eigenvector_flag_report(
+            spec, EligibilityConfig(), 0) == []
 
 
 class TestSpikeRatio:
     def test_indicator_like_is_large(self):
         v = np.r_[np.full(50, 1e-4), 1.0]
-        assert spike_ratio(v) > 1e3
+        assert _spike_ratios(v[None, :])[0] > 1e3
 
     def test_smooth_mode_is_small(self):
         v = np.sin(np.linspace(0, 6 * math.pi, 200))
-        assert spike_ratio(v) < 10.0
+        assert _spike_ratios(v[None, :])[0] < 10.0
 
 
 class TestDetect1d:
     def test_all_equal_no_outliers(self):
-        flags = detect_1d(np.full(10, 3.7), 2.5, rng_seed=0)
+        flags = detect_one(np.full(10, 3.7), 2.5, 0)
         assert not flags.any()
 
     def test_ninety_ten(self, rng):
@@ -146,7 +161,7 @@ class TestDetect1d:
         values = values[rng.permutation(100)]
         agree = 0
         for seed in range(100):
-            flags = detect_1d(values, 2.5, rng_seed=seed)
+            flags = detect_one(values, 2.5, seed)
             agree += int(np.array_equal(flags, values == 1.0))
         assert agree >= 99
 
@@ -155,41 +170,41 @@ class TestDetect1d:
         values = values[rng.permutation(100)]
         agree = 0
         for seed in range(100):
-            flags = detect_1d(values, 2.5, rng_seed=seed)
+            flags = detect_one(values, 2.5, seed)
             agree += int(np.array_equal(flags, values == 0.0))
         assert agree >= 99
 
     def test_scale_shift_equivariance(self, rng):
         values = rng.normal(size=80)
-        base = detect_1d(values, 2.5, rng_seed=11)
+        base = detect_one(values, 2.5, 11)
         for a, b in ((0.5, -5.0), (4.0, 3.0), (1.0, 2.0)):
-            assert np.array_equal(detect_1d(a * values + b, 2.5, rng_seed=11),
-                                  base)
+            assert np.array_equal(detect_one(a * values + b, 2.5, 11), base)
 
     def test_idempotent_at_fixpoint(self, rng):
         values = np.r_[rng.normal(0, 0.01, 60), rng.normal(4, 0.01, 8)]
-        flags = detect_1d(values, 2.5, rng_seed=3)
-        again = detect_1d(values, 2.5, rng_seed=3, initial_inliers=~flags)
+        flags = detect_one(values, 2.5, 3)
+        again = detect_one(values, 2.5, 3, initial_inliers=~flags)
         assert np.array_equal(flags, again)
 
     def test_gamma_interval_nesting_single_step(self, rng):
         values = rng.normal(size=120) ** 3  # heavy tails
         for seed in range(5):
-            one = detect_1d(values, 1.5, rng_seed=seed, max_iter=1)
-            two = detect_1d(values, 3.0, rng_seed=seed, max_iter=1)
+            one = detect_one(values, 1.5, seed, max_iter=1)
+            two = detect_one(values, 3.0, seed, max_iter=1)
             # wider interval flags a subset of what the narrow one flags
             assert not (two & ~one).any()
 
     def test_order_independence(self, rng):
         values = rng.normal(size=64)
         perm = rng.permutation(64)
-        flags = detect_1d(values, 2.5, rng_seed=5)
-        flags_perm = detect_1d(values[perm], 2.5, rng_seed=5)
+        flags = detect_one(values, 2.5, 5)
+        flags_perm = detect_one(values[perm], 2.5, 5)
         assert np.array_equal(flags[perm], flags_perm)
 
     def test_too_short(self):
         with pytest.raises(TooFewPoints):
-            detect_1d(np.array([1.0, 2.0, 3.0]), 2.5, rng_seed=0)
+            proximity._detect_vectors(np.array([[1.0, 2.0, 3.0]]),
+                                      EligibilityConfig(), 0, [0])
 
 
 class TestProximityStage:
@@ -424,7 +439,7 @@ class TestSortedOrderEquivalence:
                                            max_iter):
         ours, ref = (flags_and_warnings(detector, values, gamma, seed,
                                         max_iter)
-                     for detector in (detect_1d, reference_detect_1d))
+                     for detector in (detect_one, reference_detect_1d))
         assert np.array_equal(ours[0], ref[0]) and ours[1] == ref[1]
 
     @settings(max_examples=200, deadline=None)
@@ -439,7 +454,7 @@ class TestSortedOrderEquivalence:
         mask[rng.integers(values.size)] = True
         ours, ref = (flags_and_warnings(detector, values, gamma, 0, max_iter,
                                         initial_inliers=mask)
-                     for detector in (detect_1d, reference_detect_1d))
+                     for detector in (detect_one, reference_detect_1d))
         assert np.array_equal(ours[0], ref[0]) and ours[1] == ref[1]
 
     def test_excluded_every_element_warning(self):
@@ -448,7 +463,7 @@ class TestSortedOrderEquivalence:
         values = np.r_[np.zeros(5), np.ones(5)]
         mask = np.zeros(10, dtype=bool)
         mask[[0, 9]] = True
-        for detector in (detect_1d, reference_detect_1d):
+        for detector in (detect_one, reference_detect_1d):
             with pytest.warns(RuntimeWarning, match="excluded every element"):
                 flags = detector(values, 0.1, 0, initial_inliers=mask)
             assert not flags.any()
@@ -461,7 +476,7 @@ class TestSortedOrderEquivalence:
         values = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 1.0 - pad, 3.0 + pad])
         start = np.arange(7) < 5
         expected = np.array([True, False, False, False, True, False, False])
-        for detector in (detect_1d, reference_detect_1d):
+        for detector in (detect_one, reference_detect_1d):
             flags = detector(values, 1.0, 0, max_iter=1,
                              initial_inliers=start)
             assert np.array_equal(flags, expected)
@@ -470,25 +485,28 @@ class TestSortedOrderEquivalence:
         values = np.r_[rng.normal(0, 1, 50), rng.normal(30, 1, 5)]
         stopped_early = 0
         for seed in range(10):
-            one = detect_1d(values, 2.5, seed, max_iter=1)
+            one = detect_one(values, 2.5, seed, max_iter=1)
             assert np.array_equal(one, reference_detect_1d(values, 2.5, seed,
                                                            max_iter=1))
             stopped_early += not np.array_equal(one,
-                                                detect_1d(values, 2.5, seed))
+                                                detect_one(values, 2.5, seed))
         assert stopped_early > 0
-
-    def test_bad_initial_mask_rejected(self):
-        with pytest.raises(ValueError):
-            detect_1d(np.arange(6.0), 2.5, 0, initial_inliers=np.zeros(6, bool))
-        with pytest.raises(ValueError):
-            detect_1d(np.arange(6.0), 2.5, 0, initial_inliers=np.ones(5, bool))
 
 
 def pre_trusted(spectrum: Spectrum, cfg: EligibilityConfig) -> list[int]:
-    """Eligible vectors that pass the two detector-free trust tests."""
-    return [idx for idx in select_eligible(spectrum, cfg)
+    """Eligible vectors that pass the two detector-free trust tests,
+    screened one vector at a time by the frozen reference."""
+    return [idx for idx in eligible_one_at_a_time(spectrum, cfg)
             if spectrum.eigenvalues[idx] < cfg.strong_eig_threshold
-            and spike_ratio(spectrum.eigenvectors[:, idx]) >= cfg.binary_ratio]
+            and reference_proximity.spike_ratio(spectrum.eigenvectors[:, idx])
+            >= cfg.binary_ratio]
+
+
+def eligible_one_at_a_time(spectrum: Spectrum,
+                           cfg: EligibilityConfig) -> list[int]:
+    """Indexes of the eligible vectors, from the frozen one-vector code."""
+    return [idx for idx, _hf in
+            reference_proximity._eligible_measures(spectrum, cfg)]
 
 
 # SHA-256 of (outlier flags, stage tags) of the proximity stage, recorded
@@ -579,7 +597,8 @@ class TestFilterFirst:
             proximity_stage(data.points, cfg.eligibility, cfg.seed, report)
         (rows, indexes), = calls
         assert indexes == expected and len(expected) > 0
-        assert len(expected) < len(select_eligible(spectrum, cfg.eligibility))
+        assert len(expected) < len(eligible_one_at_a_time(spectrum,
+                                                          cfg.eligibility))
         for values, idx in zip(rows, expected, strict=True):
             assert np.array_equal(values, spectrum.eigenvectors[:, idx])
 
@@ -644,18 +663,19 @@ class TestFilterFirst:
                                                    cfg.seed, detect_all=True)
         stage = proximity.eigenvector_flag_report(spectrum, cfg.eligibility,
                                                   cfg.seed)
-        assert [r[0] for r in report] == select_eligible(spectrum,
-                                                         cfg.eligibility)
+        assert [r[0] for r in report] == eligible_one_at_a_time(
+            spectrum, cfg.eligibility)
         assert [r[0] for r in report if r[3]] == \
             pre_trusted(spectrum, cfg.eligibility)
         for (idx, lam, hf, trusted, flags), stage_record in zip(report, stage,
                                                               strict=True):
             vec = spectrum.eigenvectors[:, idx]
             seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(idx,))
-            own = detect_1d(vec, cfg.eligibility.gamma, seed.spawn(1)[0])
+            own = reference_proximity.detect_1d(vec, cfg.eligibility.gamma,
+                                                seed.spawn(1)[0])
             assert np.array_equal(flags, own)
             assert lam == float(spectrum.eigenvalues[idx])
-            assert hf == high_frequency_measure(vec)
+            assert hf == reference_proximity.high_frequency_measure(vec)
             assert stage_record[:4] == (idx, lam, hf, trusted)
             if trusted:
                 assert np.array_equal(stage_record[4], own)
@@ -821,29 +841,23 @@ class TestBatchedReport:
 
 
 class TestDetect1dArguments:
+    """The detector takes ``gamma`` and ``max_iter`` only from an
+    EligibilityConfig, which refuses every value the detector cannot
+    run with."""
+
     @pytest.mark.parametrize("max_iter", [0, -1, True, np.True_, 2.5, None])
     def test_max_iter(self, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
-            detect_1d(np.arange(10.0), 2.5, 0, max_iter=max_iter)
+            EligibilityConfig(max_iter=max_iter)
 
     @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf, True,
                                        "wide"])
     def test_gamma(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
-            detect_1d(np.arange(10.0), gamma, 0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_values_must_be_finite(self, bad):
-        values = np.arange(10.0)
-        values[4] = bad
-        with pytest.raises(ValueError, match="finite"):
-            detect_1d(values, 2.5, 0)
-
-    def test_values_must_be_one_dimensional(self):
-        with pytest.raises(ValueError, match="1-D"):
-            detect_1d(np.arange(12.0).reshape(6, 2), 2.5, 0)
+            EligibilityConfig(gamma=gamma)
 
     def test_whole_float_max_iter_accepted(self):
-        values = np.r_[np.zeros(20), 5.0]
-        assert np.array_equal(detect_1d(values, 2.5, 1, max_iter=3.0),
-                              detect_1d(values, 2.5, 1, max_iter=3))
+        values = np.r_[np.zeros(20), 5.0][None, :]
+        flags = [proximity._detect_vectors(values, EligibilityConfig(
+            max_iter=max_iter), 1, [0]) for max_iter in (3.0, 3)]
+        assert np.array_equal(flags[0], flags[1])
