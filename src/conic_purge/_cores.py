@@ -1,7 +1,6 @@
 """The worker threads of every overlap in the library (the spectrum beside
-the rescue in ``pipeline``, with the graph and check in row halves from
-``spectral``, and the Monte Carlo draw ahead of its count in
-``geometry``): :class:`Worker` runs an overlap's work on a thread of one
+the rescue in ``pipeline``, and the Monte Carlo draw ahead of its count
+in ``geometry``): :class:`Worker` runs an overlap's work on a thread of one
 small process-wide pool, and :func:`spare_core`, whether that thread has
 a CPU of its own, is the one gate.  Callers read the gate at call time,
 so replacing it here reaches them all.

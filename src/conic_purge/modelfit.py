@@ -791,10 +791,12 @@ def ransac_success_prob(w: float, n: int, k: int) -> float:
     """Probability that k minimal samples contain at least one all-inlier one.
 
     w is the inlier fraction, n the minimal sample size:
-    1 - (1 - w^n)^k.
+    1 - (1 - w^n)^k.  n and k are whole numbers (see
+    :func:`~conic_purge.errors.typed_number`).
     """
     if not 0.0 < w <= 1.0:
         raise ValueError("w must lie in (0, 1]")
+    n, k = typed_number(int, n, "n"), typed_number(int, k, "k")
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     return 1.0 - (1.0 - w ** n) ** k

@@ -17,7 +17,7 @@ from .modelfit import (FitResult, RefineConfig, _dim_tools,
                        fit_ellipse_direct, fit_ellipsoid_direct, refine,
                        rescue_start, vanilla_ransac)
 from .proximity import DetectionLabels, EligibilityConfig, proximity_stage
-from .spectral import MAX_POINTS, RowHalves, Spectrum
+from .spectral import MAX_POINTS, Spectrum
 from .synth import ExperimentConfig, detection_metrics, make_dataset
 
 __all__ = [
@@ -31,17 +31,6 @@ __all__ = [
 ]
 
 PIPELINES = ("two_stage", "no_elimination", "ransac")
-
-# from this many points on, the overlapped stages also share the graph
-# build and the eigenpair check between the two threads.  Below it the
-# caller's rescue start and report take about as long as the worker's
-# graph and solve, and moving work to the caller did not pay: split,
-# detect_points ran 12% slower at K=150 and 2-8% faster at K=250-450 in
-# 2-D, but 12-17% slower at K=150-250 and within 2% at K=350-500 in 3-D;
-# from K=650 on it ran 7-9% faster in both, and 11% at K=500 in 2-D
-# (2 CPUs, OpenBLAS on one thread, worker threads reused, medians of 24
-# calls per K; BENCH_pool.json, first measured in BENCH_splithalves.json)
-SPLIT_MIN_POINTS = 500
 
 # the config fields a sweep may vary, with the cast of their grid values
 _SWEEP_CASTS = {"n_inliers": int, "n_outliers": int, "sigma0": float,
@@ -112,53 +101,37 @@ def _spectrum_beside_rescue(pts: np.ndarray, eligibility: EligibilityConfig,
     this split, not the reverse, keeps both cores busy.  The worker hands
     the spectrum over before ``generalized_eigs`` verifies its eigenpairs,
     and the report, which only reads it, is built while the check runs.
-    From ``SPLIT_MIN_POINTS`` points on, this thread also builds half of
-    the graph with the worker before computing the rescue during the
-    eigensolve, and takes row blocks of the check once its report is
-    made (:class:`~conic_purge.spectral.RowHalves`).  The worker runs in
-    a copy of the caller's context (its ``np.errstate`` included) and has
-    ended before anything is returned or raised, so only a verified
-    spectrum leaves this function.  Errors keep the serial order: the
-    worker's (the check's ``ConvergenceFailure`` included) wins over the
-    report's.  The rescue trajectory, which needs no labels, runs here to
-    its end (:func:`~conic_purge.modelfit.rescue_start`), before or after
-    the hand-off; a loop whose fit fails is a rescue without an outcome,
-    as in refine.  A rescue that raised anything else is left to refine,
+    The worker runs in a copy of the caller's context (its ``np.errstate``
+    included) and has ended before anything is returned or raised, so
+    only a verified spectrum leaves this function.  Errors keep the
+    serial order: the worker's (the check's ``ConvergenceFailure``
+    included) wins over the report's.  The rescue trajectory, which needs
+    no labels, runs here to its end
+    (:func:`~conic_purge.modelfit.rescue_start`), before or after the
+    hand-off; a loop whose fit fails is a rescue without an outcome, as
+    in refine.  A rescue that raised anything else is left to refine,
     which computes it again and raises in its own order.
     """
-    # refuses points as the worker's first step would, before it starts
-    halves = (RowHalves(pts, eligibility.bandwidth_rank)
-              if pts.shape[0] >= SPLIT_MIN_POINTS else None)
     # the spectrum once solved, or None once the worker ends without one
     handed = queue.SimpleQueue()
 
     def solve():
         try:
-            if halves is None:
-                return proximity.spectrum_of_points(pts, eligibility,
-                                                    on_solved=handed.put)
-            return proximity.generalized_eigs(halves.build(1),
-                                              on_solved=handed.put)
+            return proximity.spectrum_of_points(pts, eligibility,
+                                                on_solved=handed.put)
         finally:
             handed.put(None)  # a failure before the hand-off must not block
 
     report = None
-    stop = None if halves is None else halves.release
-    with _cores.Worker(solve, stop=stop) as worker:
-        if halves is not None:
-            halves.build(0)
+    with _cores.Worker(solve) as worker:
         try:
             given = {"rescue": rescue_start(pts, refine_cfg)}
         except Exception:
             given = {}
         spectrum = handed.get()
         if spectrum is not None:
-            try:
-                report = proximity.eigenvector_flag_report(
-                    spectrum, eligibility, seed, detect_all)
-            finally:
-                if halves is not None:
-                    halves.check(spectrum)
+            report = proximity.eigenvector_flag_report(
+                spectrum, eligibility, seed, detect_all)
     return worker.result, report, given
 
 
@@ -192,13 +165,9 @@ def detect_points(points: np.ndarray, stage: str = "both",
     caller then builds the report while the worker verifies the
     eigenpairs.  This happens when numpy's OpenBLAS leaves one of the
     process's CPUs free (it runs on fewer threads than there are usable
-    CPUs); otherwise the stages run one after the other.  From
-    ``SPLIT_MIN_POINTS`` points on, the caller first runs the graph passes
-    over one row half while the worker runs them over the other, computes
-    the rescue trajectory during the eigensolve, and after its report
-    takes row blocks of the eigenpair check
-    (:class:`~conic_purge.spectral.RowHalves`); the worker is still the
-    only other thread.  Either way the outcome, the spectrum and report
+    CPUs); otherwise the stages run one after the other.  The worker
+    builds the whole graph and solves it at every K, and is the only
+    other thread.  Either way the outcome, the spectrum and report
     handed to ``on_report`` and any error are those of the serial stages:
     the worker's error wins over the caller's, and the worker has ended
     before ``on_report`` is called, so the hook only sees a verified

@@ -379,13 +379,12 @@ def spectrum_of_points(points: np.ndarray,
                        ) -> Spectrum:
     """Heat-kernel graph spectrum of a point set (the stage's front half).
 
-    This is the one-thread driver of the graph passes: each public
-    function runs its row-range passes over all rows.  ``on_solved`` goes
-    to :func:`~conic_purge.spectral.generalized_eigs`, which hands it the
-    spectrum before verifying its eigenpairs.  Large point sets in the
-    overlapped pipeline stages run the same passes on two threads over
-    row halves instead (:class:`~conic_purge.spectral.RowHalves`), with
-    the same spectrum and errors bit for bit.
+    The one driver of the graph: distances, bandwidth, kernel, Laplacian
+    and eigensolve, one after the other on the calling thread, which in
+    the overlapped pipeline stages is the worker
+    (:func:`~conic_purge.pipeline.detect_points`).  ``on_solved`` goes to
+    :func:`~conic_purge.spectral.generalized_eigs`, which hands it the
+    spectrum before verifying its eigenpairs.
     """
     cfg = cfg or EligibilityConfig()
     dist = pairwise_distances(np.asarray(points, dtype=float))

@@ -7,14 +7,13 @@ generalized problem  L f = lambda D f.
 
 from __future__ import annotations
 
-import queue
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateBandwidth, TooFewPoints
+from .errors import (ConvergenceFailure, DegenerateBandwidth, TooFewPoints,
+                     typed_number)
 
 __all__ = [
     "DistanceMatrix",
@@ -25,18 +24,17 @@ __all__ = [
     "heat_kernel_weights",
     "graph_laplacian",
     "generalized_eigs",
-    "RowHalves",
 ]
 
 MAX_POINTS = 5000  # dense full-spectrum solve; keeps O(K^3) within reason
 
 RESIDUAL_RTOL = 1e-8
 
-# entries per block of rows that the distances, the kernel and a shared
-# residual check each work on at once: 256 KiB of float64 temporaries.
-# Small blocks stay in cache, and they keep a thread's temporaries far
-# below glibc's mmap threshold, which rises to the size of a freed K x K
-# matrix, so the heap that keeps what is freed below it stays small
+# entries per block of rows that the distances and the kernel each work
+# on at once: 256 KiB of float64 temporaries.  Small blocks stay in cache,
+# and they keep a thread's temporaries far below glibc's mmap threshold,
+# which rises to the size of a freed K x K matrix, so the heap that keeps
+# what is freed below it stays small
 BLOCK_ENTRIES = 1 << 15
 
 # squared distances must stay this factor below the largest float64, so
@@ -44,11 +42,6 @@ BLOCK_ENTRIES = 1 << 15
 SQUARE_MARGIN = 16.0
 
 DistanceMatrix = np.ndarray
-
-
-def _check_degrees(deg: np.ndarray) -> None:
-    if not (deg > 0.0).all():
-        raise ValueError("all degrees must be positive")
 
 
 @dataclass(frozen=True)
@@ -64,25 +57,10 @@ class LaplacianPair:
         k = lap.shape[0]
         if lap.shape != (k, k) or deg.shape != (k,):
             raise ValueError("laplacian must be KxK with a K degree vector")
-        _check_degrees(deg)
+        if not (deg > 0.0).all():
+            raise ValueError("all degrees must be positive")
         object.__setattr__(self, "laplacian", lap)
         object.__setattr__(self, "degrees", deg)
-
-    def _symmetric_form(self, inv_root: np.ndarray) -> np.ndarray:
-        """0.5 (S + S^T), S = D^{-1/2} L D^{-1/2}: the scaling and
-        symmetric passes over all rows."""
-        k = len(self.degrees)
-        scaled = np.empty((k, k))
-        _scaled_rows(self.laplacian, inv_root, scaled, 0, k)
-        sym = np.empty((k, k))
-        _symmetric_rows(scaled, sym, 0, k)
-        return sym
-
-    def _residuals(self, spectrum: Spectrum,
-                   scratch: np.ndarray) -> tuple[float, float]:
-        """The residual check over all rows (:func:`_residual_rows`)."""
-        return _residual_rows(self.laplacian, self.degrees, spectrum, 0,
-                              len(self.degrees), scratch)
 
 
 @dataclass(frozen=True)
@@ -97,6 +75,12 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
+def _row_blocks(k: int):
+    """The rows of a K x K matrix in blocks of BLOCK_ENTRIES entries."""
+    rows = max(1, BLOCK_ENTRIES // k)
+    return [(start, min(start + rows, k)) for start in range(0, k, rows)]
+
+
 def pairwise_distances(points: np.ndarray) -> DistanceMatrix:
     """K x K Euclidean distance matrix, computed coordinate-wise.
 
@@ -108,15 +92,6 @@ def pairwise_distances(points: np.ndarray) -> DistanceMatrix:
     (SQUARE_MARGIN * dims)), which bounds every squared distance by
     max float / SQUARE_MARGIN.
     """
-    pts = _checked_points(points)
-    k = pts.shape[0]
-    out = np.zeros((k, k))
-    _distance_rows(pts, out, 0, k)
-    return out
-
-
-def _checked_points(points: np.ndarray) -> np.ndarray:
-    """``points`` as float64, refused as ``pairwise_distances`` documents."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise TooFewPoints("need at least 2 points")
@@ -133,20 +108,8 @@ def _checked_points(points: np.ndarray) -> np.ndarray:
         raise DegenerateBandwidth(
             f"coordinate span {span:.3e} exceeds {limit:.3e}; squared "
             "pairwise distances would overflow float64")
-    return pts
-
-
-def _row_blocks(k: int, first: int, end: int):
-    """Rows first..end-1 of a K x K matrix in blocks of BLOCK_ENTRIES."""
-    rows = max(1, BLOCK_ENTRIES // k)
-    return [(start, min(start + rows, end))
-            for start in range(first, end, rows)]
-
-
-def _distance_rows(pts: np.ndarray, out: np.ndarray, first: int,
-                   end: int) -> None:
-    """Rows first..end-1 of the distance matrix, into a zeroed ``out``."""
-    for start, stop in _row_blocks(pts.shape[0], first, end):
+    out = np.zeros((k, k))
+    for start, stop in _row_blocks(k):
         block = out[start:stop]
         # one coordinate column at a time: 0 + dx^2 + dy^2 (+ dz^2), left
         # to right, the order in which numpy sums fewer than 8 values
@@ -155,8 +118,8 @@ def _distance_rows(pts: np.ndarray, out: np.ndarray, first: int,
             diff *= diff
             block += diff
         np.sqrt(block, out=block)
-    diagonal = np.arange(first, end)
-    out[diagonal, diagonal] = 0.0
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def select_bandwidth(dist: DistanceMatrix, rank_multiplier: int = 4) -> float:
@@ -167,7 +130,10 @@ def select_bandwidth(dist: DistanceMatrix, rank_multiplier: int = 4) -> float:
     taken as sqrt(t); a selection finds it without sorting.  A zero value
     there means duplicated points dominate, or points so close that their
     squared differences underflow, and no meaningful scale exists.
+    ``rank_multiplier`` is a whole number (see
+    :func:`~conic_purge.errors.typed_number`), at least 1.
     """
+    rank_multiplier = typed_number(int, rank_multiplier, "rank_multiplier")
     if rank_multiplier < 1:
         raise ValueError("rank multiplier must be >= 1")
     k = dist.shape[0]
@@ -190,13 +156,7 @@ def heat_kernel_weights(dist: DistanceMatrix, t: float) -> np.ndarray:
     if t <= 0.0:
         raise ValueError("bandwidth t must be positive")
     w = np.array(dist, dtype=float)
-    _kernel_rows(w, t, 0, w.shape[0])
-    return w
-
-
-def _kernel_rows(w: np.ndarray, t: float, first: int, end: int) -> None:
-    """Distances to weights in rows first..end-1 of ``w``, in place."""
-    for start, stop in _row_blocks(w.shape[0], first, end):
+    for start, stop in _row_blocks(w.shape[0]):
         # -(d * d) / t, then exp where it does not underflow (NaN stays)
         x = w[start:stop]
         np.multiply(x, x, out=x)
@@ -205,6 +165,7 @@ def _kernel_rows(w: np.ndarray, t: float, first: int, end: int) -> None:
         under = x < -746.0
         np.exp(x, out=x, where=~under)
         x[under] = 0.0
+    return w
 
 
 def graph_laplacian(weights: np.ndarray) -> LaplacianPair:
@@ -212,47 +173,11 @@ def graph_laplacian(weights: np.ndarray) -> LaplacianPair:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("weights must be a square matrix")
-    k = w.shape[0]
-    deg = np.empty(k)
-    _degree_columns(w, deg, 0, k)
+    deg = w.sum(axis=0)
     lap = w.copy()
-    _laplacian_rows(lap, deg, 0, k)
+    np.subtract(0.0, lap, out=lap)  # 0 - w off the diagonal
+    np.fill_diagonal(lap, deg - w.diagonal())
     return LaplacianPair(lap, deg)
-
-
-def _degree_columns(w: np.ndarray, deg: np.ndarray, first: int,
-                    end: int) -> None:
-    """Degrees first..end-1, the column sums of ``w``, into ``deg``.  A
-    column sum adds the column's entries top to bottom, whichever other
-    columns are summed with it."""
-    deg[first:end] = w[:, first:end].sum(axis=0)
-
-
-def _laplacian_rows(w: np.ndarray, deg: np.ndarray, first: int,
-                    end: int) -> None:
-    """Rows first..end-1 of the weights to L = diag(deg) - W, in place:
-    0 - w off the diagonal."""
-    rows = slice(first, end)
-    inner = np.arange(first, end)
-    on_diagonal = w[inner, inner]
-    np.subtract(0.0, w[rows], out=w[rows])
-    w[inner, inner] = deg[inner] - on_diagonal
-
-
-def _scaled_rows(lap: np.ndarray, inv_root: np.ndarray, out: np.ndarray,
-                 first: int, end: int) -> None:
-    """Rows first..end-1 of D^{-1/2} L D^{-1/2}, (L r_i) r_j, into ``out``."""
-    rows = slice(first, end)
-    np.multiply(lap[rows], inv_root[rows, None], out=out[rows])
-    out[rows] *= inv_root[None, :]
-
-
-def _symmetric_rows(scaled: np.ndarray, out: np.ndarray, first: int,
-                    end: int) -> None:
-    """Rows first..end-1 of 0.5 (S + S^T) into ``out``."""
-    rows = slice(first, end)
-    np.add(scaled[rows], scaled[:, rows].T, out=out[rows])
-    out[rows] *= 0.5
 
 
 def generalized_eigs(lp: LaplacianPair, *,
@@ -280,23 +205,20 @@ def generalized_eigs(lp: LaplacianPair, *,
     The check only reads it, and the same object is returned once it
     passes.
 
-    A pair that :class:`RowHalves` built brings the symmetric form its
-    two threads built, and splits the check into row blocks that the
-    other thread may share (:meth:`RowHalves.check`); the result and any
-    error are the same.
-
     Four K x K float64 arrays are live at most, L included, besides what
-    eigh allocates internally; the inputs are not modified.  For a pair
-    that :class:`RowHalves` built three are (L, the symmetric form,
-    reused as the check's scratch, and the vectors), and each check block
-    adds a product of ``BLOCK_ENTRIES`` entries per thread.
+    eigh allocates internally; the inputs are not modified.
     """
     lap, deg = lp.laplacian, lp.degrees
     k = lap.shape[0]
     if k > MAX_POINTS:
         raise ValueError(f"K={k} exceeds the configured cap of {MAX_POINTS}")
     inv_root = 1.0 / np.sqrt(deg)
-    sym = lp._symmetric_form(inv_root)
+    # S = D^{-1/2} L D^{-1/2} as (L r_i) r_j, then 0.5 (S + S^T)
+    scaled = lap * inv_root[:, None]
+    scaled *= inv_root[None, :]
+    sym = scaled + scaled.T
+    sym *= 0.5
+    del scaled
     evals, vectors = np.linalg.eigh(sym)
     vectors *= inv_root[:, None]
     # max-norm 1 with the largest-magnitude entry exactly +1
@@ -306,186 +228,16 @@ def generalized_eigs(lp: LaplacianPair, *,
     if on_solved is not None:
         on_solved(spectrum)
     # sym's buffer is reused for |L|, L' and D F diag(λ)
-    row_sum, worst = lp._residuals(spectrum, sym)
+    np.abs(lap, out=sym)
+    row_sum = float(sym.sum(axis=1).max())
+    np.multiply(lap, sym >= np.finfo(float).tiny, out=sym)
+    residual = sym @ vectors
+    np.multiply(deg[:, None], vectors, out=sym)
+    sym *= evals[None, :]
+    residual -= sym
+    worst = float(np.abs(residual, out=residual).max())
     limit = RESIDUAL_RTOL * row_sum + k * np.finfo(float).tiny
     if worst > limit:
         raise ConvergenceFailure(
             f"eigenpair residual {worst:.3e} exceeds tolerance {limit:.3e}")
     return spectrum
-
-
-def _residual_rows(lap: np.ndarray, deg: np.ndarray, spectrum: Spectrum,
-                   first: int, end: int, scratch: np.ndarray,
-                   ) -> tuple[float, float]:
-    """The residual check's rows first..end-1: their largest row sum of
-    |L| and their largest |L' f - lambda D f|, with rows first..end-1 of
-    ``scratch`` overwritten."""
-    rows = slice(first, end)
-    buf = scratch[rows]
-    np.abs(lap[rows], out=buf)
-    row_sum = float(buf.sum(axis=1).max())
-    np.multiply(lap[rows], buf >= np.finfo(float).tiny, out=buf)
-    residual = buf @ spectrum.eigenvectors
-    np.multiply(deg[rows, None], spectrum.eigenvectors[rows], out=buf)
-    buf *= spectrum.eigenvalues[None, :]
-    residual -= buf
-    return row_sum, float(np.abs(residual, out=residual).max())
-
-
-class RowHalves:
-    """The graph and the residual check of ``spectrum_of_points`` on one
-    point set, shared by two threads, with the bits of one thread.
-
-    The thread that makes it (part 0, the lower rows) calls ``build(0)``
-    and, once the spectrum is handed over, ``check(spectrum)``; the other
-    (part 1) calls ``generalized_eigs(build(1))``, which solves and
-    verifies the eigenpairs.  Part 1 runs on a
-    :class:`~conic_purge._cores.Worker` whose ``stop`` is ``release``.
-    Making it refuses the points as ``pairwise_distances`` would.
-
-    The graph is built by the ordered list of row-range passes that the
-    serial functions run over all rows (:meth:`_passes`): distances; the
-    bandwidth, which part 1 selects from the whole matrix; the kernel;
-    the degrees, by column halves; the Laplacian; D^{-1/2} L D^{-1/2};
-    and its symmetric part.  Each part runs them over its row half, with
-    a barrier after each pass.  One K x K buffer holds the distances,
-    then the weights, then L, and the symmetric form takes two more, one
-    of which is released before the solve, so no more arrays are live
-    than on one thread.  Part 1 allocates all three, so they come from
-    its malloc arena, as on one thread; from part 0's, large2d_cli's peak
-    RSS rose by up to 4 MiB.  Each entry undergoes the operations of the
-    serial functions in the same order: the kernel and the scaling are
-    elementwise, and a column sum adds the column's entries top to bottom
-    whichever other columns are summed with it.  A part that fails a pass
-    still meets the other at its barrier, and then both stop; part 1
-    raises the error the serial functions would meet first: of that
-    pass, part 0's before its own.
-
-    The check is split into blocks of rows (``BLOCK_ENTRIES`` entries
-    each), taken in turn by whichever thread is free; each row's products
-    are those of the whole matrix.  Part 1 waits for the last block, then
-    takes the largest row sum and residual over all blocks, or raises the
-    error of the lowest block that failed.
-    """
-
-    def __init__(self, points: np.ndarray, rank_multiplier: int):
-        self._pts = _checked_points(points)
-        k = self._pts.shape[0]
-        if k < 4:  # a half must keep two columns for its column sums
-            raise ValueError("row halves need at least 4 points")
-        if rank_multiplier < 1:
-            raise ValueError("rank multiplier must be >= 1")
-        self._rank = rank_multiplier
-        self._halves = ((0, k // 2), (k // 2, k))
-        # the parts' errors, and for each pass both have ended whether
-        # either failed it: the barrier notes that before it lets them go
-        # on, so an error recorded in the next pass does not count yet.
-        # Its action holds no reference to self, which would keep the
-        # K x K buffers alive until a garbage collection
-        errors, ended = {}, []
-        self._errors, self._ended = errors, ended
-        self._barrier = threading.Barrier(
-            2, action=lambda: ended.append(bool(errors)))
-        self._part0_built = False
-        self._degrees = np.empty(k)
-        self._t = None
-        # the K x K buffers, allocated by part 1 in its passes
-        self._graph = self._scaled = self.symmetric = None
-        self._blocks = _row_blocks(k, 0, k)
-        # the check's blocks, then one None that ends each part's share
-        self._unchecked = queue.SimpleQueue()
-        for block in [*range(len(self._blocks)), None, None]:
-            self._unchecked.put(block)
-        self._checked = queue.SimpleQueue()
-
-    def _passes(self, part: int):
-        """Part ``part``'s graph passes, in order; each ``yield`` ends one."""
-        first, end = self._halves[part]
-        k = self._pts.shape[0]
-        if part == 1:  # see the class docstring on the arena
-            self._graph = np.zeros((k, k))
-        yield
-        _distance_rows(self._pts, self._graph, first, end)
-        yield
-        if part == 1:  # the ranked distance, from the whole matrix
-            self._t = select_bandwidth(self._graph, self._rank)
-        yield
-        _kernel_rows(self._graph, self._t, first, end)
-        yield
-        if part == 1:
-            self._scaled = np.empty((k, k))
-            self.symmetric = np.empty((k, k))
-        _degree_columns(self._graph, self._degrees, first, end)
-        yield
-        _check_degrees(self._degrees)
-        _laplacian_rows(self._graph, self._degrees, first, end)
-        yield
-        _scaled_rows(self._graph, 1.0 / np.sqrt(self._degrees), self._scaled,
-                     first, end)
-        yield
-        _symmetric_rows(self._scaled, self.symmetric, first, end)
-        yield
-
-    def build(self, part: int) -> LaplacianPair | None:
-        """Part ``part``'s half of the graph.  Part 1 returns the Laplacian
-        pair, or raises the first error of either part; part 0 returns
-        None and leaves its errors to part 1."""
-        try:
-            for _ in self._passes(part):
-                self._barrier.wait()
-                if self._ended[-1]:
-                    break
-        except BaseException as exc:  # raised by part 1 below
-            self._errors[part] = exc
-            self._barrier.wait()  # where the other part ends this pass
-        if part == 0:
-            self._part0_built = True
-            return None
-        self._scaled = None  # released before the solve
-        if self._errors:
-            raise self._errors[min(self._errors)]
-        return _HalvedPair(self._graph, self._degrees, halves=self)
-
-    def release(self) -> None:
-        """Part 0 leaves.  Had it not finished ``build(0)``, part 1 stops
-        waiting for it at a barrier and raises BrokenBarrierError."""
-        if not self._part0_built:
-            self._barrier.abort()
-
-    def check(self, spectrum: Spectrum) -> None:
-        """Check row blocks of ``spectrum`` until none is left; the results
-        and errors go to part 1.  Each part calls it once."""
-        for block in iter(self._unchecked.get, None):
-            try:
-                result = _residual_rows(self._graph, self._degrees, spectrum,
-                                        *self._blocks[block], self.symmetric)
-            except BaseException as exc:  # raised by part 1 in verify
-                result = exc
-            self._checked.put((block, result))
-
-    def verify(self, spectrum: Spectrum) -> tuple[float, float]:
-        """Part 1: check blocks, wait for the last, and return the largest
-        row sum and residual, or raise the lowest block's error."""
-        self.check(spectrum)
-        results = [result for _, result in
-                   sorted(self._checked.get() for _ in self._blocks)]
-        for result in results:
-            if isinstance(result, BaseException):
-                raise result
-        row_sums, worsts = np.array(results).T
-        return float(row_sums.max()), float(worsts.max())
-
-
-@dataclass(frozen=True)
-class _HalvedPair(LaplacianPair):
-    """The Laplacian pair of a :class:`RowHalves`, whose two threads built
-    its symmetric form and share its residual check."""
-
-    halves: RowHalves
-
-    def _symmetric_form(self, inv_root: np.ndarray) -> np.ndarray:
-        return self.halves.symmetric
-
-    def _residuals(self, spectrum: Spectrum,
-                   scratch: np.ndarray) -> tuple[float, float]:
-        return self.halves.verify(spectrum)

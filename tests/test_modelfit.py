@@ -1579,6 +1579,15 @@ class TestRansacSuccessProb:
     def test_zero_trials(self):
         assert ransac_success_prob(0.3, 5, 0) == 0.0
 
+    def test_counts_are_whole_numbers(self):
+        assert ransac_success_prob(0.5, 5.0, 146.0) == \
+            ransac_success_prob(0.5, 5, 146)
+        for n, k, named in ((5, 10.5, "k 10.5"), (5.5, 10, "n 5.5"),
+                            (True, 10, "n True"), (5, False, "k False")):
+            with pytest.raises(ValueError,
+                               match=f"^{named} is not an integer"):
+                ransac_success_prob(0.5, n, k)
+
     def test_monotonicity(self, rng):
         for _ in range(200):
             w = rng.uniform(0.05, 1.0)
